@@ -2,11 +2,10 @@
 //!
 //! Trains one compute-heavy fixture (dense-ish tensor, rank 16, λ = 0 —
 //! the entry-chunk kernels dominate) under every scheduling configuration:
-//! single-process at 1/2/4 threads, 1/2/4 worker processes at 1/2 threads
-//! each under both the plain protocol and tail sharding (owner-computes
-//! Adam, `shard_*` labels), plus a `shard_w4_t2_serial` twin with the
-//! coordinator-tail overlap disabled. Emits `BENCH_distributed.json` into
-//! the current directory.
+//! single-process at 1/2/4 threads, and 1/2/4 worker processes at 1/2
+//! threads each under the tail-sharded protocol (owner-computes Adam,
+//! `shard_*` labels). Emits `BENCH_distributed.json` into the current
+//! directory.
 //!
 //! Two timings are reported per configuration:
 //!
@@ -14,7 +13,7 @@
 //! * `critical_path_ms_per_epoch` — coordinator-serial time plus the
 //!   **slowest single worker's** compute time:
 //!   `(wall − Σ_w busy_w)/E + max_w(busy_w)/E`, from the per-step
-//!   `busy_ns` every worker reports in its Deltas message. On a host with
+//!   `busy_ns` every worker reports in its UpdatedRows message. On a host with
 //!   at least as many CPUs as the fleet the two converge; on a smaller
 //!   host (CI containers are often 1-CPU, where the OS time-slices the
 //!   fleet and wall clock cannot show parallel speedup) the critical path
@@ -127,8 +126,6 @@ struct ConfigResult {
     label: String,
     workers: usize,
     threads: usize,
-    tail_shard: bool,
-    overlap: bool,
     wall_ms_per_epoch: f64,
     critical_path_ms_per_epoch: f64,
     bytes_sent_per_epoch: u64,
@@ -232,8 +229,6 @@ fn run_bench(smoke: bool) {
                     label: format!("single_t{threads}"),
                     workers: 0,
                     threads,
-                    tail_shard: false,
-                    overlap: false,
                     wall_ms_per_epoch: wall,
                     // One address space: the chunk grid is the critical path.
                     critical_path_ms_per_epoch: wall,
@@ -251,8 +246,8 @@ fn run_bench(smoke: bool) {
         results.push(median);
     }
 
-    // One distributed configuration, either protocol: median of `trials`.
-    let run_dist = |label: String, workers: usize, threads: usize, tail_shard, overlap| {
+    // One distributed configuration: median of `trials`.
+    let run_dist = |label: String, workers: usize, threads: usize| {
         let run_once = || {
             let mut c = cfg.clone();
             c.workers = Some(workers);
@@ -260,8 +255,6 @@ fn run_bench(smoke: bool) {
             let dist = DistConfig {
                 worker_threads: Some(threads),
                 worker_args: vec!["dist-worker".into()],
-                tail_shard,
-                overlap,
                 ..DistConfig::new(workers, exe.clone())
             };
             let mut clock = EpochClock::new();
@@ -287,8 +280,6 @@ fn run_bench(smoke: bool) {
                 label: label.clone(),
                 workers,
                 threads,
-                tail_shard,
-                overlap,
                 wall_ms_per_epoch: wall,
                 critical_path_ms_per_epoch: critical,
                 bytes_sent_per_epoch: sent,
@@ -307,35 +298,16 @@ fn run_bench(smoke: bool) {
         median
     };
 
-    // Plain protocol: 1/2/4 workers × 1/2 threads each.
-    for workers in [1usize, 2, 4] {
-        for threads in [1usize, 2] {
-            results.push(run_dist(
-                format!("dist_w{workers}_t{threads}"),
-                workers,
-                threads,
-                false,
-                false,
-            ));
-        }
-    }
-
-    // Tail-sharded protocol (owner-computes Adam), same grid.
+    // 1/2/4 workers × 1/2 threads each.
     for workers in [1usize, 2, 4] {
         for threads in [1usize, 2] {
             results.push(run_dist(
                 format!("shard_w{workers}_t{threads}"),
                 workers,
                 threads,
-                true,
-                true,
             ));
         }
     }
-
-    // The overlap on/off pair: shard_w4_t2 above overlaps the coordinator
-    // tail with worker compute; this twin serialises it after the relay.
-    results.push(run_dist("shard_w4_t2_serial".into(), 4, 2, true, false));
 
     // Every configuration must land on the same model bits — a benchmark
     // of diverging runs would be meaningless.
@@ -372,36 +344,12 @@ fn run_bench(smoke: bool) {
     let speedup = best_single / best_w4;
     eprintln!("speedup at 4 workers vs best single-process ({method}): {speedup:.2}x");
 
-    // What tail sharding buys at 4 workers: best plain vs best sharded
-    // critical path (the serial Adam tail is exactly what it removes).
-    let crit_w4 = |shard: bool| {
-        results
-            .iter()
-            .filter(|r| r.workers == 4 && r.tail_shard == shard)
-            .map(|r| r.critical_path_ms_per_epoch)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let (plain_w4, shard_w4) = (crit_w4(false), crit_w4(true));
-    let shard_speedup = plain_w4 / shard_w4;
-    eprintln!(
-        "tail-shard critical path at 4 workers: plain {plain_w4:.2} ms -> sharded {shard_w4:.2} ms \
-         ({shard_speedup:.2}x)"
-    );
-
-    // The 4-worker critical path the plain protocol committed before tail
-    // sharding existed (PR 9's BENCH_distributed.json, dist_w4_t1, measured
-    // on this same host class). The in-file plain configs re-measure that
-    // protocol under today's tighter estimator (CPU-time busy clock,
-    // median-of-N trials), so this constant is the honest before/after
-    // anchor for the sharding work as a whole.
-    let pr9_w4 = 7.179_f64;
-    let speedup_vs_pr9 = if smoke { f64::NAN } else { pr9_w4 / shard_w4 };
-    if !smoke {
-        eprintln!(
-            "sharded w4 critical path vs PR 9 committed baseline ({pr9_w4:.3} ms): \
-             {speedup_vs_pr9:.2}x"
-        );
-    }
+    let shard_w4 = results
+        .iter()
+        .filter(|r| r.workers == 4)
+        .map(|r| r.critical_path_ms_per_epoch)
+        .fold(f64::INFINITY, f64::min);
+    eprintln!("critical path at 4 workers: {shard_w4:.2} ms/epoch");
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
@@ -413,33 +361,18 @@ fn run_bench(smoke: bool) {
         "  \"best_single_ms_per_epoch\": {best_single:.3},\n"
     ));
     json.push_str(&format!(
-        "  \"plain_w4_critical_path_ms\": {plain_w4:.3},\n"
-    ));
-    json.push_str(&format!(
         "  \"shard_w4_critical_path_ms\": {shard_w4:.3},\n"
     ));
-    json.push_str(&format!(
-        "  \"tail_shard_speedup_at_w4\": {shard_speedup:.3},\n"
-    ));
-    if !smoke {
-        json.push_str(&format!("  \"pr9_w4_critical_path_ms\": {pr9_w4:.3},\n"));
-        json.push_str(&format!(
-            "  \"shard_w4_speedup_vs_pr9\": {speedup_vs_pr9:.3},\n"
-        ));
-    }
     json.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"label\": \"{}\", \"workers\": {}, \"threads\": {}, \
-             \"tail_shard\": {}, \"overlap\": {}, \
              \"wall_ms_per_epoch\": {:.3}, \"critical_path_ms_per_epoch\": {:.3}, \
              \"bytes_sent_per_epoch\": {}, \"bytes_received_per_epoch\": {}}}{sep}\n",
             r.label,
             r.workers,
             r.threads,
-            r.tail_shard,
-            r.overlap,
             r.wall_ms_per_epoch,
             r.critical_path_ms_per_epoch,
             r.bytes_sent_per_epoch,

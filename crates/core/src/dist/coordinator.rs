@@ -1,32 +1,24 @@
-//! The coordinator side of the distributed trainer.
+//! The coordinator side of the distributed trainer: its configuration,
+//! the per-run socket, and worker spawn and teardown.
 //!
-//! The coordinator is the single-process checkpointed loop
-//! (`TcssTrainer::train_with_faults`) with the entry-chunk evaluation
-//! out-sourced: it owns the model, the Adam state, the whole-data Gram
-//! tail, the Hausdorff head, the divergence watchdog, and the
-//! checkpoints; workers only evaluate chunks. Each epoch it broadcasts
-//! the full model, gathers per-chunk deltas worker-by-worker in worker
-//! order (= ascending global chunk order, since blocks are contiguous),
-//! and replays each chunk's scatter adds — reproducing the in-process
-//! float stream bit-for-bit. See the module docs of [`crate::dist`] for
-//! the parity argument and failure model.
+//! [`TcssTrainer::train_distributed_with_faults`] validates the request
+//! and hands the run to the tail-sharded epoch loop in
+//! [`super::sharded`], which owns the per-epoch protocol, checkpoints,
+//! and worker-loss recovery. This file holds what that loop builds on:
+//! [`DistConfig`] and [`DistReport`], the socket (`bind_socket`), the
+//! Hello/Setup handshake (`TcssTrainer::spawn_worker`), and fleet
+//! teardown. See the module docs of [`crate::dist`] for the parity
+//! argument and failure model.
 
 use super::wire::{
-    apply_deltas, decode_hello, deltas_epoch, encode_frame, encode_setup, encode_shutdown,
-    encode_step_into, tag_of, FrameBuf, FrameDecoder, Setup, WireLoss, TAG_DELTAS, TAG_HELLO,
+    decode_hello, encode_frame, encode_setup, encode_shutdown, tag_of, FrameDecoder, Setup,
+    WireLoss, TAG_HELLO,
 };
 use super::{read_frame, DistError};
-use crate::checkpoint::{config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint};
 use crate::config::LossStrategy;
-use crate::fault::{poison, FaultPlan};
-use crate::loss::{Grads, ENTRIES_PER_CHUNK};
-use crate::model::TcssModel;
-use crate::model_io::ModelIoError;
-use crate::train::{
-    divergence_trouble, model_is_finite, AdamState, TcssTrainer, TrainContext, TrainError,
-    TrainReport,
-};
-use crate::workspace::TrainWorkspace;
+use crate::fault::FaultPlan;
+use crate::loss::ENTRIES_PER_CHUNK;
+use crate::train::{TcssTrainer, TrainContext, TrainError, TrainReport};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -57,18 +49,12 @@ pub struct DistConfig {
     /// are allowed before the run aborts with
     /// [`DistError::RespawnBudgetExhausted`].
     pub max_respawns: u32,
-    /// Owner-computes tail sharding ([`super::sharded`]): workers keep
-    /// resident Adam state for contiguous factor-row ranges and apply the
-    /// optimizer themselves; the coordinator's serial epoch tail drops to
-    /// a gather-and-splice. Bitwise identical to the plain protocol at any
-    /// worker count. `false` runs the stateless-worker protocol.
+    /// Kept only so that existing struct literals that name it, such as
+    /// `DistConfig { tail_shard: true, .. }`, still compile. Tail sharding
+    /// ([`super::sharded`]) is the only distributed protocol; `true` (the
+    /// default) runs it, and `false` is rejected with
+    /// [`TrainError::InvalidConfig`] before any worker is spawned.
     pub tail_shard: bool,
-    /// With `tail_shard`: compute the coordinator-retained Gram +
-    /// Hausdorff tail concurrently with worker chunk evaluation instead of
-    /// serially after the exchange relay. A pure latency knob — the tail
-    /// depends only on the epoch's broadcast model, so both settings
-    /// produce identical bits.
-    pub overlap: bool,
 }
 
 impl DistConfig {
@@ -81,8 +67,7 @@ impl DistConfig {
             worker_args: Vec::new(),
             socket_dir: None,
             max_respawns: 3,
-            tail_shard: false,
-            overlap: true,
+            tail_shard: true,
         }
     }
 }
@@ -102,8 +87,9 @@ pub struct DistReport {
     /// Bytes of frames the coordinator read from workers.
     pub bytes_received: u64,
     /// Cumulative in-worker compute time (ns) per worker slot, as
-    /// reported in each Deltas message — the bench derives critical-path
-    /// scaling from this on hosts too small to run the fleet in parallel.
+    /// reported in each UpdatedRows message — the bench derives
+    /// critical-path scaling from this on hosts too small to run the
+    /// fleet in parallel.
     pub worker_busy_ns: Vec<u64>,
     /// Epochs dispatched to the fleet, replays included.
     pub epochs_dispatched: u64,
@@ -113,12 +99,11 @@ pub struct DistReport {
 pub(super) struct WorkerSlot {
     pub(super) child: Child,
     pub(super) stream: UnixStream,
-    pub(super) dec: FrameDecoder,
     pub(super) chunk_start: usize,
     pub(super) chunk_end: usize,
     /// `U¹` rows this worker's chunk block can read — the entry list is
     /// sorted by `(i, j, k)`, so a contiguous chunk block touches a
-    /// contiguous row window, and each Step ships only that window
+    /// contiguous row window, and each StepOwned ships only that window
     /// (everything, for negative sampling: its negatives hit any row).
     pub(super) u1_lo: usize,
     pub(super) u1_hi: usize,
@@ -153,15 +138,6 @@ impl Drop for SocketGuard {
     }
 }
 
-/// How one epoch attempt over the fleet ended.
-enum EpochOutcome {
-    /// All deltas gathered and merged; `l2` holds the entry-loss sum.
-    Done { l2: f64 },
-    /// A worker died (I/O error, EOF, or stream corruption); recoverable
-    /// by respawn + rollback.
-    WorkerLost { worker: usize, detail: String },
-}
-
 static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl TcssTrainer {
@@ -193,204 +169,18 @@ impl TcssTrainer {
                 "dist.workers must be at least 1".into(),
             ));
         }
-        if dist.tail_shard {
-            return super::sharded::train_tail_sharded(self, dist, faults, &mut on_epoch);
+        if !dist.tail_shard {
+            return Err(TrainError::InvalidConfig(
+                "DistConfig::tail_shard = false asks for the plain coordinator-merge \
+                 protocol, which has been removed; tail sharding is the only \
+                 distributed protocol"
+                    .into(),
+            ));
         }
-        let fingerprint = config_fingerprint(cfg);
-
-        // --- Shard the global chunk grid into contiguous blocks ----------
-        let n_entries = self.tensor.entries().len();
-        let n_chunks = tcss_linalg::chunk_count(n_entries, ENTRIES_PER_CHUNK);
-        let w = dist.workers;
-        let blocks: Vec<(usize, usize)> = (0..w)
-            .map(|i| (i * n_chunks / w, (i + 1) * n_chunks / w))
-            .collect();
-
-        // --- Socket + fleet ----------------------------------------------
-        let guard = bind_socket(dist)?;
-
-        let mut slots: Vec<WorkerSlot> = Vec::with_capacity(w);
-        for (worker, &(chunk_start, chunk_end)) in blocks.iter().enumerate() {
-            slots.push(self.spawn_worker(dist, &guard, worker, chunk_start, chunk_end)?);
+        if cfg.num_threads.is_some() {
+            tcss_linalg::set_num_threads(cfg.num_threads);
         }
-
-        // --- Run state: identical to the in-process checkpointed loop ----
-        let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-            self.init_run_state(fingerprint)?;
-        let mut last_good = (model.clone(), adam.clone(), start_epoch);
-        let checkpoint_path = cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(crate::checkpoint::CHECKPOINT_FILE));
-        if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
-        }
-
-        let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(&model);
-        let mut tail = Grads::zeros(&model);
-        let mut step_buf = FrameBuf::new();
-        let mut epoch = start_epoch;
-        let mut respawns = 0u32;
-        let mut bytes_sent = 0u64;
-        let mut bytes_received = 0u64;
-        let mut worker_busy_ns = vec![0u64; w];
-        let mut epochs_dispatched = 0u64;
-
-        while epoch < cfg.epochs {
-            if faults.take_crash(epoch) {
-                self.shutdown_fleet(&mut slots);
-                return Err(TrainError::InjectedCrash { epoch });
-            }
-            if let Some(victim) = faults.take_kill_worker(epoch) {
-                if let Some(slot) = slots.get_mut(victim) {
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                }
-            }
-
-            grads.set_zero();
-            epochs_dispatched += 1;
-            let epoch_sent0 = bytes_sent;
-            let epoch_recv0 = bytes_received;
-            let outcome = dispatch_epoch(
-                &mut slots,
-                epoch as u64,
-                &model,
-                &mut grads,
-                &mut step_buf,
-                &mut bytes_sent,
-                &mut bytes_received,
-                &mut worker_busy_ns,
-            )?;
-            let mut l2 = match outcome {
-                EpochOutcome::Done { l2 } => l2,
-                EpochOutcome::WorkerLost { worker, detail } => {
-                    respawns += 1;
-                    if respawns > dist.max_respawns {
-                        self.shutdown_fleet(&mut slots);
-                        return Err(TrainError::Dist(DistError::RespawnBudgetExhausted {
-                            worker,
-                            epoch,
-                            respawns,
-                            detail,
-                        }));
-                    }
-                    let (chunk_start, chunk_end) =
-                        (slots[worker].chunk_start, slots[worker].chunk_end);
-                    let _ = slots[worker].child.kill();
-                    let _ = slots[worker].child.wait();
-                    slots[worker] =
-                        self.spawn_worker(dist, &guard, worker, chunk_start, chunk_end)?;
-                    // Resume from the last checkpoint: the on-disk one
-                    // when checkpointing is enabled (exercising the full
-                    // load path), else the in-memory rollback snapshot —
-                    // they are refreshed at the same cadence points, so
-                    // the states are identical.
-                    match checkpoint_path.as_ref().filter(|p| p.exists()) {
-                        Some(path) => {
-                            let ck = load_checkpoint(path)?;
-                            model = ck.model;
-                            adam = AdamState {
-                                m: ck.m,
-                                v: ck.v,
-                                t: ck.adam_t,
-                            };
-                            epoch = ck.epoch;
-                            lr_scale = ck.lr_scale;
-                            retries = ck.retries;
-                        }
-                        None => {
-                            let (m, a, e) = &last_good;
-                            model = m.clone();
-                            adam = a.clone();
-                            epoch = *e;
-                        }
-                    }
-                    continue;
-                }
-            };
-
-            // --- Coordinator-local tail: Gram term + Hausdorff head ------
-            let l1 = self.epoch_tail_into(&model, epoch, &ws, &mut tail, &mut l2);
-            if self.tail_active(epoch) {
-                grads.add_scaled(1.0, &tail);
-            }
-            if faults.take_poison(epoch) {
-                poison(&mut grads);
-            }
-
-            // --- Watchdog / step / checkpoint: line-for-line the
-            // in-process loop -------------------------------------------
-            if let Some(detail) = divergence_trouble(cfg, l2, l1, grads.norm()) {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    self.shutdown_fleet(&mut slots);
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        retries,
-                        detail,
-                    });
-                }
-                lr_scale *= cfg.lr_backoff;
-                let (m, a, e) = &last_good;
-                model = m.clone();
-                adam = a.clone();
-                epoch = *e;
-                continue;
-            }
-
-            adam.step(
-                &mut model,
-                &grads,
-                cfg.learning_rate * lr_scale,
-                cfg.weight_decay,
-            );
-            on_epoch(TrainContext {
-                epoch,
-                l2,
-                l1,
-                bytes_sent: bytes_sent - epoch_sent0,
-                bytes_received: bytes_received - epoch_recv0,
-            });
-            epoch += 1;
-
-            let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-            if due && model_is_finite(&model) {
-                last_good = (model.clone(), adam.clone(), epoch);
-                if let Some(path) = &checkpoint_path {
-                    let ck = Checkpoint {
-                        epoch,
-                        adam_t: adam.t,
-                        lr_scale,
-                        retries,
-                        seed: cfg.seed,
-                        fingerprint,
-                        model: model.clone(),
-                        m: adam.m.clone(),
-                        v: adam.v.clone(),
-                    };
-                    save_checkpoint(&ck, path)?;
-                }
-            }
-        }
-
-        self.shutdown_fleet(&mut slots);
-        Ok(DistReport {
-            report: TrainReport {
-                model,
-                start_epoch,
-                rollbacks: retries,
-                lr_scale,
-            },
-            workers: w,
-            respawns,
-            bytes_sent,
-            bytes_received,
-            worker_busy_ns,
-            epochs_dispatched,
-        })
+        super::sharded::train_tail_sharded(self, dist, faults, &mut on_epoch)
     }
 
     /// Spawn one worker process, accept its connection, verify its Hello,
@@ -472,7 +262,6 @@ impl TcssTrainer {
             chunk_end,
             threads: dist.worker_threads.unwrap_or(1).max(1),
             n_workers: dist.workers,
-            tail_shard: dist.tail_shard,
             weight_decay: cfg.weight_decay,
             entries: self.tensor.entries().to_vec(),
         };
@@ -489,7 +278,6 @@ impl TcssTrainer {
         Ok(WorkerSlot {
             child,
             stream,
-            dec,
             chunk_start,
             chunk_end,
             u1_lo,
@@ -508,102 +296,5 @@ impl TcssTrainer {
             let _ = slot.child.wait();
         }
         slots.clear();
-    }
-}
-
-/// One epoch over the fleet: broadcast the model to every worker, then
-/// gather and merge deltas worker-by-worker **in worker order** — with
-/// contiguous blocks that is ascending global chunk order, the exact add
-/// sequence of the in-process fold.
-///
-/// Strict lockstep is maintained even under failure: every worker that
-/// received a Step gets its reply read (and discarded on epoch mismatch)
-/// before the next broadcast, so no stale frames can deadlock a later
-/// broadcast against a worker blocked mid-write.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_epoch(
-    slots: &mut [WorkerSlot],
-    epoch: u64,
-    model: &TcssModel,
-    grads: &mut Grads,
-    step_buf: &mut FrameBuf,
-    bytes_sent: &mut u64,
-    bytes_received: &mut u64,
-    worker_busy_ns: &mut [u64],
-) -> Result<EpochOutcome, DistError> {
-    let mut lost: Option<(usize, String)> = None;
-
-    // Broadcast, each worker getting its own U¹ row window, the frame
-    // encoded into a buffer reused across workers and epochs.
-    let mut stepped = vec![false; slots.len()];
-    for (w, slot) in slots.iter_mut().enumerate() {
-        encode_step_into(step_buf.payload(), epoch, model, slot.u1_lo, slot.u1_hi);
-        let step = step_buf.finish();
-        match slot.stream.write_all(step) {
-            Ok(()) => {
-                stepped[w] = true;
-                *bytes_sent += step.len() as u64;
-            }
-            Err(e) => {
-                lost.get_or_insert((w, format!("step broadcast failed: {e}")));
-            }
-        }
-    }
-
-    // Gather, in worker order. Keep reading even after a loss elsewhere:
-    // lockstep requires draining every outstanding reply.
-    let mut l2 = 0.0;
-    for (w, slot) in slots.iter_mut().enumerate() {
-        if !stepped[w] {
-            continue;
-        }
-        loop {
-            let frame = match read_frame(&mut slot.stream, &mut slot.dec) {
-                Ok(Some(f)) => f,
-                Ok(None) => {
-                    lost.get_or_insert((w, "worker closed its socket mid-epoch".into()));
-                    break;
-                }
-                Err(e) => {
-                    lost.get_or_insert((w, format!("reading deltas failed: {e}")));
-                    break;
-                }
-            };
-            *bytes_received +=
-                (frame.len() + super::wire::HEADER_LEN + super::wire::TRAILER_LEN) as u64;
-            match tag_of(&frame) {
-                Ok(TAG_DELTAS) => match deltas_epoch(&frame) {
-                    Ok(ep) if ep != epoch => continue, // stale replay reply
-                    Ok(_) => {
-                        if lost.is_none() {
-                            match apply_deltas(&frame, epoch, grads, &mut l2) {
-                                Ok((busy, _chunks)) => worker_busy_ns[w] += busy,
-                                Err(e) => {
-                                    lost.get_or_insert((w, format!("corrupt deltas: {e}")));
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        lost.get_or_insert((w, format!("corrupt deltas header: {e}")));
-                        break;
-                    }
-                },
-                Ok(other) => {
-                    lost.get_or_insert((w, format!("unexpected tag {other} during gather")));
-                    break;
-                }
-                Err(e) => {
-                    lost.get_or_insert((w, format!("corrupt frame: {e}")));
-                    break;
-                }
-            }
-        }
-    }
-
-    match lost {
-        None => Ok(EpochOutcome::Done { l2 }),
-        Some((worker, detail)) => Ok(EpochOutcome::WorkerLost { worker, detail }),
     }
 }

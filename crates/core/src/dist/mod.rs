@@ -4,23 +4,30 @@
 //! the deterministic chunk scheduler has hit its ceiling inside one
 //! address space. This module goes past it the way distributed-memory
 //! tensor-completion systems do (Singh et al., arXiv:1910.02371): shard
-//! the COO entry-chunk grid across worker **processes** and exchange only
-//! [`crate::sparse_grads::SparseGrads`]-style touched-row deltas per step.
+//! the COO entry-chunk grid across worker **processes**, give each worker
+//! ownership of a contiguous row range of every factor, and exchange only
+//! [`crate::sparse_grads::SparseGrads`]-style touched-row deltas between
+//! owners (owner-computes).
 //!
 //! # Architecture
 //!
-//! * **Coordinator** ([`coordinator`], driven through
-//!   [`crate::train::TcssTrainer::train_distributed`]) — owns the model,
-//!   the Adam state, the whole-data Gram tail, the Hausdorff head, the
-//!   divergence watchdog, and the checkpoints. It spawns N workers,
+//! * **Coordinator** ([`coordinator`] for configuration, spawn, and
+//!   teardown; [`sharded`] for the epoch loop; driven through
+//!   [`crate::train::TcssTrainer::train_distributed`]) — owns the
+//!   authoritative model, the dense core `h` and its Adam state, the
+//!   whole-data Gram tail, the Hausdorff head, the loss and norm folds,
+//!   the divergence watchdog, and the checkpoints. It spawns N workers,
 //!   assigns each a **contiguous block** of the global entry-chunk grid,
-//!   broadcasts the full model each step, and merges the returned deltas.
+//!   broadcasts each worker the model rows it reads, relays the row
+//!   deltas between workers, and splices the updated rows the workers
+//!   return.
 //! * **Workers** ([`worker::run_worker`], the hidden `dist-worker` CLI
-//!   subcommand / the `tcss-dist-worker` test binary) — stateless chunk
-//!   evaluators. A worker holds the tensor (shipped once in Setup) and,
-//!   per step, the broadcast model; it evaluates exactly the per-chunk
-//!   kernels the in-process path runs and ships each chunk's delta back
-//!   un-merged.
+//!   subcommand / the `tcss-dist-worker` test binary) — hold the tensor
+//!   (shipped once in Setup) plus the model rows and Adam moments of the
+//!   factor rows they own. Each epoch a worker evaluates exactly the
+//!   per-chunk kernels the in-process path runs, routes each chunk's
+//!   delta rows to their owners, merges the deltas bound for its own
+//!   rows, and steps those rows with the in-process Adam kernel.
 //! * **Transport** ([`wire`]) — Unix sockets with hand-rolled
 //!   length-prefixed framing (no async runtime), every frame checksummed
 //!   with [`crate::digest::fnv1a64`].
@@ -37,40 +44,30 @@
 //!    `negative_sampling_chunk`), pure functions of `(model, entries,
 //!    global range)` — a worker's thread count only reorders *which cores*
 //!    evaluate chunks, never their contents;
-//! 3. workers own contiguous blocks in worker order, and the coordinator
-//!    merges worker 0's chunks, then worker 1's, … so the merge visits
-//!    chunks in ascending **global** chunk order — the exact add sequence
-//!    of the single-process fold;
-//! 4. floats travel as `f64::to_le_bytes` (lossless), and the coordinator
+//! 3. workers own contiguous chunk blocks in worker order, and each owner
+//!    merges the deltas for its rows in ascending source-worker order, so
+//!    every gradient *element* sees its adds in ascending **global**
+//!    chunk order — the exact add sequence of the single-process fold;
+//! 4. floats travel as `f64::to_le_bytes` (lossless), and the owner
 //!    replays each chunk's scatter adds element-for-element.
 //!
 //! Therefore 1, 2, and 4 workers (at any `TCSS_NUM_THREADS` per worker)
 //! produce bit-identical models to the in-process trainer —
-//! `tests/dist_parity.rs` proptests this end to end.
-//!
-//! # Tail sharding
-//!
-//! With [`DistConfig::tail_shard`] the coordinator's serial epoch tail
-//! (merge, norm, Adam over the whole model) moves to the workers:
-//! each owns a contiguous row range of every factor, keeps Adam state
-//! resident, exchanges un-merged row deltas with its peers through a
-//! coordinator relay, and applies the optimizer itself — the coordinator
-//! drops to folds, the dense core `h`, and a gather-and-splice. The
-//! parity contract extends because any decomposition that preserves each
-//! gradient *element*'s ascending-chunk add order is bitwise identical;
-//! see [`sharded`] and DESIGN.md §5j.
+//! `tests/dist_parity.rs` proptests this end to end. See [`sharded`] and
+//! DESIGN.md §5j for the per-epoch protocol and the full argument.
 //!
 //! # Failure model
 //!
-//! Workers are stateless, so recovery is replay: if a worker dies
-//! (detected as an I/O error or EOF on its socket — there are no
-//! application-level timeouts to tune), the coordinator respawns it,
-//! re-sends Setup, rolls the run back to the last checkpoint (the on-disk
-//! one when checkpointing is enabled, else the in-memory rollback
-//! snapshot), and continues; `max_respawns` bounds the budget. Epoch
-//! replay is bit-exact for the same reason resume is: epochs are pure
-//! functions of `(model, adam, epoch)`. The kill-worker fault in
-//! [`crate::fault::FaultPlan`] drives this path in `tests/dist_fault.rs`.
+//! Recovery is replay: if a worker dies (detected as an I/O error or EOF
+//! on its socket — there are no application-level timeouts to tune), the
+//! coordinator respawns it, re-sends Setup, rolls the run back to the
+//! last checkpoint (the on-disk one when checkpointing is enabled, else
+//! the in-memory rollback snapshot), and re-installs every worker's
+//! owned rows and Adam moments from it with an Adopt frame;
+//! `max_respawns` bounds the budget. Epoch replay is bit-exact for the
+//! same reason resume is: epochs are pure functions of
+//! `(model, adam, epoch)`. The kill-worker faults in
+//! [`crate::fault::FaultPlan`] drive this path in `tests/dist_fault.rs`.
 
 pub mod coordinator;
 pub mod sharded;

@@ -1,9 +1,10 @@
-//! Owner-computes tail sharding: the optimizer runs on the workers.
+//! The distributed epoch protocol: owner-computes tail sharding, with
+//! the optimizer running on the workers.
 //!
-//! The plain protocol ([`super::coordinator`]) leaves a serial epoch tail
-//! on the coordinator: merge every delta, fold the norm, run Adam over
-//! the whole model. This module shards that tail by **row ownership** —
-//! worker `w` owns the contiguous row range
+//! A coordinator that merged every delta, folded the norm, and ran Adam
+//! over the whole model itself would leave a serial epoch tail that
+//! grows with the model. This module shards that tail by **row
+//! ownership** — worker `w` owns the contiguous row range
 //! [`crate::sparse_grads::owned_range`]`(dim, n, w)` of *each* factor,
 //! keeps the model rows and Adam moments for those rows resident across
 //! epochs, and applies [`tcss_linalg::kernels::adam_update`] to them
@@ -13,13 +14,12 @@
 //!
 //! # Per-epoch protocol (all frames per `[super::wire]`)
 //!
-//! 1. **StepOwned** broadcast (double-buffered encode; the plain
-//!    protocol's per-worker `U¹` read windows, with each worker's own
-//!    resident rows punched out — the worker splices those back from its
-//!    resident state, so rows it just updated never travel twice). With
-//!    `overlap` the coordinator computes its Gram + head tail right
-//!    here, concurrently with worker chunk evaluation — the tail depends
-//!    only on the broadcast model, so the knob cannot change any bits.
+//! 1. **StepOwned** broadcast (each worker's `U¹` read window, with its
+//!    own resident rows punched out — the worker splices those back from
+//!    its resident state, so rows it just updated never travel twice).
+//!    The coordinator then computes its Gram + head tail right here,
+//!    concurrently with worker chunk evaluation — the tail depends only
+//!    on the broadcast model, so the overlap cannot change any bits.
 //! 2. Each worker evaluates its chunk block, splits every chunk's
 //!    touched rows by owner ([`crate::sparse_grads::OwnerSplit`]), sends
 //!    **ChunkStats** (per-chunk losses + dense `h` deltas) to the
@@ -66,8 +66,8 @@
 //! barrier between attempts. Checkpoints stay worker-count-independent:
 //! at every checkpoint cadence point the coordinator gathers the resident
 //! moments (**SnapReq**/**SnapRows**) and saves the same full-model
-//! checkpoint the in-process trainer would, so tail-sharded, plain
-//! distributed, and single-process runs can resume each other's
+//! checkpoint the in-process trainer would, so distributed runs at any
+//! worker count and single-process runs can resume each other's
 //! checkpoints bit-for-bit. See DESIGN.md §5j for the full argument.
 
 use super::coordinator::{bind_socket, DistConfig, DistReport, SocketGuard, WorkerSlot};
@@ -106,9 +106,9 @@ use tcss_sparse::SparseTensor3;
 // ---------------------------------------------------------------------
 
 /// Resident owned-range state, installed by Adopt and advanced by every
-/// Verdict. The model rows must be resident too: an `L2Entries` Step
-/// ships only the worker's `U¹` read window, which need not cover the
-/// rows it *owns*.
+/// Verdict. The model rows must be resident too: an `L2Entries`
+/// StepOwned ships only the worker's `U¹` read window, which need not
+/// cover the rows it *owns*.
 struct Resident {
     t: u64,
     w: [Vec<f64>; 3],
@@ -146,9 +146,8 @@ struct ShardWorker {
     res: Option<Resident>,
 }
 
-/// Serve one tail-sharded worker process to completion. Entered from
-/// [`super::worker::run_worker`] right after Setup when
-/// [`Setup::tail_shard`] is set.
+/// Serve one worker process to completion. Entered from
+/// [`super::worker::run_worker`] right after Setup.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_sharded_worker(
     stream: UnixStream,
@@ -899,8 +898,8 @@ impl Fleet<'_> {
         let w = self.w();
         self.gather_reset();
 
-        // 1. Step broadcast — the plain protocol's per-worker U¹ windows,
-        // minus each worker's resident owned rows (StepOwned hole).
+        // 1. Step broadcast — each worker's U¹ read window, minus its
+        // resident owned rows (StepOwned hole).
         for dest in 0..w {
             let (u1_lo, u1_hi) = (self.slots[dest].u1_lo, self.slots[dest].u1_hi);
             encode_step_owned_into(
@@ -916,37 +915,27 @@ impl Fleet<'_> {
             }
         }
 
-        // 2. The coordinator tail, overlapped with worker evaluation when
-        // configured (reader threads keep draining either way, so the
-        // knob only moves *when* relays happen — never what any peer
-        // computes). On Gram-only epochs the coordinator computes just
-        // the `r × r` D matrices (plus loss terms and the `h` tail, into
-        // `tail.h`) and skips the dense factor matmuls entirely — the
-        // workers rebuild their owned rows from the broadcast D.
+        // 2. The coordinator tail, computed while the workers evaluate
+        // their chunks (reader threads keep draining meanwhile; the tail
+        // depends only on the broadcast model, so overlapping it cannot
+        // change what any peer computes). On Gram-only epochs the
+        // coordinator computes just the `r × r` D matrices (plus loss
+        // terms and the `h` tail, into `tail.h`) and skips the dense
+        // factor matmuls entirely — the workers rebuild their owned rows
+        // from the broadcast D.
         let active = trainer.tail_active(epoch);
         let gram = active && trainer.tail_gram_only(epoch);
         let mut l1 = 0.0;
-        let mut dmats: Option<[Matrix; 3]> = None;
-        let mut tail_done = false;
-        if self.dist.overlap {
-            if gram {
-                dmats = Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h));
-            } else {
-                l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
-            }
-            tail_done = true;
-        }
+        let dmats = if gram {
+            Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h))
+        } else {
+            l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
+            None
+        };
 
         // 3. Chunk stats + full exchange relay.
         if let Err((worker, detail)) = self.pump(ep, faults, Wait::StatsAndRelays) {
             return Attempt::Lost { worker, detail };
-        }
-        if !tail_done {
-            if gram {
-                dmats = Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h));
-            } else {
-                l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
-            }
         }
 
         // 4. TailRows: the exchange barrier plus the owned tail — dense
@@ -1019,10 +1008,11 @@ impl Fleet<'_> {
         acc += kernels::dot(h_grad, h_grad);
         let mut gnorm = acc.sqrt();
         if faults.take_poison(epoch) {
-            // The plain path NaN-fills the merged gradient buffer; here
-            // the buffers live on the workers, so poison the fold — the
-            // same watchdog trips and the poisoned attempt is discarded
-            // whole, leaving an identical post-rollback trajectory.
+            // The in-process loop NaN-fills its merged gradient buffer;
+            // here the buffers live on the workers, so poison the fold —
+            // the same watchdog trips and the poisoned attempt is
+            // discarded whole, leaving an identical post-rollback
+            // trajectory.
             gnorm = f64::NAN;
         }
         if let Some(detail) = divergence_trouble(cfg, l2, l1, gnorm) {
@@ -1167,10 +1157,10 @@ fn recover(
             fleet.gens[worker],
             &fleet.tx,
         )?;
-        // Same restore policy as the plain protocol: the on-disk
-        // checkpoint when checkpointing is enabled, else the in-memory
-        // rollback snapshot — refreshed at the same cadence points, so
-        // identical states.
+        // Resume from the last checkpoint: the on-disk one when
+        // checkpointing is enabled (exercising the full load path), else
+        // the in-memory rollback snapshot — refreshed at the same cadence
+        // points, so the states are identical.
         match checkpoint_path.as_ref().filter(|p| p.exists()) {
             Some(path) => {
                 let ck = load_checkpoint(path)?;
@@ -1197,11 +1187,11 @@ fn recover(
     }
 }
 
-/// Tail-sharded counterpart of
-/// [`TcssTrainer::train_distributed_with_faults`], dispatched from it
-/// when [`DistConfig::tail_shard`] is set. Same guarantees, same bits —
-/// the serial coordinator tail replaced by the owner-computes protocol
-/// described in the module docs.
+/// The distributed epoch loop behind
+/// [`TcssTrainer::train_distributed_with_faults`], which validates the
+/// request and calls it. Same guarantees and the same bits as the
+/// in-process checkpointed loop, with the epoch run by the
+/// owner-computes protocol described in the module docs.
 pub(super) fn train_tail_sharded(
     trainer: &TcssTrainer,
     dist: &DistConfig,

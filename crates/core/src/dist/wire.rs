@@ -23,7 +23,6 @@
 //! poisoned: the stream cannot be resynchronized after a framing fault,
 //! so further use keeps failing instead of mis-parsing.
 
-use crate::loss::Grads;
 use crate::model::TcssModel;
 use crate::sparse_grads::SparseGrads;
 use tcss_linalg::Matrix;
@@ -42,11 +41,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 30;
 /// Message tags (first payload byte).
 pub(crate) const TAG_HELLO: u8 = 1;
 pub(crate) const TAG_SETUP: u8 = 2;
-pub(crate) const TAG_STEP: u8 = 3;
-pub(crate) const TAG_DELTAS: u8 = 4;
 pub(crate) const TAG_SHUTDOWN: u8 = 5;
-/// Tail-sharded protocol (see [`super::sharded`]): coordinator → worker
-/// resident-state install (initial, respawn, rollback).
+/// Coordinator → worker resident-state install (initial, respawn,
+/// rollback); see [`super::sharded`] for the epoch protocol.
 pub(crate) const TAG_ADOPT: u8 = 6;
 /// Worker → owner (relayed verbatim): un-merged per-chunk row deltas for
 /// rows the destination owns.
@@ -70,8 +67,8 @@ pub(crate) const TAG_UPD_ROWS: u8 = 12;
 pub(crate) const TAG_SNAP_REQ: u8 = 13;
 /// Worker → coordinator: resident `m`/`v` rows for the owned ranges.
 pub(crate) const TAG_SNAP_ROWS: u8 = 14;
-/// Coordinator → worker (tail-sharded only): a Step with the worker's
-/// owned `U¹` rows punched out of the window — the receiver holds those
+/// Coordinator → worker: one epoch's model, with the worker's owned
+/// `U¹` rows punched out of its read window — the receiver holds those
 /// rows resident (bitwise equal to the coordinator's copy by the
 /// UpdatedRows splice invariant) and fills them back in during decode.
 pub(crate) const TAG_STEP_OWNED: u8 = 15;
@@ -556,9 +553,10 @@ pub(crate) enum WireLoss {
     NegSampling = 1,
 }
 
-/// Everything a stateless worker needs to evaluate its chunk block:
-/// tensor, weights, kernel choice, seed, the block of **global** chunk
-/// indices it owns, and its thread count.
+/// Everything a worker needs to evaluate its chunk block and step its
+/// owned rows: tensor, weights, kernel choice, seed, the block of
+/// **global** chunk indices it evaluates, its thread count, the fleet
+/// size, and the weight decay.
 #[derive(Debug)]
 pub(crate) struct Setup {
     pub dims: (usize, usize, usize),
@@ -570,14 +568,11 @@ pub(crate) struct Setup {
     pub chunk_start: usize,
     pub chunk_end: usize,
     pub threads: usize,
-    /// Fleet size — with `tail_shard` this fixes the row-ownership map
+    /// Fleet size — fixes the row-ownership map
     /// (`sparse_grads::owned_range`) every peer derives locally.
     pub n_workers: usize,
-    /// Run the owner-computes tail-sharded protocol instead of the plain
-    /// stateless-worker one.
-    pub tail_shard: bool,
-    /// Adam weight decay — tail-sharded workers apply the optimizer
-    /// themselves.
+    /// Adam weight decay — workers apply the optimizer to their owned
+    /// rows themselves.
     pub weight_decay: f64,
     pub entries: Vec<TensorEntry>,
 }
@@ -596,7 +591,6 @@ pub(crate) fn encode_setup(s: &Setup) -> Vec<u8> {
     put_u64(&mut p, s.chunk_end as u64);
     put_u32(&mut p, s.threads as u32);
     put_u32(&mut p, s.n_workers as u32);
-    p.push(s.tail_shard as u8);
     put_f64(&mut p, s.weight_decay);
     put_u64(&mut p, s.entries.len() as u64);
     for e in &s.entries {
@@ -633,7 +627,6 @@ pub(crate) fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     let chunk_end = r.u64("chunk_end")? as usize;
     let threads = r.u32("threads")? as usize;
     let n_workers = r.u32("n_workers")? as usize;
-    let tail_shard = r.u8("tail_shard flag")? != 0;
     let weight_decay = r.f64("weight_decay")?;
     let n = r.u64("entry count")? as usize;
     if n_workers == 0 {
@@ -669,97 +662,9 @@ pub(crate) fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
         chunk_end,
         threads,
         n_workers,
-        tail_shard,
         weight_decay,
         entries,
     })
-}
-
-/// Coordinator → worker: "evaluate your chunk block against this model".
-/// The full model travels every step — factors are a few hundred KB even
-/// at bench scale, and a stateless worker is what makes respawn-and-replay
-/// recovery trivially bit-exact.
-/// Coordinator → worker: one epoch's model. `U²`/`U³`/`h` ship whole;
-/// `U¹` ships only the row window `[u1_lo, u1_hi)` — for the entry-loss
-/// kernels a worker only ever reads the `U¹` rows its contiguous (sorted
-/// COO) chunk block touches, so the coordinator sends each worker its
-/// window instead of broadcasting all of `U¹` `N` times. (Negative
-/// sampling reads arbitrary rows, so there the coordinator passes the
-/// full window.) Unsent rows decode as zeros and are never read, keeping
-/// the float stream bit-identical.
-#[cfg(test)]
-pub(crate) fn encode_step(epoch: u64, model: &TcssModel, u1_lo: usize, u1_hi: usize) -> Vec<u8> {
-    let mut p = Vec::new();
-    encode_step_into(&mut p, epoch, model, u1_lo, u1_hi);
-    p
-}
-
-/// [`encode_step`] appending into a caller-owned buffer (a
-/// [`FrameBuf`] payload sink) so the per-epoch broadcast reuses its
-/// allocation across epochs.
-pub(crate) fn encode_step_into(
-    p: &mut Vec<u8>,
-    epoch: u64,
-    model: &TcssModel,
-    u1_lo: usize,
-    u1_hi: usize,
-) {
-    let (i, j, k) = model.dims();
-    let r = model.rank();
-    debug_assert!(u1_lo <= u1_hi && u1_hi <= i);
-    p.reserve(1 + 8 + 24 + ((u1_hi - u1_lo) + j + k + 1) * r * 8);
-    p.push(TAG_STEP);
-    put_u64(p, epoch);
-    put_u32(p, i as u32);
-    put_u32(p, j as u32);
-    put_u32(p, k as u32);
-    put_u32(p, r as u32);
-    put_u32(p, u1_lo as u32);
-    put_u32(p, u1_hi as u32);
-    put_f64s(p, &model.u1.as_slice()[u1_lo * r..u1_hi * r]);
-    put_f64s(p, model.u2.as_slice());
-    put_f64s(p, model.u3.as_slice());
-    put_f64s(p, &model.h);
-}
-
-pub(crate) fn decode_step(payload: &[u8]) -> Result<(u64, TcssModel), WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_STEP, "Step")?;
-    let epoch = r.u64("epoch")?;
-    let i = r.u32("dim I")? as usize;
-    let j = r.u32("dim J")? as usize;
-    let k = r.u32("dim K")? as usize;
-    let rank = r.u32("rank")? as usize;
-    let u1_lo = r.u32("u1 window lo")? as usize;
-    let u1_hi = r.u32("u1 window hi")? as usize;
-    if u1_lo > u1_hi || u1_hi > i {
-        return Err(WireError::Malformed(format!(
-            "U1 window {u1_lo}..{u1_hi} outside dimension {i}"
-        )));
-    }
-    let u1 = {
-        let mut window = Vec::new();
-        r.f64s_into((u1_hi - u1_lo) * rank, &mut window, "U1 window")?;
-        let mut data = vec![0.0; i * rank];
-        data[u1_lo * rank..u1_hi * rank].copy_from_slice(&window);
-        Matrix::from_vec(i, rank, data)
-            .map_err(|e| WireError::Malformed(format!("bad U1 factor: {e}")))?
-    };
-    let mut factor = |rows: usize, what: &str| -> Result<Matrix, WireError> {
-        let mut data = Vec::new();
-        r.f64s_into(rows * rank, &mut data, what)?;
-        Matrix::from_vec(rows, rank, data)
-            .map_err(|e| WireError::Malformed(format!("bad {what} factor: {e}")))
-    };
-    let u2 = factor(j, "U2")?;
-    let u3 = factor(k, "U3")?;
-    let mut h = Vec::new();
-    r.f64s_into(rank, &mut h, "h")?;
-    r.done()?;
-    let mut model = TcssModel::try_new(u1, u2, u3)
-        .map_err(|e| WireError::Malformed(format!("inconsistent model: {e}")))?;
-    model.h = h;
-    Ok((epoch, model))
 }
 
 /// The owned-rows hole a [`TAG_STEP_OWNED`] frame punches out of a `U¹`
@@ -772,11 +677,15 @@ pub(crate) fn u1_hole(own: (usize, usize), lo: usize, hi: usize) -> (usize, usiz
     (h_lo, h_hi)
 }
 
-/// [`encode_step_into`] for a tail-sharded worker: identical layout, but
-/// the `U¹` window ships as the two slices around the receiver's owned
-/// rows ([`u1_hole`]). At steady state a worker's read window is mostly
-/// its own chunk block's rows, so this cuts the per-epoch broadcast to
-/// the boundary slivers owned by its neighbors.
+/// Coordinator → worker: one epoch's model. `U²`/`U³`/`h` ship whole;
+/// `U¹` ships only the receiver's read window `[u1_lo, u1_hi)` — a worker
+/// only ever reads the `U¹` rows its contiguous (sorted COO) chunk block
+/// touches (negative sampling reads arbitrary rows, so there the
+/// coordinator passes the full range) — and the window ships as the two
+/// slices around the receiver's owned rows ([`u1_hole`]), which it holds
+/// resident. At steady state a worker's read window is mostly its own
+/// chunk block's rows, so the per-epoch broadcast drops to the boundary
+/// slivers owned by its neighbors.
 pub(crate) fn encode_step_owned_into(
     p: &mut Vec<u8>,
     epoch: u64,
@@ -809,8 +718,9 @@ pub(crate) fn encode_step_owned_into(
 /// Decode [`TAG_STEP_OWNED`], splicing the receiver's resident owned
 /// `U¹` rows (`res_u1`, the full `own` range slab) into the hole. The
 /// resident bytes are the same bits the coordinator's model holds for
-/// those rows, so the rebuilt window is bit-identical to a plain
-/// [`decode_step`] of the full broadcast.
+/// those rows, so the rebuilt window is bit-identical to the
+/// coordinator's. Rows outside the window decode as zeros and are never
+/// read, keeping the float stream bit-identical.
 pub(crate) fn decode_step_owned(
     payload: &[u8],
     res_u1: &[f64],
@@ -874,140 +784,14 @@ pub(crate) fn decode_step_owned(
     Ok((epoch, model))
 }
 
-/// Worker → coordinator: per-chunk sparse deltas for one step, in
-/// ascending global chunk order, **un-merged** — the coordinator replays
-/// each chunk's [`SparseGrads::scatter_into`] adds itself, in global chunk
-/// order, so a worker-side pre-merge can never change the float stream.
-#[cfg(test)]
-pub(crate) fn encode_deltas(
-    epoch: u64,
-    busy_ns: u64,
-    rank: usize,
-    chunks: &[(f64, SparseGrads)],
-) -> Vec<u8> {
-    let mut p = Vec::new();
-    encode_deltas_into(&mut p, epoch, busy_ns, rank, chunks);
-    p
-}
-
-/// [`encode_deltas`] appending into a caller-owned buffer so the worker's
-/// per-epoch reply reuses its allocation across epochs.
-pub(crate) fn encode_deltas_into(
-    p: &mut Vec<u8>,
-    epoch: u64,
-    busy_ns: u64,
-    rank: usize,
-    chunks: &[(f64, SparseGrads)],
-) {
-    p.push(TAG_DELTAS);
-    put_u64(p, epoch);
-    put_u64(p, busy_ns);
-    put_u32(p, rank as u32);
-    put_u32(p, chunks.len() as u32);
-    for (loss, delta) in chunks {
-        put_f64(p, *loss);
-        let (r, factors, h) = delta.wire_parts();
-        debug_assert_eq!(r, rank);
-        for (rows, data) in factors {
-            put_u32(p, rows.len() as u32);
-            for &row in rows {
-                put_u32(p, row);
-            }
-            put_f64s(p, data);
-        }
-        put_f64s(p, h);
-    }
-}
-
-/// Peek a Deltas frame's epoch without applying it (the coordinator
-/// discards frames from replayed epochs after a rollback).
-pub(crate) fn deltas_epoch(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_DELTAS, "Deltas")?;
-    r.u64("epoch")
-}
-
-/// Decode a Deltas frame, replaying each chunk's scatter adds directly
-/// into `grads` and accumulating each chunk's loss into `l2` — one `+=`
-/// per touched element / per chunk loss, in payload (= ascending chunk)
-/// order, exactly the adds the in-process merge performs. Returns
-/// `(busy_ns, chunks_applied)`.
-pub(crate) fn apply_deltas(
-    payload: &[u8],
-    expect_epoch: u64,
-    grads: &mut Grads,
-    l2: &mut f64,
-) -> Result<(u64, usize), WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_DELTAS, "Deltas")?;
-    let epoch = r.u64("epoch")?;
-    if epoch != expect_epoch {
-        return Err(WireError::Malformed(format!(
-            "deltas for epoch {epoch}, expected {expect_epoch}"
-        )));
-    }
-    let busy_ns = r.u64("busy_ns")?;
-    let rank = r.u32("rank")? as usize;
-    if rank != grads.h.len() {
-        return Err(WireError::Malformed(format!(
-            "delta rank {rank} does not match model rank {}",
-            grads.h.len()
-        )));
-    }
-    let n_chunks = r.u32("chunk count")? as usize;
-    let mut row_buf: Vec<u32> = Vec::new();
-    for c in 0..n_chunks {
-        *l2 += r.f64("chunk loss")?;
-        for (f, rows_in_factor) in [
-            (0usize, grads.u1.rows()),
-            (1, grads.u2.rows()),
-            (2, grads.u3.rows()),
-        ] {
-            let n_rows = r.u32("touched-row count")? as usize;
-            row_buf.clear();
-            row_buf.reserve(n_rows);
-            for _ in 0..n_rows {
-                row_buf.push(r.u32("row index")?);
-            }
-            let data = r.take(n_rows * rank * 8, "row data")?;
-            let dense = match f {
-                0 => &mut grads.u1,
-                1 => &mut grads.u2,
-                _ => &mut grads.u3,
-            };
-            for (slot, &row) in row_buf.iter().enumerate() {
-                if row as usize >= rows_in_factor {
-                    return Err(WireError::Malformed(format!(
-                        "chunk {c} factor {f} touches row {row}, but it only has {rows_in_factor}"
-                    )));
-                }
-                let src = &data[slot * rank * 8..(slot + 1) * rank * 8];
-                for (d, s) in dense
-                    .row_mut(row as usize)
-                    .iter_mut()
-                    .zip(src.chunks_exact(8))
-                {
-                    *d += f64::from_le_bytes(s.try_into().unwrap());
-                }
-            }
-        }
-        let h_bytes = r.take(rank * 8, "chunk h gradient")?;
-        for (d, s) in grads.h.iter_mut().zip(h_bytes.chunks_exact(8)) {
-            *d += f64::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-    r.done()?;
-    Ok((busy_ns, n_chunks))
-}
-
 /// Coordinator → worker: clean exit.
 pub(crate) fn encode_shutdown() -> Vec<u8> {
     vec![TAG_SHUTDOWN]
 }
 
 // ---------------------------------------------------------------------
-// Tail-sharded protocol messages (see `super::sharded` for the epoch
-// state machine). Every worker → coordinator message starts with
+// Epoch protocol messages (see `super::sharded` for the state machine).
+// Every worker → coordinator message starts with
 // `tag, epoch: u64, src: u32` so the coordinator can filter stale replay
 // frames and route without a full decode.
 // ---------------------------------------------------------------------
@@ -1540,22 +1324,6 @@ fn expect_tag(r: &mut Reader<'_>, tag: u8, name: &str) -> Result<(), WireError> 
 mod tests {
     use super::*;
 
-    /// The worker patches `busy_ns` over its placeholder after encoding
-    /// (so encode time itself is counted); the field must stay at bytes
-    /// 9..17 of the Deltas payload.
-    #[test]
-    fn deltas_busy_ns_lives_at_bytes_9_to_17() {
-        let (u1, u2, u3) = crate::init::random_init((2, 2, 2), 2, 1);
-        let model = TcssModel::new(u1, u2, u3);
-        let mut payload = encode_deltas(3, 0, 2, &[]);
-        payload[9..17].copy_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
-        let mut grads = Grads::zeros(&model);
-        let mut l2 = 0.0;
-        let (busy, n) = apply_deltas(&payload, 3, &mut grads, &mut l2).expect("decodes");
-        assert_eq!(busy, 0xDEAD_BEEF);
-        assert_eq!(n, 0);
-    }
-
     #[test]
     fn frame_roundtrip_arbitrary_split() {
         let payloads: Vec<Vec<u8>> = vec![vec![], vec![42], (0..255).collect()];
@@ -1619,7 +1387,6 @@ mod tests {
             chunk_end: 7,
             threads: 2,
             n_workers: 3,
-            tail_shard: true,
             weight_decay: 0.015,
             entries: vec![
                 TensorEntry {
@@ -1644,7 +1411,6 @@ mod tests {
         assert_eq!((s.chunk_start, s.chunk_end), (2, 7));
         assert_eq!(s.threads, 2);
         assert_eq!(s.n_workers, 3);
-        assert!(s.tail_shard);
         assert_eq!(s.weight_decay.to_bits(), 0.015f64.to_bits());
         assert_eq!(s.entries.len(), 2);
         assert_eq!(s.entries[1].value.to_bits(), (-0.25f64).to_bits());
@@ -1663,7 +1429,6 @@ mod tests {
             chunk_end: 1,
             threads: 1,
             n_workers: 1,
-            tail_shard: false,
             weight_decay: 0.0,
             entries: vec![TensorEntry {
                 i: 2,
@@ -1676,48 +1441,25 @@ mod tests {
         assert!(matches!(err, WireError::Malformed(_)), "{err}");
     }
 
+    /// StepOwned with a resident fill rebuilds the source model bit for
+    /// bit: every `U¹` row inside the window (shipped or spliced from the
+    /// resident slab) equals the source row, every row outside it decodes
+    /// as zeros, and `U²`/`U³`/`h` round-trip whole — for holes at every
+    /// position in the window (interior, flush with either edge, covering
+    /// it entirely, and disjoint from it) and for values (`1e-300`,
+    /// `MIN_POSITIVE`, `-0.0`) whose bits a lossy codec would change.
     #[test]
-    fn step_roundtrip_is_bit_exact() {
-        let u1 =
-            Matrix::from_vec(3, 2, vec![0.1, -0.2, 1e-300, f64::MIN_POSITIVE, 3.0, 4.0]).unwrap();
-        let u2 = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let u3 = Matrix::from_vec(2, 2, vec![-1.0, -2.0, -3.0, -4.0]).unwrap();
-        let mut model = TcssModel::new(u1, u2, u3);
-        model.h = vec![0.5, -0.0];
-        let (epoch, decoded) = decode_step(&encode_step(17, &model, 0, 3)).unwrap();
-        assert_eq!(epoch, 17);
-
-        // A partial U¹ window round-trips the shipped rows bit-exactly and
-        // zero-fills the rest.
-        let (_, windowed) = decode_step(&encode_step(17, &model, 1, 3)).unwrap();
-        assert_eq!(windowed.u1.row(0), &[0.0, 0.0]);
-        assert_eq!(windowed.u1.row(1), model.u1.row(1));
-        assert_eq!(windowed.u1.row(2), model.u1.row(2));
-        let bits = |m: &TcssModel| -> Vec<u64> {
-            m.u1.as_slice()
-                .iter()
-                .chain(m.u2.as_slice())
-                .chain(m.u3.as_slice())
-                .chain(&m.h)
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&model), bits(&decoded));
-    }
-
-    /// StepOwned with a resident fill must land on the same bits as a
-    /// plain Step of the full window, for holes at every position in the
-    /// window — interior, flush with either edge, covering it entirely,
-    /// and disjoint from it.
-    #[test]
-    fn step_owned_matches_full_step_bitwise() {
+    fn step_owned_roundtrips_the_source_rows_bitwise() {
         let r = 2usize;
-        let u1 =
-            Matrix::from_vec(6, r, (0..12).map(|v| (v as f64) * 0.125 + 1e-300).collect()).unwrap();
+        let mut u1_data: Vec<f64> = (0..12).map(|v| (v as f64) * 0.125 + 1e-300).collect();
+        u1_data[3] = f64::MIN_POSITIVE;
+        u1_data[8] = -0.0;
+        let u1 = Matrix::from_vec(6, r, u1_data).unwrap();
         let u2 = Matrix::from_vec(2, r, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let u3 = Matrix::from_vec(2, r, vec![-1.0, -2.0, -3.0, -4.0]).unwrap();
         let mut model = TcssModel::new(u1, u2, u3);
         model.h = vec![0.5, -0.0];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (lo, hi, own) in [
             (1, 5, (2, 4)), // interior hole
             (1, 5, (0, 3)), // hole flush with the window start
@@ -1725,74 +1467,29 @@ mod tests {
             (2, 4, (0, 6)), // owned range covers the whole window
             (0, 2, (4, 6)), // owned range disjoint from the window
             (0, 6, (0, 6)), // everything resident, nothing shipped
+            (0, 6, (3, 3)), // nothing resident, everything shipped
         ] {
             let mut p = Vec::new();
             encode_step_owned_into(&mut p, 17, &model, lo, hi, own);
             let res: Vec<f64> = model.u1.as_slice()[own.0 * r..own.1 * r].to_vec();
             let (epoch, got) = decode_step_owned(&p, &res, own).unwrap();
             assert_eq!(epoch, 17);
-            let (_, want) = decode_step(&encode_step(17, &model, lo, hi)).unwrap();
-            // The hole is own ∩ window and the resident bits equal the
-            // coordinator's model bits, so the rebuilt model must match
-            // the full-window decode everywhere (zero fill included).
-            assert_eq!(
-                got.u1.as_slice(),
-                want.u1.as_slice(),
-                "{lo}..{hi} own {own:?}"
-            );
-            assert_eq!(got.u2.as_slice(), want.u2.as_slice());
-            assert_eq!(got.u3.as_slice(), want.u3.as_slice());
-            assert_eq!(got.h, want.h);
+            for row in 0..6 {
+                let want: &[f64] = if (lo..hi).contains(&row) {
+                    model.u1.row(row)
+                } else {
+                    &[0.0, 0.0]
+                };
+                assert_eq!(
+                    bits(got.u1.row(row)),
+                    bits(want),
+                    "row {row} of window {lo}..{hi} own {own:?}"
+                );
+            }
+            assert_eq!(bits(got.u2.as_slice()), bits(model.u2.as_slice()));
+            assert_eq!(bits(got.u3.as_slice()), bits(model.u3.as_slice()));
+            assert_eq!(bits(&got.h), bits(&model.h));
         }
-    }
-
-    #[test]
-    fn deltas_apply_matches_scatter_into_bitwise() {
-        use crate::init::random_init;
-        use crate::sparse_grads::{backprop_entry_sparse, GradScratch};
-        let (u1, u2, u3) = random_init((5, 6, 4), 3, 11);
-        let model = TcssModel::new(u1, u2, u3);
-        let mut scratch = GradScratch::for_model(&model);
-        let mut chunks = Vec::new();
-        for c in 0..3usize {
-            let mut delta = SparseGrads::new();
-            delta.begin(&model);
-            backprop_entry_sparse(
-                &model,
-                &mut delta,
-                &mut scratch,
-                c,
-                c + 1,
-                c % 4,
-                0.5 + c as f64,
-            );
-            backprop_entry_sparse(&model, &mut delta, &mut scratch, c, 0, 0, -1.25);
-            delta.detach(&mut scratch);
-            chunks.push((0.125 * (c as f64 + 1.0), delta));
-        }
-        let mut direct = Grads::zeros(&model);
-        let mut direct_loss = 0.0;
-        for (l, d) in &chunks {
-            direct_loss += l;
-            d.scatter_into(&mut direct);
-        }
-        let payload = encode_deltas(9, 1234, model.rank(), &chunks);
-        assert_eq!(deltas_epoch(&payload).unwrap(), 9);
-        let mut wired = Grads::zeros(&model);
-        let mut wired_loss = 0.0;
-        let (busy, n) = apply_deltas(&payload, 9, &mut wired, &mut wired_loss).unwrap();
-        assert_eq!((busy, n), (1234, 3));
-        assert_eq!(direct_loss.to_bits(), wired_loss.to_bits());
-        let bits = |g: &Grads| -> Vec<u64> {
-            g.u1.as_slice()
-                .iter()
-                .chain(g.u2.as_slice())
-                .chain(g.u3.as_slice())
-                .chain(&g.h)
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&direct), bits(&wired));
     }
 
     #[test]
@@ -2000,19 +1697,5 @@ mod tests {
         assert_eq!(d1, parts[1]);
         assert_eq!(msg_epoch_src(&p).unwrap(), (5, 2));
         assert!(apply_upd_rows(&p, 6, [&mut d0, &mut d1, &mut d2]).is_err());
-    }
-
-    #[test]
-    fn deltas_for_wrong_epoch_are_rejected() {
-        let payload = encode_deltas(3, 0, 2, &[]);
-        let mut grads = Grads {
-            u1: Matrix::zeros(1, 2),
-            u2: Matrix::zeros(1, 2),
-            u3: Matrix::zeros(1, 2),
-            h: vec![0.0; 2],
-        };
-        let mut l2 = 0.0;
-        let err = apply_deltas(&payload, 4, &mut grads, &mut l2).unwrap_err();
-        assert!(matches!(err, WireError::Malformed(_)), "{err}");
     }
 }

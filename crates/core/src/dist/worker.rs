@@ -1,20 +1,18 @@
-//! The stateless worker side of the distributed trainer.
+//! The worker side of the distributed trainer: handshake and chunk
+//! evaluation.
 //!
 //! A worker connects to the coordinator's Unix socket, introduces itself
-//! (Hello), receives its Setup — the full tensor, the loss kernel choice,
-//! and the contiguous block of **global** entry chunks it owns — and then
-//! loops: for every Step (epoch + full model) it evaluates its chunks
-//! with exactly the kernels the in-process trainer runs and replies with
-//! the per-chunk deltas, un-merged, in ascending chunk order.
-//!
-//! Holding no state between steps is what makes recovery trivial: a
-//! respawned worker is indistinguishable from the one it replaces.
+//! (Hello), and receives its Setup: the full tensor, the loss kernel
+//! choice, the contiguous block of **global** entry chunks it evaluates,
+//! and the fleet size that fixes which factor rows it owns. It then
+//! serves the tail-sharded epoch protocol of [`super::sharded`] until
+//! Shutdown. `eval_block` is the chunk evaluation every epoch runs,
+//! with exactly the kernels the in-process trainer calls.
 
 use super::wire::{
-    decode_setup, decode_step, encode_deltas_into, encode_frame, encode_hello, tag_of, FrameBuf,
-    FrameDecoder, Setup, WireLoss, TAG_SETUP, TAG_SHUTDOWN, TAG_STEP,
+    decode_setup, encode_frame, encode_hello, tag_of, FrameDecoder, Setup, WireLoss, TAG_SETUP,
 };
-use super::{busy_now_ns, read_frame, DistError};
+use super::{read_frame, DistError};
 use crate::loss::{l2_entry_chunk, negative_sampling_chunk, ENTRIES_PER_CHUNK};
 use crate::sparse_grads::{GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
@@ -22,8 +20,8 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-/// Run one worker process to completion: connect, handshake, serve steps
-/// until Shutdown (or a clean coordinator-side disconnect).
+/// Run one worker process to completion: connect, handshake, serve
+/// epochs until Shutdown (or a clean coordinator-side disconnect).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
     let mut stream = UnixStream::connect(socket)?;
     stream.write_all(&encode_frame(&encode_hello(worker_id)))?;
@@ -53,60 +51,9 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
     let entry_hi = (setup.chunk_end * ENTRIES_PER_CHUNK).min(n_entries);
     let ws = TrainWorkspace::new();
 
-    if setup.tail_shard {
-        return super::sharded::run_sharded_worker(
-            stream, dec, setup, tensor, entry_lo, entry_hi, ws, worker_id,
-        );
-    }
-
-    // The reply frame reuses one buffer across epochs.
-    let mut reply = FrameBuf::new();
-    loop {
-        // `busy` spans recv → decode → eval → encode: everything between
-        // the frame hitting the socket and the reply being ready is work
-        // that runs concurrently across workers on a host with enough
-        // CPUs (the critical-path accounting in `bench_distributed`
-        // relies on that). [`busy_now_ns`] is process CPU time, so the
-        // blocking wait inside `read_frame` accrues ~nothing while the
-        // frame checksum + buffering it brackets is counted.
-        let t0 = busy_now_ns();
-        let frame = match read_frame(&mut stream, &mut dec)? {
-            Some(f) => f,
-            // Coordinator dropped the connection between frames: treat it
-            // as shutdown so an aborted run doesn't leave zombie workers.
-            None => return Ok(()),
-        };
-        match tag_of(&frame)? {
-            TAG_STEP => {
-                let (epoch, model) = decode_step(&frame)?;
-                if model.dims() != setup.dims || model.rank() != setup.rank {
-                    return Err(DistError::Protocol(format!(
-                        "step model {:?}/r{} does not match setup {:?}/r{}",
-                        model.dims(),
-                        model.rank(),
-                        setup.dims,
-                        setup.rank
-                    )));
-                }
-                let chunks = eval_block(&setup, &tensor, &model, entry_lo, entry_hi, epoch, &ws);
-                encode_deltas_into(reply.payload(), epoch, 0, setup.rank, &chunks);
-                // Patch the real figure over the placeholder now that the
-                // encode is done (busy_ns lives at bytes 9..17: tag + epoch).
-                let busy_ns = busy_now_ns().saturating_sub(t0);
-                reply.payload_mut()[9..17].copy_from_slice(&busy_ns.to_le_bytes());
-                for (_, delta) in chunks {
-                    ws.deltas.put(delta);
-                }
-                stream.write_all(reply.finish())?;
-            }
-            TAG_SHUTDOWN => return Ok(()),
-            other => {
-                return Err(DistError::Protocol(format!(
-                    "unexpected message tag {other} in step loop"
-                )))
-            }
-        }
-    }
+    super::sharded::run_sharded_worker(
+        stream, dec, setup, tensor, entry_lo, entry_hi, ws, worker_id,
+    )
 }
 
 /// Evaluate this worker's chunk block against one model broadcast.

@@ -74,14 +74,13 @@ impl FaultPlan {
         }
     }
 
-    /// During **tail-sharded** distributed training
-    /// ([`crate::dist::sharded`]), `SIGKILL` worker `worker` in the middle
+    /// During distributed training ([`crate::dist::sharded`]), `SIGKILL`
+    /// worker `worker` in the middle
     /// of `epoch`'s delta exchange — immediately after the coordinator has
     /// relayed the first of that worker's outbound exchange frames, so some
     /// of its row deltas are already in flight to their owners when it
     /// dies, once. Recovery must still land on the uninterrupted run's
-    /// exact bits (the plain protocol has no exchange, so this trigger is
-    /// inert there).
+    /// exact bits.
     pub fn kill_worker_mid_exchange_at(epoch: usize, worker: usize) -> Self {
         FaultPlan {
             kill_worker_mid_exchange: Cell::new(Some((epoch, worker))),

@@ -183,9 +183,9 @@ impl SparseGrads {
     /// Borrow the raw wire representation for the distributed trainer:
     /// the rank plus, per factor, the touched-row indices and their
     /// `rows.len() * r` accumulation buffer, then the dense `h` gradient.
-    /// [`crate::dist`] serializes these slices verbatim so the coordinator
-    /// can replay the exact adds [`SparseGrads::scatter_into`] would have
-    /// performed in-process.
+    /// [`crate::dist`] serializes the `h` slice verbatim into each chunk's
+    /// stats, so the coordinator folds exactly the `h` adds
+    /// [`SparseGrads::scatter_into`] would have performed in-process.
     pub(crate) fn wire_parts(&self) -> WireParts<'_> {
         (
             self.r,

@@ -399,12 +399,12 @@ impl TcssTrainer {
     /// Hausdorff head — accumulated into the zeroed `tail` buffer, with
     /// the Gram loss added into `l2`. Returns `L₁`.
     ///
-    /// Shared by the in-process path ([`TcssTrainer::epoch_grads`]) and
-    /// both distributed coordinators: the plain mode adds `tail` into its
-    /// merged gradient whole, the tail-sharded mode ships each worker its
-    /// owned row ranges of `tail` instead. Same calls in the same order
-    /// everywhere, so the distributed epoch is bit-identical by
-    /// construction.
+    /// The in-process path ([`TcssTrainer::epoch_grads`]) adds `tail`
+    /// into its merged gradient whole; the distributed coordinator runs
+    /// the same calls in the same order through
+    /// [`TcssTrainer::epoch_tail_deferred`] and ships each worker its
+    /// owned row ranges of `tail` instead, so the distributed epoch is
+    /// bit-identical by construction.
     pub(crate) fn epoch_tail_into(
         &self,
         model: &TcssModel,

@@ -61,13 +61,6 @@ fn dist_cfg(workers: usize) -> DistConfig {
     DistConfig::new(workers, worker_program())
 }
 
-fn shard_cfg(workers: usize) -> DistConfig {
-    DistConfig {
-        tail_shard: true,
-        ..dist_cfg(workers)
-    }
-}
-
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tcss_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -75,10 +68,11 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Kill each worker of a 2-worker fleet in turn, mid-run: the coordinator
-/// must detect the loss, respawn, resume from the on-disk checkpoint, and
-/// land on bits identical to both the uninterrupted distributed run and
-/// the plain in-process run.
+/// Kill each worker of a 2-worker fleet in turn, between epochs (before
+/// the epoch-4 StepOwned broadcast): the coordinator must detect the
+/// loss, respawn, resume from the on-disk checkpoint, and land on bits
+/// identical to both the uninterrupted distributed run and the
+/// in-process run.
 #[test]
 fn losing_any_single_worker_is_survivable_and_bit_exact() {
     let want = model_bits(
@@ -115,7 +109,9 @@ fn losing_any_single_worker_is_survivable_and_bit_exact() {
 }
 
 /// Without a checkpoint dir the coordinator still recovers, from its
-/// in-memory rollback snapshot.
+/// in-memory rollback snapshot, which carries the gathered Adam moments;
+/// Adopt redistributes the owned ranges to the respawned fleet. Covers
+/// both kill points: between epochs and mid-exchange.
 #[test]
 fn recovery_works_without_on_disk_checkpoints() {
     let want = model_bits(
@@ -124,53 +120,57 @@ fn recovery_works_without_on_disk_checkpoints() {
             .expect("in-process run trains")
             .model,
     );
-    let plan = FaultPlan::kill_worker_at(3, 1);
-    let report = fixture(Some(2), None)
-        .train_distributed_with_faults(&dist_cfg(2), &plan, |_| {})
-        .expect("checkpoint-less recovery trains");
-    assert!(report.respawns >= 1);
-    assert_eq!(model_bits(&report.report.model), want);
+    for plan in [
+        FaultPlan::kill_worker_at(3, 1),
+        FaultPlan::kill_worker_mid_exchange_at(3, 1),
+    ] {
+        let report = fixture(Some(2), None)
+            .train_distributed_with_faults(&dist_cfg(2), &plan, |_| {})
+            .expect("checkpoint-less recovery trains");
+        assert!(report.respawns >= 1);
+        assert_eq!(model_bits(&report.report.model), want);
+    }
 }
 
-/// Tail-sharded mode is the harder recovery problem: workers hold
-/// resident Adam moments, and the victim dies **mid-exchange** — after
-/// the coordinator has already relayed the first of its outbound row-delta
-/// frames, so some of its deltas are in flight to their owners (and
-/// buffered on peers) when it goes down. Recovery must discard the whole
-/// half-finished epoch on every worker (Adopt resets resident state),
-/// restore the Adam moments for every owned range from the on-disk
-/// checkpoint, and still land on the uninterrupted run's exact bits.
+/// The harder recovery problem: workers hold resident Adam moments, and
+/// the victim dies **mid-exchange** — after the coordinator has already
+/// relayed the first of its outbound row-delta frames, so some of its
+/// deltas are in flight to their owners (and buffered on peers) when it
+/// goes down. Recovery must discard the whole half-finished epoch on
+/// every worker (Adopt resets resident state), restore the Adam moments
+/// for every owned range from the on-disk checkpoint, and still land on
+/// the uninterrupted run's exact bits.
 ///
 /// The final-checkpoint byte comparison is the explicit Adam-state check:
 /// the checkpoint serializes the gathered `m`/`v` moments, so identical
 /// bytes prove the owned-range restore (not just the model splice) was
 /// exact.
 #[test]
-fn tail_sharded_mid_exchange_kill_is_survivable_and_bit_exact() {
+fn mid_exchange_kill_is_survivable_and_bit_exact() {
     let want = model_bits(
         &fixture(None, None)
             .train_with_checkpoints(|_| {})
             .expect("in-process run trains")
             .model,
     );
-    // Uninterrupted tail-sharded run, checkpointing, as the byte oracle.
-    let clean_dir = tempdir("shard_clean");
+    // Uninterrupted run, checkpointing, as the byte oracle.
+    let clean_dir = tempdir("dist_clean");
     let undisturbed = fixture(Some(2), Some(clean_dir.clone()))
-        .train_distributed(&shard_cfg(2), |_| {})
-        .expect("uninterrupted tail-sharded run trains");
+        .train_distributed(&dist_cfg(2), |_| {})
+        .expect("uninterrupted distributed run trains");
     assert_eq!(model_bits(&undisturbed.report.model), want);
     let want_ckpt = std::fs::read(clean_dir.join(tcss_core::CHECKPOINT_FILE))
         .expect("uninterrupted run wrote a checkpoint");
 
     for victim in 0..2usize {
-        let dir = tempdir(&format!("shard_kill_w{victim}"));
+        let dir = tempdir(&format!("dist_xkill_w{victim}"));
         let trainer = fixture(Some(2), Some(dir.clone()));
         // Epoch 4: past the epoch-2 checkpoint, so the rollback rewinds
         // through on-disk state — including every worker's owned slice of
         // the Adam moments, re-adopted over the wire.
         let plan = FaultPlan::kill_worker_mid_exchange_at(4, victim);
         let report = trainer
-            .train_distributed_with_faults(&shard_cfg(2), &plan, |_| {})
+            .train_distributed_with_faults(&dist_cfg(2), &plan, |_| {})
             .unwrap_or_else(|e| panic!("run with worker {victim} killed mid-exchange failed: {e}"));
         assert!(
             report.respawns >= 1,
@@ -191,46 +191,6 @@ fn tail_sharded_mid_exchange_kill_is_survivable_and_bit_exact() {
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&clean_dir).ok();
-}
-
-/// Tail-sharded recovery also works without on-disk checkpoints: the
-/// coordinator's in-memory rollback snapshot carries the gathered Adam
-/// moments, and Adopt redistributes the owned ranges to the respawned
-/// fleet.
-#[test]
-fn tail_sharded_recovery_works_without_on_disk_checkpoints() {
-    let want = model_bits(
-        &fixture(None, None)
-            .train_with_checkpoints(|_| {})
-            .expect("in-process run trains")
-            .model,
-    );
-    let plan = FaultPlan::kill_worker_mid_exchange_at(3, 1);
-    let report = fixture(Some(2), None)
-        .train_distributed_with_faults(&shard_cfg(2), &plan, |_| {})
-        .expect("checkpoint-less tail-sharded recovery trains");
-    assert!(report.respawns >= 1);
-    assert_eq!(model_bits(&report.report.model), want);
-}
-
-/// The plain pre-dispatch kill fault composes with tail sharding too (the
-/// victim dies between epochs, before the Step broadcast).
-#[test]
-fn tail_sharded_pre_dispatch_kill_is_survivable_and_bit_exact() {
-    let want = model_bits(
-        &fixture(None, None)
-            .train_with_checkpoints(|_| {})
-            .expect("in-process run trains")
-            .model,
-    );
-    let dir = tempdir("shard_predispatch_kill");
-    let plan = FaultPlan::kill_worker_at(4, 0);
-    let report = fixture(Some(2), Some(dir.clone()))
-        .train_distributed_with_faults(&shard_cfg(2), &plan, |_| {})
-        .expect("tail-sharded pre-dispatch recovery trains");
-    assert!(report.respawns >= 1);
-    assert_eq!(model_bits(&report.report.model), want);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A worker that dies on *every* respawn exhausts the budget and surfaces

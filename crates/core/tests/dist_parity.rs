@@ -1,17 +1,17 @@
 //! The process-count-parity contract, end to end.
 //!
-//! Training with 1, 2, or 4 worker processes — at 1 or 2 threads per
-//! worker, plain or tail-sharded (owner-computes Adam, DESIGN.md §5j),
-//! overlap on or off — must produce models bit-identical to the
-//! in-process checkpointed trainer, for both entry-loss strategies, over
-//! arbitrary tensors. Checkpoints cross modes bit-for-bit in both
+//! Training with 1, 2, or 4 worker processes (owner-computes tail
+//! sharding, DESIGN.md §5j) — at 1 or 2 threads per worker — must produce
+//! models bit-identical to the in-process checkpointed trainer, for both
+//! entry-loss strategies, over arbitrary tensors. Checkpoints cross
+//! between distributed and in-process runs bit-for-bit in both
 //! directions. Also proptests the delta-codec framing layer: arbitrary
 //! byte splits decode identically, and truncation/corruption surface as
 //! typed errors, never a hang.
 
 use proptest::prelude::*;
 use tcss_core::dist::{encode_frame, DistConfig, FrameDecoder, WireError};
-use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer};
+use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError};
 use tcss_sparse::SparseTensor3;
 
 /// The dedicated worker binary of the core crate (built by cargo for
@@ -87,20 +87,14 @@ fn dist_cfg(workers: usize, threads: usize) -> DistConfig {
     }
 }
 
-fn shard_cfg(workers: usize, threads: usize, overlap: bool) -> DistConfig {
-    DistConfig {
-        tail_shard: true,
-        overlap,
-        ..dist_cfg(workers, threads)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// 1 ≡ 2 ≡ 4 workers ≡ in-process, bit for bit, for both strategies.
+    /// 1 ≡ 2 ≡ 4 workers ≡ in-process, bit for bit, for both strategies,
+    /// and worker threading (composing with the TCSS_NUM_THREADS
+    /// machinery) is a pure speed knob, exactly like in-process.
     #[test]
-    fn worker_count_never_changes_a_bit(case in case_strategy()) {
+    fn worker_count_and_threads_never_change_a_bit(case in case_strategy()) {
         let baseline = trainer_for(&case, None)
             .train_with_checkpoints(|_| {})
             .expect("in-process run trains")
@@ -117,63 +111,12 @@ proptest! {
                 "{} workers diverged from the in-process model", workers
             );
         }
-    }
-
-    /// Worker-side threading (composing with the TCSS_NUM_THREADS
-    /// machinery) is a pure speed knob, exactly like in-process.
-    #[test]
-    fn worker_threads_never_change_a_bit(case in case_strategy()) {
-        let baseline = trainer_for(&case, None)
-            .train_with_checkpoints(|_| {})
-            .expect("in-process run trains")
-            .model;
-        let report = trainer_for(&case, Some(2))
+        let threaded = trainer_for(&case, Some(2))
             .train_distributed(&dist_cfg(2, 2), |_| {})
             .expect("2-worker × 2-thread run trains");
         prop_assert_eq!(
-            &model_bits(&report.report.model), &model_bits(&baseline),
-            "2 workers × 2 threads diverged from the in-process model"
-        );
-    }
-
-    /// Tail sharding (owner-computes Adam, §5j) is bit-invisible too:
-    /// 1 ≡ 2 ≡ 4 tail-sharded workers ≡ in-process, and neither worker
-    /// threading nor the overlap knob changes a bit.
-    #[test]
-    fn tail_sharding_never_changes_a_bit(case in case_strategy()) {
-        let baseline = trainer_for(&case, None)
-            .train_with_checkpoints(|_| {})
-            .expect("in-process run trains")
-            .model;
-        let want = model_bits(&baseline);
-        for workers in [1usize, 2, 4] {
-            let report = trainer_for(&case, Some(workers))
-                .train_distributed(&shard_cfg(workers, 1, true), |_| {})
-                .unwrap_or_else(|e| panic!("{workers}-worker tail-sharded run failed: {e}"));
-            prop_assert_eq!(report.workers, workers);
-            prop_assert_eq!(report.respawns, 0);
-            prop_assert_eq!(
-                &model_bits(&report.report.model), &want,
-                "{} tail-sharded workers diverged from the in-process model", workers
-            );
-        }
-        // 2 workers × 2 threads: worker threading stays a pure speed knob
-        // under sharding.
-        let threaded = trainer_for(&case, Some(2))
-            .train_distributed(&shard_cfg(2, 2, true), |_| {})
-            .expect("2-worker × 2-thread tail-sharded run trains");
-        prop_assert_eq!(
             &model_bits(&threaded.report.model), &want,
-            "2 tail-sharded workers × 2 threads diverged from the in-process model"
-        );
-        // overlap=false serialises the coordinator tail after the relay;
-        // same floats in a different wall-clock order.
-        let serial_tail = trainer_for(&case, Some(2))
-            .train_distributed(&shard_cfg(2, 1, false), |_| {})
-            .expect("overlap=false tail-sharded run trains");
-        prop_assert_eq!(
-            &model_bits(&serial_tail.report.model), &want,
-            "overlap=false diverged from the in-process model"
+            "2 workers × 2 threads diverged from the in-process model"
         );
     }
 }
@@ -272,9 +215,11 @@ proptest! {
     }
 }
 
-/// The `workers` knob composes with checkpoints: a distributed run's
-/// checkpoint resumes bit-identically in a *single-process* run (the
-/// fingerprint excludes `workers`, like `num_threads`).
+/// Checkpoint interop, direction 1: a distributed run's checkpoint
+/// (whose Adam moments were gathered from per-worker resident slabs)
+/// resumes bit-identically in a single-process run. The fingerprint
+/// excludes `workers`, like `num_threads`, and the snapshot gather must
+/// be worker-count-independent.
 #[test]
 fn distributed_checkpoint_resumes_in_process_bitwise() {
     let case = Case {
@@ -307,7 +252,7 @@ fn distributed_checkpoint_resumes_in_process_bitwise() {
     first
         .train_distributed(&dist_cfg(2, 1), |_| {})
         .expect("distributed prefix trains");
-    // ...resumed by a plain single-process trainer to epoch 6.
+    // ...resumed by a single-process trainer to epoch 6.
     let mut second = trainer_for(&case, None);
     second.config.epochs = 6;
     second.config.resume_from = Some(tmp.join(tcss_core::CHECKPOINT_FILE));
@@ -319,59 +264,12 @@ fn distributed_checkpoint_resumes_in_process_bitwise() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// Mixed-mode checkpoint interop, direction 1: a **tail-sharded** run's
-/// checkpoint (whose Adam moments were gathered from per-worker resident
-/// slabs) resumes bit-identically in a plain single-process run. The
-/// snapshot gather must therefore be worker-count-independent.
+/// Checkpoint interop, direction 2: a single-process checkpoint resumes
+/// bit-identically in a distributed run — the adopted Adam moments split
+/// across resident worker ranges without changing a bit, at a worker
+/// count the checkpoint never saw.
 #[test]
-fn tail_sharded_checkpoint_resumes_in_process_bitwise() {
-    let case = Case {
-        dims: (6, 5, 4),
-        entries: vec![
-            (0, 0, 0, 1.0),
-            (1, 2, 3, 1.0),
-            (5, 4, 2, 1.0),
-            (3, 3, 1, 1.0),
-            (2, 1, 0, 1.0),
-        ],
-        rank: 2,
-        seed: 42,
-        loss: LossStrategy::WholeDataRewritten,
-    };
-    let tmp = tempdir("shard_ckpt_to_plain");
-    let mut uninterrupted = trainer_for(&case, None);
-    uninterrupted.config.epochs = 6;
-    let want = model_bits(
-        &uninterrupted
-            .train_with_checkpoints(|_| {})
-            .expect("trains")
-            .model,
-    );
-    // Tail-sharded run to epoch 3, checkpointing...
-    let mut first = trainer_for(&case, Some(2));
-    first.config.epochs = 3;
-    first.config.checkpoint_dir = Some(tmp.clone());
-    first
-        .train_distributed(&shard_cfg(2, 1, true), |_| {})
-        .expect("tail-sharded prefix trains");
-    // ...resumed by a plain single-process trainer to epoch 6.
-    let mut second = trainer_for(&case, None);
-    second.config.epochs = 6;
-    second.config.resume_from = Some(tmp.join(tcss_core::CHECKPOINT_FILE));
-    let resumed = second
-        .train_with_checkpoints(|_| {})
-        .expect("in-process resume trains");
-    assert_eq!(resumed.start_epoch, 3);
-    assert_eq!(model_bits(&resumed.model), want);
-    std::fs::remove_dir_all(&tmp).ok();
-}
-
-/// Mixed-mode checkpoint interop, direction 2: a plain single-process
-/// checkpoint resumes bit-identically under tail sharding — the adopted
-/// Adam moments split across resident worker ranges without changing a
-/// bit, at a worker count the checkpoint never saw.
-#[test]
-fn in_process_checkpoint_resumes_tail_sharded_bitwise() {
+fn in_process_checkpoint_resumes_distributed_bitwise() {
     let case = Case {
         dims: (6, 5, 4),
         entries: vec![
@@ -385,7 +283,7 @@ fn in_process_checkpoint_resumes_tail_sharded_bitwise() {
         seed: 43,
         loss: LossStrategy::NegativeSampling,
     };
-    let tmp = tempdir("plain_ckpt_to_shard");
+    let tmp = tempdir("ckpt_to_dist");
     let mut uninterrupted = trainer_for(&case, None);
     uninterrupted.config.epochs = 6;
     let want = model_bits(
@@ -394,20 +292,20 @@ fn in_process_checkpoint_resumes_tail_sharded_bitwise() {
             .expect("trains")
             .model,
     );
-    // Plain in-process run to epoch 3, checkpointing...
+    // In-process run to epoch 3, checkpointing...
     let mut first = trainer_for(&case, None);
     first.config.epochs = 3;
     first.config.checkpoint_dir = Some(tmp.clone());
     first
         .train_with_checkpoints(|_| {})
         .expect("in-process prefix trains");
-    // ...resumed tail-sharded at 3 workers to epoch 6.
+    // ...resumed by 3 workers to epoch 6.
     let mut second = trainer_for(&case, Some(3));
     second.config.epochs = 6;
     second.config.resume_from = Some(tmp.join(tcss_core::CHECKPOINT_FILE));
     let resumed = second
-        .train_distributed(&shard_cfg(3, 1, true), |_| {})
-        .expect("tail-sharded resume trains");
+        .train_distributed(&dist_cfg(3, 1), |_| {})
+        .expect("distributed resume trains");
     assert_eq!(resumed.report.start_epoch, 3);
     assert_eq!(model_bits(&resumed.report.model), want);
     std::fs::remove_dir_all(&tmp).ok();
@@ -427,6 +325,46 @@ fn unspawnable_worker_program_is_typed() {
         .train_distributed(&DistConfig::new(1, "/nonexistent/worker/binary"), |_| {})
         .expect_err("spawn must fail");
     assert!(err.to_string().contains("spawn"), "{err}");
+}
+
+/// `DistConfig::tail_shard = false` named the removed coordinator-merge
+/// protocol: it is a typed `InvalidConfig`, raised before any socket is
+/// bound or any worker spawned — the worker program does not exist, so a
+/// spawn attempt would surface as a `Spawn` error instead, and the socket
+/// directory stays empty.
+#[test]
+fn tail_shard_false_is_invalid_config_before_spawning() {
+    let case = Case {
+        dims: (4, 4, 3),
+        entries: vec![(0, 0, 0, 1.0)],
+        rank: 2,
+        seed: 1,
+        loss: LossStrategy::WholeDataRewritten,
+    };
+    let sockets = tempdir("tail_shard_false");
+    let dist = DistConfig {
+        tail_shard: false,
+        socket_dir: Some(sockets.clone()),
+        ..DistConfig::new(1, "/nonexistent/worker/binary")
+    };
+    let err = trainer_for(&case, Some(1))
+        .train_distributed(&dist, |_| {})
+        .expect_err("tail_shard = false must be rejected");
+    match &err {
+        TrainError::InvalidConfig(msg) => {
+            assert!(
+                msg.contains("tail_shard") && msg.contains("removed"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected InvalidConfig, got: {other}"),
+    }
+    assert_eq!(
+        std::fs::read_dir(&sockets).unwrap().count(),
+        0,
+        "no socket may be bound for a rejected config"
+    );
+    std::fs::remove_dir_all(&sockets).ok();
 }
 
 /// A worker program that exits before connecting is a typed error, not a

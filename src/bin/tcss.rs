@@ -38,7 +38,7 @@ const USAGE: &str = "usage:
                  [--epochs N] [--rank R] [--lambda L] [--seed S]
                  [--loss whole|naive|negsamp] [--init spectral|random|onehot]
                  [--granularity month|week|hour] [--threads T]
-                 [--workers N] [--worker-threads T] [--tail-shard] [--no-overlap]
+                 [--workers N] [--worker-threads T]
                  [--checkpoint-dir <dir>] [--checkpoint-every N] [--resume] [--lenient]
   tcss recommend --data <stem> --model <file> --user U --month M [--top N]
   tcss recommend-batch --data <stem> --model <file> --requests <U:M,U:M,...> [--top N]
@@ -52,6 +52,7 @@ const USAGE: &str = "usage:
                  [--timeout-ms T] [--retries N]
 
 <stem> names the CSV triplet <stem>.pois.csv / .checkins.csv / .edges.csv.
+Every subcommand rejects a flag it does not know, naming the flag.
 
 serving:
   tcss serve binds a wire-protocol server (default 127.0.0.1:0, i.e. an
@@ -80,17 +81,15 @@ distributed training:
   (this executable re-invoked with a hidden dist-worker subcommand over a
   Unix socket); the trained model is bit-identical to the single-process
   run at any worker count. --worker-threads sets threads per worker
-  (default 1). --tail-shard moves the optimizer tail to the workers
-  (owner-computes Adam over contiguous factor-row ranges) — same bits,
-  shorter coordinator critical path; --no-overlap additionally serialises
-  the coordinator's Gram/Hausdorff tail after the delta relay instead of
-  overlapping it with worker compute (a latency knob for measurement,
-  identical bits; requires --tail-shard). Checkpoints stay
-  coordinator-owned and worker-count-independent, so the run survives
-  the loss of any single worker and checkpoints cross modes freely. The
-  whole flag combination is validated up front — e.g. --workers 0, or a
-  --checkpoint-every beyond --epochs when workers are set, is a typed
-  error before anything spawns.
+  (default 1). Each worker owns a contiguous range of factor rows and
+  runs the optimizer for them itself (owner-computes Adam), while the
+  coordinator keeps the dense core, the Gram/Hausdorff tail, and the
+  watchdog. Checkpoints stay coordinator-owned and
+  worker-count-independent, so the run survives the loss of any single
+  worker and checkpoints move freely between distributed and
+  single-process runs. The whole flag combination is validated up
+  front — e.g. --workers 0, or a --checkpoint-every beyond --epochs when
+  workers are set, is a typed error before anything spawns.
 
 fault tolerance:
   --checkpoint-dir <dir>  write a rolling checkpoint to <dir>/checkpoint.tcssck
@@ -118,7 +117,87 @@ fn has(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// A subcommand's allow-list: flags that take a value, then switches.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+/// The allow-list of `cmd`, or `None` for an unknown subcommand.
+fn flags_of(cmd: &str) -> Option<Flags> {
+    Some(match cmd {
+        "generate" => (&["--preset", "--out"], &["--no-preprocess"]),
+        "train" => (
+            &[
+                "--data",
+                "--synth",
+                "--model",
+                "--epochs",
+                "--rank",
+                "--lambda",
+                "--seed",
+                "--loss",
+                "--init",
+                "--granularity",
+                "--threads",
+                "--workers",
+                "--worker-threads",
+                "--checkpoint-dir",
+                "--checkpoint-every",
+            ],
+            &["--resume", "--lenient"],
+        ),
+        "recommend" => (&["--data", "--model", "--user", "--month", "--top"], &[]),
+        "recommend-batch" => (&["--data", "--model", "--requests", "--top"], &[]),
+        "evaluate" => (&["--data", "--model", "--test-fraction"], &[]),
+        "export-snapshot" => (&["--model", "--out", "--quant"], &[]),
+        "serve" => (
+            &[
+                "--data",
+                "--model",
+                "--snapshot",
+                "--addr",
+                "--threads",
+                "--queue-depth",
+                "--deadline-ms",
+                "--idle-timeout-ms",
+                "--drain-timeout-ms",
+                "--maintenance-ms",
+            ],
+            &[],
+        ),
+        "query" => (
+            &[
+                "--addr",
+                "--user",
+                "--month",
+                "--top",
+                "--timeout-ms",
+                "--retries",
+            ],
+            &[],
+        ),
+        "dist-worker" => (&["--socket", "--worker"], &[]),
+        _ => return None,
+    })
+}
+
+/// Fail on the first `--flag` that `cmd` does not accept, before any work.
+fn check_flags(cmd: &str, args: &[String], (values, switches): Flags) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if values.contains(&arg.as_str()) {
+            it.next(); // the flag's value, whatever it looks like
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg:?} for tcss {cmd}"));
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), String> {
+    if let Some((cmd, rest)) = args.split_first() {
+        if let Some(flags) = flags_of(cmd) {
+            check_flags(cmd, rest, flags)?;
+        }
+    }
     match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
         Some("train") => cmd_train(&args[1..]),
@@ -279,9 +358,6 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             println!("epoch {:>4}: loss {loss:.2}", ctx.epoch + 1);
         }
     };
-    if workers.is_none() && (has(args, "--tail-shard") || has(args, "--no-overlap")) {
-        return Err("--tail-shard/--no-overlap require --workers".into());
-    }
     let report = match workers {
         None => trainer
             .train_with_checkpoints(on_epoch)
@@ -295,15 +371,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                 Some(v) => Some(parse(v, "--worker-threads")?),
                 None => None,
             };
-            let tail_shard = has(args, "--tail-shard");
-            if has(args, "--no-overlap") && !tail_shard {
-                return Err("--no-overlap requires --tail-shard".into());
-            }
             let dist = tcss::core::dist::DistConfig {
                 worker_threads,
                 worker_args: vec!["dist-worker".into()],
-                tail_shard,
-                overlap: !has(args, "--no-overlap"),
                 ..tcss::core::dist::DistConfig::new(n, exe)
             };
             let dr = trainer

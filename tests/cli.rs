@@ -184,6 +184,26 @@ fn unknown_subcommand_fails() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+/// Unknown flags fail before any work, naming the flag and printing
+/// usage — a misspelt flag (`--epoch`) and a flag of a removed feature
+/// (`--tail-shard`) alike, instead of being silently ignored.
+#[test]
+fn unknown_flags_fail_naming_the_flag() {
+    for (args, flag) in [
+        (&["train", "--tail-shard"][..], "--tail-shard"),
+        (&["train", "--epoch", "3"][..], "--epoch"),
+    ] {
+        let out = bin().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\"")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().args(["--help"]).output().expect("run");
