@@ -35,8 +35,8 @@
 //! residual bias deflates the estimate. The digest assert covers every
 //! trial of every configuration.
 //!
-//! `--smoke` (or `TCSS_BENCH_SMOKE=1`) shrinks the fixture so CI can
-//! validate the JSON shape in seconds.
+//! `--smoke` shrinks the fixture so CI can validate the JSON shape in
+//! seconds.
 //!
 //! This binary is its own worker program: the coordinator re-invokes it
 //! with the hidden `dist-worker --socket <path> --worker <id>` argv.
@@ -53,7 +53,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("dist-worker") {
         return run_worker_role(&args[1..]);
     }
-    let smoke = args.iter().any(|a| a == "--smoke") || std::env::var("TCSS_BENCH_SMOKE").is_ok();
+    let smoke = args.iter().any(|a| a == "--smoke");
     run_bench(smoke);
 }
 

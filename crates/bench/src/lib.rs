@@ -1,7 +1,9 @@
 //! # tcss-bench
 //!
 //! The experiment harness: one binary per table/figure of the TCSS paper
-//! (see `DESIGN.md` §4 for the index) plus Criterion microbenchmarks.
+//! (see `DESIGN.md` §4 for the index), plus `bench_distributed`, the
+//! worker-count grid of the distributed trainer. Timings of the whole
+//! system and of each layer come from `bash bench_e2e/run.sh`.
 //!
 //! Run an experiment with
 //! `cargo run --release -p tcss-bench --bin <name>`; every binary prints

@@ -1,6 +1,7 @@
 //! Mode-sharded multi-process training with bitwise process-count parity.
 //!
-//! Single-process epoch speedup is saturated (see BENCH_train_kernels):
+//! Single-process epoch speedup saturates (the sparse-delta rewrite went
+//! from 4.34× over the dense-chunk epoch at 1 thread to 2.08× at 4):
 //! the deterministic chunk scheduler has hit its ceiling inside one
 //! address space. This module goes past it the way distributed-memory
 //! tensor-completion systems do (Singh et al., arXiv:1910.02371): shard

@@ -14,10 +14,12 @@
 //!   `M_α` (α = −1 by default) standing in for min(·).
 //!
 //! The gradients flow `∂L₁/∂p → ∂p/∂X̂ → ∂X̂/∂(U¹,U²,U³,h)`; the last hop is
-//! shared with the `L₂` head ([`crate::loss::backprop_entry`]).
+//! shared with the `L₂` head ([`crate::sparse_grads::backprop_entry_sparse`]).
 
 use crate::config::HausdorffVariant;
-use crate::loss::{backprop_entry, Grads};
+#[cfg(test)]
+use crate::loss::backprop_entry;
+use crate::loss::Grads;
 use crate::model::{clamp_prob, SliceScratch, TcssModel};
 use crate::sparse_grads::{backprop_entry_sparse, GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
@@ -73,16 +75,18 @@ impl UserScratch {
     }
 }
 
-/// Where [`SocialHausdorffHead::user_loss_grad`] sends its gradient: the
-/// shared dense buffer (sequential / reference paths), a chunk-local sparse
-/// delta (production parallel path), or nowhere (forward-only evaluation).
-/// Both destinations run the identical per-entry arithmetic
-/// ([`backprop_entry`] / [`backprop_entry_sparse`]), which is what the
-/// bitwise dense↔sparse parity rests on.
+/// Where [`SocialHausdorffHead::user_loss_grad`] sends its gradient: a
+/// chunk-local sparse delta (production parallel path), nowhere
+/// (forward-only evaluation), or — in the test build only — a dense buffer
+/// for the reference fold. The sparse and dense destinations run the
+/// identical per-entry arithmetic ([`backprop_entry_sparse`] /
+/// `loss::backprop_entry`), which is what the bitwise dense↔sparse parity
+/// rests on.
 enum GradTarget<'a> {
     /// Forward pass only.
     None,
     /// Accumulate `scale · ∂L₁/∂θ` into a dense buffer.
+    #[cfg(test)]
     Dense(&'a mut Grads, f64),
     /// Accumulate `scale · ∂L₁/∂θ` into a chunk's sparse delta.
     Sparse(&'a mut SparseGrads, &'a mut GradScratch, f64),
@@ -96,7 +100,9 @@ impl GradTarget<'_> {
     fn scale(&self) -> f64 {
         match self {
             GradTarget::None => 0.0,
-            GradTarget::Dense(_, s) | GradTarget::Sparse(_, _, s) => *s,
+            #[cfg(test)]
+            GradTarget::Dense(_, s) => *s,
+            GradTarget::Sparse(_, _, s) => *s,
         }
     }
 
@@ -104,6 +110,7 @@ impl GradTarget<'_> {
     fn backprop(&mut self, model: &TcssModel, i: usize, j: usize, k: usize, c: f64) {
         match self {
             GradTarget::None => {}
+            #[cfg(test)]
             GradTarget::Dense(grads, _) => backprop_entry(model, grads, i, j, k, c),
             GradTarget::Sparse(delta, scratch, _) => {
                 backprop_entry_sparse(model, delta, scratch, i, j, k, c)
@@ -247,16 +254,10 @@ impl SocialHausdorffHead {
     const USERS_PER_CHUNK: usize = 8;
 
     /// `L₁` and its gradient, scaled by `scale` (= λ), accumulated into
-    /// `grads`. Returns the unscaled loss value.
-    ///
-    /// Convenience wrapper over [`Self::loss_and_grad_ws`] with a one-shot
-    /// workspace; the trainer holds a [`TrainWorkspace`] and calls the `_ws`
-    /// form so scratch buffers amortize across epochs.
-    pub fn loss_and_grad(&self, model: &TcssModel, grads: &mut Grads, scale: f64) -> f64 {
-        self.loss_and_grad_ws(model, grads, scale, &TrainWorkspace::new())
-    }
-
-    /// [`Self::loss_and_grad`] over pooled workspaces.
+    /// `grads`, over the pooled workspaces in `ws` (pass a fresh
+    /// [`TrainWorkspace::new`] for a one-shot call; the trainer holds one so
+    /// scratch buffers amortize across epochs). Returns the unscaled loss
+    /// value.
     ///
     /// The per-user terms of Eq 13 are independent, so they are computed in
     /// parallel through [`tcss_linalg::map_chunks_with`]: users are cut
@@ -264,8 +265,9 @@ impl SocialHausdorffHead {
     /// it touches ([`SparseGrads`]), and the deltas scatter into `grads` in
     /// chunk order. Under the deterministic-reduction contract and the
     /// sparse-delta merge contract ([`crate::sparse_grads`]) the result is
-    /// bit-for-bit identical to the dense reference at every thread count
-    /// (the parity suites pin this).
+    /// bit-for-bit identical to a sequential dense fold of the same chunks
+    /// at every thread count (the test module's `dense_reference` pins
+    /// this).
     pub fn loss_and_grad_ws(
         &self,
         model: &TcssModel,
@@ -304,51 +306,6 @@ impl SocialHausdorffHead {
             total += t;
             delta.scatter_into(grads);
             ws.deltas.put(delta);
-        }
-        total
-    }
-
-    /// Dense-chunk parallel implementation (pre-sparse, retained as the
-    /// bitwise parity baseline and the "before" side of `bench_kernels`):
-    /// each chunk folds into a full model-sized [`Grads`] buffer, merged in
-    /// chunk order.
-    pub fn loss_and_grad_dense(&self, model: &TcssModel, grads: &mut Grads, scale: f64) -> f64 {
-        let (n_users, _, _) = model.dims();
-        let partials = tcss_linalg::map_chunks_with(
-            n_users,
-            Self::USERS_PER_CHUNK,
-            UserScratch::new,
-            |us, range| {
-                let mut local = Grads::zeros(model);
-                let mut total = 0.0;
-                for i in range {
-                    total +=
-                        self.user_loss_grad(model, i, us, GradTarget::Dense(&mut local, scale));
-                }
-                (total, local)
-            },
-        );
-        let mut total = 0.0;
-        for (t, g) in &partials {
-            total += t;
-            grads.add_scaled(1.0, g);
-        }
-        total
-    }
-
-    /// Sequential reference implementation of [`Self::loss_and_grad`]
-    /// (kept for the parallel-equivalence test).
-    pub fn loss_and_grad_sequential(
-        &self,
-        model: &TcssModel,
-        grads: &mut Grads,
-        scale: f64,
-    ) -> f64 {
-        let (n_users, _, _) = model.dims();
-        let mut us = UserScratch::new();
-        let mut total = 0.0;
-        for i in 0..n_users {
-            total += self.user_loss_grad(model, i, &mut us, GradTarget::Dense(grads, scale));
         }
         total
     }
@@ -669,7 +626,7 @@ mod tests {
         );
         let mut model = interior_model(&data);
         let mut grads = Grads::zeros(&model);
-        head.loss_and_grad(&model, &mut grads, 1.0);
+        head.loss_and_grad_ws(&model, &mut grads, 1.0, &TrainWorkspace::new());
         let h = 1e-6;
         let mut checked = 0;
         // Spot-check a spread of coordinates in every factor.
@@ -727,9 +684,9 @@ mod tests {
         );
         let model = toy_model(&data);
         let mut g1 = Grads::zeros(&model);
-        head.loss_and_grad(&model, &mut g1, 1.0);
+        head.loss_and_grad_ws(&model, &mut g1, 1.0, &TrainWorkspace::new());
         let mut g2 = Grads::zeros(&model);
-        head.loss_and_grad(&model, &mut g2, 0.5);
+        head.loss_and_grad_ws(&model, &mut g2, 0.5, &TrainWorkspace::new());
         assert!((g2.norm() - 0.5 * g1.norm()).abs() < 1e-9);
     }
 
@@ -749,33 +706,83 @@ mod tests {
         assert!(l.is_finite() && l >= 0.0);
     }
 
+    fn grads_bits(g: &Grads) -> Vec<u64> {
+        g.u1.as_slice()
+            .iter()
+            .chain(g.u2.as_slice())
+            .chain(g.u3.as_slice())
+            .chain(&g.h)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The head's one test reference: each fixed
+    /// [`SocialHausdorffHead::USERS_PER_CHUNK`]-user chunk folds into its
+    /// own dense [`Grads`], and the chunks merge in ascending order on one
+    /// thread. The chunk grid is the production grid, so this is
+    /// bit-identical to the parallel sparse path at every thread count.
+    fn dense_reference(
+        head: &SocialHausdorffHead,
+        model: &TcssModel,
+        grads: &mut Grads,
+        scale: f64,
+    ) -> f64 {
+        let (n_users, _, _) = model.dims();
+        let mut us = UserScratch::new();
+        let mut total = 0.0;
+        for range in tcss_linalg::chunk_ranges(n_users, SocialHausdorffHead::USERS_PER_CHUNK) {
+            let mut local = Grads::zeros(model);
+            let mut chunk_total = 0.0;
+            for i in range {
+                chunk_total +=
+                    head.user_loss_grad(model, i, &mut us, GradTarget::Dense(&mut local, scale));
+            }
+            total += chunk_total;
+            grads.add_scaled(1.0, &local);
+        }
+        total
+    }
+
+    /// The parallel sparse head equals the sequential dense reference
+    /// bit-for-bit at 1/2/4 threads, on a cold and on a warmed workspace,
+    /// with and without the top-`p` candidate cap (the capped run
+    /// exercises the `select_nth_unstable_by` selection).
     #[test]
     fn parallel_matches_sequential() {
         // Enough users to trigger the parallel path.
         use tcss_data::SynthPreset;
         let data = SynthPreset::Gmu5k.generate();
         let train: Vec<CheckIn> = data.checkins.iter().take(2000).copied().collect();
-        let head = SocialHausdorffHead::new(
-            &data,
-            &train,
-            HausdorffVariant::Social,
-            Default::default(),
-            None,
-        );
         let tensor = data.tensor_from(&train, tcss_data::Granularity::Month);
         let (u1, u2, u3) = random_init(tensor.dims(), 4, 9);
         let model = TcssModel::new(u1, u2, u3);
-        let mut g_par = Grads::zeros(&model);
-        let l_par = head.loss_and_grad(&model, &mut g_par, 0.5);
-        let mut g_seq = Grads::zeros(&model);
-        let l_seq = head.loss_and_grad_sequential(&model, &mut g_seq, 0.5);
-        assert!((l_par - l_seq).abs() < 1e-9, "{l_par} vs {l_seq}");
-        assert!(
-            g_par.u1.approx_eq(&g_seq.u1, 1e-9)
-                && g_par.u2.approx_eq(&g_seq.u2, 1e-9)
-                && g_par.u3.approx_eq(&g_seq.u3, 1e-9),
-            "parallel gradients diverge from sequential"
-        );
+        for cap in [None, Some(7)] {
+            let head = SocialHausdorffHead::new(
+                &data,
+                &train,
+                HausdorffVariant::Social,
+                Default::default(),
+                cap,
+            );
+            let mut g_ref = Grads::zeros(&model);
+            let l_ref = dense_reference(&head, &model, &mut g_ref, 240.0);
+            let want = (l_ref.to_bits(), grads_bits(&g_ref));
+            for threads in [1, 2, 4] {
+                tcss_linalg::set_num_threads(Some(threads));
+                let ws = TrainWorkspace::new();
+                for round in 0..2 {
+                    // Round 1 warms the pools; round 2 runs on recycled buffers.
+                    let mut grads = Grads::zeros(&model);
+                    let loss = head.loss_and_grad_ws(&model, &mut grads, 240.0, &ws);
+                    assert_eq!(
+                        want,
+                        (loss.to_bits(), grads_bits(&grads)),
+                        "sparse head diverges at {threads} threads (cap {cap:?}, round {round})"
+                    );
+                }
+            }
+        }
+        tcss_linalg::set_num_threads(None);
     }
 
     #[test]
@@ -790,7 +797,7 @@ mod tests {
         );
         let model = toy_model(&data);
         let mut grads = Grads::zeros(&model);
-        head.loss_and_grad(&model, &mut grads, 1.0);
+        head.loss_and_grad_ws(&model, &mut grads, 1.0, &TrainWorkspace::new());
         // User 2 (no friends) must receive zero gradient in U¹.
         assert!(grads.u1.row(2).iter().all(|&g| g == 0.0));
     }

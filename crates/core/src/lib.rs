@@ -65,6 +65,6 @@ pub use loss::{
 pub use model::{SliceScratch, TcssModel};
 pub use model_io::{load_model, save_model, ModelIoError};
 pub use sparse_grads::{GradScratch, SparseGrads};
-pub use topn::{rank_order, top_n, top_n_full_sort};
+pub use topn::{rank_order, top_n};
 pub use train::{TcssTrainer, TrainContext, TrainError, TrainReport};
 pub use workspace::TrainWorkspace;

@@ -16,9 +16,9 @@
 //! ([`crate::sparse_grads::SparseGrads`]) through pooled workspaces
 //! ([`crate::workspace::TrainWorkspace`]): per-epoch memory traffic is
 //! `O(nnz · r)`, not `O(chunks · (I+J+K) · r)`, and steady-state epochs
-//! allocate nothing. The pre-sparse dense-chunk implementations are
-//! retained verbatim in [`reference`] as the bitwise parity baseline and
-//! the "before" side of the `bench_kernels` benchmark.
+//! allocate nothing. Their bitwise parity baseline — the dense-chunk fold
+//! of the same chunk grid — lives in the test suites
+//! (`crates/core/tests/support/dense_loss.rs`), not in the library.
 //!
 //! All gradients are hand-derived and finite-difference checked in tests.
 
@@ -111,13 +111,10 @@ impl Grads {
 }
 
 /// Accumulate the gradient of a per-entry score derivative `c = ∂L/∂X̂_{ijk}`
-/// into the factor gradients.
-///
-/// The four rank-wide loops are [`kernels::fused_mul3_axpy`] calls —
-/// elementwise with left-to-right product association, **bit-for-bit**
-/// identical to the scalar loops they replaced, but free of per-element
-/// bounds checks (this is the innermost loop of every training epoch).
-#[inline]
+/// into dense factor gradients: the reference that
+/// [`crate::sparse_grads::backprop_entry_sparse`] (the training path) must
+/// match bit-for-bit. Test-only — production accumulates sparse deltas.
+#[cfg(test)]
 pub(crate) fn backprop_entry(
     model: &TcssModel,
     grads: &mut Grads,
@@ -476,112 +473,6 @@ pub(crate) fn negative_sampling_chunk(
     }
     delta.detach(scratch);
     loss
-}
-
-/// Pre-sparse dense-chunk implementations, retained verbatim.
-///
-/// These are the PR-1 versions of the entry-loop losses: every parallel
-/// chunk folds into a full model-sized [`Grads`] buffer. They exist as
-///
-/// * the **bitwise parity baseline** — `tests/sparse_parity.rs` asserts the
-///   sparse production path reproduces these floats exactly, and
-/// * the **"before" side** of the `bench_kernels` before/after comparison.
-///
-/// Do not use them in training loops; they allocate `O(chunks)` model
-/// copies per evaluation.
-pub mod reference {
-    use super::*;
-
-    /// Dense-chunk [`rewritten_loss_and_grad`] (pre-sparse implementation).
-    pub fn rewritten_loss_and_grad_dense(
-        model: &TcssModel,
-        positives: &[TensorEntry],
-        w_plus: f64,
-        w_minus: f64,
-    ) -> (f64, Grads) {
-        let (mut loss, mut grads) = tcss_linalg::fold_chunks(
-            positives.len(),
-            ENTRIES_PER_CHUNK,
-            (0.0, Grads::zeros(model)),
-            |range| {
-                let mut local = Grads::zeros(model);
-                let mut loss = 0.0;
-                for e in &positives[range] {
-                    let s = model.predict(e.i, e.j, e.k);
-                    loss += (w_plus - w_minus) * s * s - 2.0 * w_plus * e.value * s;
-                    let c = 2.0 * (w_plus - w_minus) * s - 2.0 * w_plus * e.value;
-                    backprop_entry(model, &mut local, e.i, e.j, e.k, c);
-                }
-                (loss, local)
-            },
-            |(mut loss, mut grads), (l, g)| {
-                loss += l;
-                grads.add_scaled(1.0, &g);
-                (loss, grads)
-            },
-        );
-        whole_data_term(model, w_minus, &mut loss, &mut grads);
-        (loss, grads)
-    }
-
-    /// Dense-chunk [`negative_sampling_loss_and_grad`] (pre-sparse
-    /// implementation).
-    pub fn negative_sampling_loss_and_grad_dense(
-        model: &TcssModel,
-        tensor: &SparseTensor3,
-        w_plus: f64,
-        w_minus: f64,
-        seed: u64,
-    ) -> (f64, Grads) {
-        let (i_dim, j_dim, k_dim) = tensor.dims();
-        let entries = tensor.entries();
-        tcss_linalg::fold_chunks(
-            entries.len(),
-            ENTRIES_PER_CHUNK,
-            (0.0, Grads::zeros(model)),
-            |range| {
-                let chunk = (range.start / ENTRIES_PER_CHUNK) as u64;
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17),
-                );
-                let mut local = Grads::zeros(model);
-                let mut loss = 0.0;
-                for e in &entries[range] {
-                    let s = model.predict(e.i, e.j, e.k);
-                    loss += w_plus * (e.value - s) * (e.value - s);
-                    backprop_entry(
-                        model,
-                        &mut local,
-                        e.i,
-                        e.j,
-                        e.k,
-                        2.0 * w_plus * (s - e.value),
-                    );
-                    let mut attempts = 0;
-                    loop {
-                        let (ni, nj, nk) = (
-                            rng.gen_range(0..i_dim),
-                            rng.gen_range(0..j_dim),
-                            rng.gen_range(0..k_dim),
-                        );
-                        if !tensor.contains(ni, nj, nk) || attempts > 32 {
-                            let sn = model.predict(ni, nj, nk);
-                            loss += w_minus * sn * sn;
-                            backprop_entry(model, &mut local, ni, nj, nk, 2.0 * w_minus * sn);
-                            break;
-                        }
-                        attempts += 1;
-                    }
-                }
-                (loss, local)
-            },
-            |(mut loss, mut grads), (l, g)| {
-                loss += l;
-                grads.add_scaled(1.0, &g);
-                (loss, grads)
-            },
-        )
-    }
 }
 
 #[cfg(test)]

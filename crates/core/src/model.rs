@@ -211,18 +211,10 @@ impl TcssModel {
     /// POI index ([`crate::topn::rank_order`]).
     ///
     /// Selection is `O(J)` partial ([`crate::topn::top_n`]) rather than a
-    /// full sort; [`TcssModel::recommend_full_sort`] keeps the full-sort
-    /// reference reachable for the parity tests.
+    /// full sort; the parity tests pin it to a full sort of
+    /// [`TcssModel::scores_for`].
     pub fn recommend(&self, user: usize, time: usize, n: usize) -> Vec<(usize, f64)> {
         crate::topn::top_n(&self.scores_for(user, time), n)
-    }
-
-    /// Reference implementation of [`TcssModel::recommend`] by full stable
-    /// sort (the historical behavior: a stable descending sort leaves ties
-    /// in ascending POI order, exactly the [`crate::topn::rank_order`]
-    /// contract). Kept for parity testing; prefer `recommend`.
-    pub fn recommend_full_sort(&self, user: usize, time: usize, n: usize) -> Vec<(usize, f64)> {
-        crate::topn::top_n_full_sort(&self.scores_for(user, time), n)
     }
 
     /// Total number of scalar parameters.

@@ -36,8 +36,11 @@
 //!    identities (an IEEE-754 accumulator that starts at `+0.0` can never
 //!    become `-0.0` under addition, so `x + 0.0` is always bitwise `x`).
 //!
-//! The parity suite in `tests/sparse_parity.rs` pins this equivalence
-//! against the retained dense reference implementations at 1/2/4 threads.
+//! The parity suites pin this equivalence at 1/2/4 threads against one
+//! dense-chunk reference per kernel, kept in test code: the entry-loop
+//! losses in `tests/sparse_parity.rs` (reference in
+//! `tests/support/dense_loss.rs`), the Hausdorff head in the
+//! `hausdorff` module's tests.
 
 use crate::loss::Grads;
 use crate::model::TcssModel;

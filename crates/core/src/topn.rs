@@ -11,9 +11,9 @@
 //! [`top_n`] is the production path: `O(J)` selection via
 //! [`slice::select_nth_unstable_by`] plus an `O(n log n)` sort of the
 //! selected prefix, replacing the `O(J log J)` full sort that dominated
-//! `recommend` on large POI tables. [`top_n_full_sort`] retains the
-//! full-sort implementation as the parity reference
-//! (`crates/core/tests/topn_reference.rs` pins them equal on ties and
+//! `recommend` on large POI tables. The full sort survives only as the
+//! parity reference in test code (`crates/core/tests/support/full_sort.rs`;
+//! `crates/core/tests/topn_reference.rs` pins the two equal on ties and
 //! degenerate `n`).
 
 use std::cmp::Ordering;
@@ -50,16 +50,6 @@ pub fn top_n(scores: &[f64], n: usize) -> Vec<(usize, f64)> {
     idx.into_iter().map(|i| (i, scores[i])).collect()
 }
 
-/// Full-sort reference for [`top_n`]: stable sort of every index by
-/// descending score (which leaves ties in ascending index order), then
-/// truncate. This is the historical `recommend` implementation, kept for
-/// the parity tests.
-pub fn top_n_full_sort(scores: &[f64], n: usize) -> Vec<(usize, f64)> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("scores finite"));
-    idx.into_iter().take(n).map(|i| (i, scores[i])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +73,10 @@ mod tests {
     #[test]
     fn matches_full_sort_on_all_equal() {
         let scores = [1.0; 7];
-        assert_eq!(top_n(&scores, 4), top_n_full_sort(&scores, 4));
+        // A stable full sort leaves equal scores in index order.
+        assert_eq!(
+            top_n(&scores, 4),
+            vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+        );
     }
 }

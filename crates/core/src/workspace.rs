@@ -7,8 +7,8 @@
 //! model copies and `O(users)` slice buffers per epoch. A
 //! [`TrainWorkspace`] owns three [`WorkspacePool`]s that amortize all of
 //! it: after the first epoch warms the pools, steady-state training
-//! performs no hot-path allocations at all (the `bench_kernels` binary
-//! counts this).
+//! performs no hot-path allocations at all
+//! (`tests/alloc_steady_state.rs` counts them for the rewritten loss).
 //!
 //! # Ownership rules
 //!

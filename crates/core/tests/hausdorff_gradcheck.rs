@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcss_autodiff::check_gradients_fn;
 use tcss_core::loss::Grads;
-use tcss_core::{HausdorffVariant, SocialHausdorffHead, TcssModel};
+use tcss_core::{HausdorffVariant, SocialHausdorffHead, TcssModel, TrainWorkspace};
 use tcss_data::{Category, CheckIn, Dataset, Poi};
 use tcss_geo::{GeoPoint, WeightedHausdorffParams};
 use tcss_graph::SocialGraph;
@@ -100,7 +100,7 @@ fn check_head(variant: HausdorffVariant, alpha: f64, seed: u64) {
     let model = interior_model(&data, seed);
 
     let mut grads = Grads::zeros(&model);
-    let loss = head.loss_and_grad(&model, &mut grads, 1.0);
+    let loss = head.loss_and_grad_ws(&model, &mut grads, 1.0, &TrainWorkspace::new());
     assert!(loss.is_finite() && loss > 0.0, "degenerate loss {loss}");
     let analytic = flatten_grads(&grads);
 

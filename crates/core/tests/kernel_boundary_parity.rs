@@ -10,15 +10,17 @@
 //! at 1/2/4 threads:
 //!
 //! * both entry-loop loss heads (rewritten least-squares and negative
-//!   sampling), production sparse path vs. retained dense reference;
+//!   sampling), production sparse path vs. the dense-chunk reference
+//!   (`support/dense_loss.rs`);
 //! * `user_slice_into` (the Hausdorff head's `J·K·r` hot loop) vs. a
 //!   verbatim copy of the pre-kernel scalar triple loop, at `K` sizes
 //!   straddling the lane boundary too.
 
+#[path = "support/dense_loss.rs"]
+mod dense_loss;
+
 use proptest::prelude::*;
-use tcss_core::loss::{
-    negative_sampling_loss_and_grad_ws, reference, rewritten_loss_and_grad_ws, Grads,
-};
+use tcss_core::loss::{negative_sampling_loss_and_grad_ws, rewritten_loss_and_grad_ws, Grads};
 use tcss_core::{random_init, SliceScratch, TcssModel, TrainWorkspace};
 use tcss_linalg::{set_num_threads, LANES};
 use tcss_sparse::SparseTensor3;
@@ -65,7 +67,7 @@ proptest! {
             let model = TcssModel::new(u1, u2, u3);
             set_num_threads(Some(1));
             let (want_l, want_g) =
-                reference::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
+                dense_loss::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
             let want = (want_l.to_bits(), grads_bits(&want_g));
             for threads in THREAD_COUNTS {
                 set_num_threads(Some(threads));
@@ -93,7 +95,7 @@ proptest! {
             let (u1, u2, u3) = random_init(DIMS, rank, seed);
             let model = TcssModel::new(u1, u2, u3);
             set_num_threads(Some(1));
-            let (want_l, want_g) = reference::negative_sampling_loss_and_grad_dense(
+            let (want_l, want_g) = dense_loss::negative_sampling_loss_and_grad_dense(
                 &model, &t, 0.95, 0.05, seed ^ 0x5A5A,
             );
             let want = (want_l.to_bits(), grads_bits(&want_g));

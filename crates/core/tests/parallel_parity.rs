@@ -9,7 +9,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcss_core::loss::{negative_sampling_loss_and_grad, rewritten_loss_and_grad, Grads};
-use tcss_core::{random_init, spectral_init, HausdorffVariant, SocialHausdorffHead, TcssModel};
+use tcss_core::{
+    random_init, spectral_init, HausdorffVariant, SocialHausdorffHead, TcssModel, TrainWorkspace,
+};
 use tcss_data::{Granularity, SynthPreset};
 use tcss_linalg::{set_num_threads, Matrix, SymOp};
 use tcss_sparse::{Mode, ModeGramOp, SparseTensor3};
@@ -97,7 +99,7 @@ fn hausdorff_head_is_thread_count_independent() {
     for threads in THREAD_COUNTS {
         set_num_threads(Some(threads));
         let mut grads = Grads::zeros(&model);
-        let loss = head.loss_and_grad(&model, &mut grads, 240.0);
+        let loss = head.loss_and_grad_ws(&model, &mut grads, 240.0, &TrainWorkspace::new());
         let got = (loss.to_bits(), grads_bits(&grads));
         match &reference {
             None => reference = Some(got),

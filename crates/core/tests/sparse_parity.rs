@@ -1,23 +1,27 @@
 //! Sparse-delta ↔ dense parity for the training hot path.
 //!
-//! PR 1 pinned thread-count parity for the dense-chunk kernels; this suite
-//! pins the stronger claim behind the sparse rewrite: the production path
-//! (sparse chunk-local deltas + pooled workspaces) reproduces the retained
-//! dense reference implementations **bit-for-bit** (`f64::to_bits`
+//! `parallel_parity.rs` pins thread-count parity; this suite pins the
+//! stronger claim behind the sparse rewrite: the production path (sparse
+//! chunk-local deltas + pooled workspaces) reproduces the dense-chunk
+//! reference (`support/dense_loss.rs`) **bit-for-bit** (`f64::to_bits`
 //! equality, no tolerances) —
 //!
 //! * property-tested over random tensors/models at 1/2/4 threads for both
 //!   entry-loop loss heads, including re-use of a warmed workspace pool;
 //! * for the social-Hausdorff head, with and without a candidate-set cap
-//!   (the `select_nth_unstable_by` selection path);
+//!   (the `select_nth_unstable_by` selection path), against the head's
+//!   sequential forward loss and its own single-thread run (the bitwise
+//!   dense reference, which needs the head's private per-user kernel, is
+//!   the `hausdorff` module's `parallel_matches_sequential`);
 //! * end-to-end: whole training runs are thread-count independent, and a
 //!   run killed mid-flight and resumed from its checkpoint matches an
 //!   uninterrupted run on the pooled-workspace trainer.
 
+#[path = "support/dense_loss.rs"]
+mod dense_loss;
+
 use proptest::prelude::*;
-use tcss_core::loss::{
-    negative_sampling_loss_and_grad_ws, reference, rewritten_loss_and_grad_ws, Grads,
-};
+use tcss_core::loss::{negative_sampling_loss_and_grad_ws, rewritten_loss_and_grad_ws, Grads};
 use tcss_core::{
     random_init, FaultPlan, HausdorffVariant, SocialHausdorffHead, TcssConfig, TcssModel,
     TcssTrainer, TrainError, TrainWorkspace, CHECKPOINT_FILE,
@@ -86,7 +90,7 @@ proptest! {
         let model = TcssModel::new(u1, u2, u3);
         set_num_threads(Some(1));
         let (want_l, want_g) =
-            reference::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
+            dense_loss::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
         let want = (want_l.to_bits(), grads_bits(&want_g));
         for threads in THREAD_COUNTS {
             set_num_threads(Some(threads));
@@ -118,7 +122,7 @@ proptest! {
         let (u1, u2, u3) = random_init(dims, rank, seed);
         let model = TcssModel::new(u1, u2, u3);
         set_num_threads(Some(1));
-        let (want_l, want_g) = reference::negative_sampling_loss_and_grad_dense(
+        let (want_l, want_g) = dense_loss::negative_sampling_loss_and_grad_dense(
             &model, &t, 0.95, 0.05, seed ^ 0xABCD,
         );
         let want = (want_l.to_bits(), grads_bits(&want_g));
@@ -143,9 +147,10 @@ proptest! {
     }
 }
 
-/// Sparse Hausdorff head == dense reference == sequential, bitwise, at
-/// every thread count — with and without the top-`p` candidate cap (the
-/// capped run exercises the `select_nth_unstable_by` selection).
+/// Sparse Hausdorff head == sequential forward loss == its single-thread,
+/// cold-workspace run, bitwise, at every thread count and on a warmed
+/// workspace — with and without the top-`p` candidate cap (the capped run
+/// exercises the `select_nth_unstable_by` selection).
 #[test]
 fn sparse_hausdorff_matches_dense_and_sequential() {
     let data = SynthPreset::Gmu5k.generate();
@@ -161,32 +166,21 @@ fn sparse_hausdorff_matches_dense_and_sequential() {
             Default::default(),
             cap,
         );
-        // Bitwise baseline: the dense chunked path at 1 thread. (The fully
-        // sequential path sums the per-user losses in one chain instead of
-        // per-chunk subtotals — a different float association — so it is
-        // compared with a tolerance, as the PR 1 parity test always did.)
+        // Bitwise baseline: the chunked sparse path at 1 thread on a cold
+        // workspace. (The sequential forward sums the per-user losses in
+        // one chain instead of per-chunk subtotals — a different float
+        // association — so it is compared with a tolerance.)
         set_num_threads(Some(1));
-        let mut g_dense1 = Grads::zeros(&model);
-        let l_dense1 = head.loss_and_grad_dense(&model, &mut g_dense1, 240.0);
-        let want = (l_dense1.to_bits(), grads_bits(&g_dense1));
-        let mut g_seq = Grads::zeros(&model);
-        let l_seq = head.loss_and_grad_sequential(&model, &mut g_seq, 240.0);
+        let mut g_base = Grads::zeros(&model);
+        let l_base = head.loss_and_grad_ws(&model, &mut g_base, 240.0, &TrainWorkspace::new());
+        let want = (l_base.to_bits(), grads_bits(&g_base));
+        let l_seq = head.loss(&model);
         assert!(
-            (l_seq - l_dense1).abs() < 1e-9
-                && g_seq.u1.approx_eq(&g_dense1.u1, 1e-9)
-                && g_seq.u2.approx_eq(&g_dense1.u2, 1e-9)
-                && g_seq.u3.approx_eq(&g_dense1.u3, 1e-9),
-            "sequential head diverges from chunked dense (cap {cap:?})"
+            (l_seq - l_base).abs() < 1e-9,
+            "sequential head loss diverges from chunked sparse path (cap {cap:?})"
         );
         for threads in THREAD_COUNTS {
             set_num_threads(Some(threads));
-            let mut g_dense = Grads::zeros(&model);
-            let l_dense = head.loss_and_grad_dense(&model, &mut g_dense, 240.0);
-            assert_eq!(
-                want,
-                (l_dense.to_bits(), grads_bits(&g_dense)),
-                "dense head thread-count parity broken at {threads} threads (cap {cap:?})"
-            );
             let ws = TrainWorkspace::new();
             for round in 0..2 {
                 let mut g_sparse = Grads::zeros(&model);

@@ -1,11 +1,15 @@
 //! Partial top-`n` selection vs the full-sort reference.
 //!
 //! `topn::top_n` (the `O(J)` production path behind `recommend` and the
-//! serving layer) must reproduce `topn::top_n_full_sort` (the historical
-//! stable full sort) *exactly* — including tie order and the degenerate
+//! serving layer) must reproduce `top_n_full_sort` (the historical stable
+//! full sort, kept in `support/full_sort.rs`) *exactly* — including tie order and the degenerate
 //! `n = 0` / `n ≥ J` cases. Scores are drawn from a small quantized set so
 //! ties are common, not accidental.
 
+#[path = "support/full_sort.rs"]
+mod full_sort;
+
+use full_sort::{recommend_full_sort, top_n_full_sort};
 use proptest::prelude::*;
 use tcss_core::{random_init, topn, TcssModel};
 
@@ -24,7 +28,7 @@ proptest! {
         let scores: Vec<f64> = levels.iter().map(|&l| l as f64 * 0.25 - 0.5).collect();
         for n in 0..=(scores.len() + n_extra) {
             let got = topn::top_n(&scores, n);
-            let want = topn::top_n_full_sort(&scores, n);
+            let want = top_n_full_sort(&scores, n);
             prop_assert_eq!(got.len(), n.min(scores.len()));
             prop_assert_eq!(&got, &want, "n = {}", n);
         }
@@ -54,17 +58,17 @@ proptest! {
 fn degenerate_n_edge_cases() {
     let scores = [0.25, 1.0, 1.0, -0.5];
     assert!(topn::top_n(&scores, 0).is_empty());
-    assert!(topn::top_n_full_sort(&scores, 0).is_empty());
+    assert!(top_n_full_sort(&scores, 0).is_empty());
     // n == J and n > J both return the full ranking.
     let full = vec![(1, 1.0), (2, 1.0), (0, 0.25), (3, -0.5)];
     assert_eq!(topn::top_n(&scores, 4), full);
     assert_eq!(topn::top_n(&scores, 100), full);
-    assert_eq!(topn::top_n_full_sort(&scores, 100), full);
+    assert_eq!(top_n_full_sort(&scores, 100), full);
     assert!(topn::top_n(&[], 3).is_empty());
 }
 
 /// Model-level parity: `recommend` (partial selection) equals
-/// `recommend_full_sort` (retained reference) on a factorization whose
+/// `recommend_full_sort` (the full-sort reference) on a factorization whose
 /// score vectors contain engineered ties.
 #[test]
 fn recommend_matches_full_sort_reference() {
@@ -80,7 +84,7 @@ fn recommend_matches_full_sort_reference() {
             for n in [0usize, 1, 5, 12, 20] {
                 assert_eq!(
                     model.recommend(user, time, n),
-                    model.recommend_full_sort(user, time, n),
+                    recommend_full_sort(&model, user, time, n),
                     "user {user} time {time} n {n}"
                 );
             }

@@ -63,8 +63,8 @@
 //! engine.swap_model(retrained); // caches invalidate wholesale
 //! ```
 //!
-//! See `DESIGN.md` §5e for the serving performance model and
-//! `crates/bench/src/bin/bench_serving.rs` for the throughput harness.
+//! See `DESIGN.md` §5e for the serving performance model; the serving
+//! timings come from `bash bench_e2e/run.sh` (`engine.*` figures).
 
 pub mod cache;
 pub mod engine;

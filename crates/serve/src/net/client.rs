@@ -1,8 +1,8 @@
 //! A small blocking client for the TCSS wire protocol.
 //!
-//! Used by the `tcss query` CLI, the protocol/chaos test suites and the
-//! `bench_serve_net` load generator. The client is deliberately simple —
-//! one blocking socket, the shared [`FrameDecoder`] — but supports
+//! Used by the `tcss query` CLI and the protocol/chaos test suites. The
+//! client is deliberately simple — one blocking socket, the shared
+//! [`FrameDecoder`] — but supports
 //! pipelining: [`NetClient::send_recommend`] queues without waiting and
 //! [`NetClient::read_response`] drains answers in arrival order, with
 //! correlation ids matching them back to requests. Every read honours a

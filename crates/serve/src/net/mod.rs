@@ -25,8 +25,8 @@
 //! deadlines, an idle-connection reaper, `catch_unwind` panic isolation
 //! with worker respawn, and graceful drain ([`ServerHandle::drain`]).
 //! See `DESIGN.md` §5f for the wire-serving design notes, §5g for the
-//! failure model, and `crates/bench/src/bin/bench_serve_net.rs` for the
-//! tail-latency harness that produces `BENCH_serve_net.json`.
+//! failure model, and `bench_e2e/` (`bash bench_e2e/run.sh`, the
+//! `serve_mixed` workload and its `net.*` figures) for the timings.
 
 pub mod admission;
 pub mod client;

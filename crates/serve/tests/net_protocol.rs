@@ -199,10 +199,14 @@ proptest! {
 // End-to-end robustness over a live loopback server.
 
 fn live_server() -> (tcss_serve::net::ServerHandle, TcssModel) {
+    live_server_on(ServerConfig::default())
+}
+
+fn live_server_on(cfg: ServerConfig) -> (tcss_serve::net::ServerHandle, TcssModel) {
     let (u1, u2, u3) = random_init((5, 37, 4), 3, 99);
     let model = TcssModel::new(u1, u2, u3);
     let engine = Arc::new(ServingEngine::new(model.clone()));
-    let handle = NetServer::start(engine, ServerConfig::default()).expect("bind loopback");
+    let handle = NetServer::start(engine, cfg).expect("bind loopback");
     (handle, model)
 }
 
@@ -210,22 +214,37 @@ fn client(handle: &tcss_serve::net::ServerHandle) -> NetClient {
     NetClient::connect_with_timeout(handle.addr(), Duration::from_secs(10)).expect("connect")
 }
 
+/// Wire answers are bitwise the in-process `recommend` at every server
+/// worker count: a few `n` edge cases, then every `(user, time)` pair.
 #[test]
 fn wire_answers_match_in_process_recommend_bitwise() {
-    let (handle, model) = live_server();
-    let mut c = client(&handle);
-    for (user, time, n) in [(0u64, 0u64, 5u32), (4, 3, 10), (2, 1, 1), (3, 2, 37)] {
-        let resp = c.recommend(user, time, n).expect("round trip");
-        let want = model.recommend(user as usize, time as usize, n as usize);
-        match resp.body {
-            ResponseBody::Ranking { items, .. } => {
-                assert_eq!(items.len(), want.len());
-                for ((gp, gs), (wp, ws)) in items.iter().zip(&want) {
-                    assert_eq!(*gp, *wp as u64);
-                    assert_eq!(gs.to_bits(), ws.to_bits(), "wire score must be bitwise");
+    for workers in [1, 2, 4] {
+        let (handle, model) = live_server_on(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        });
+        let mut c = client(&handle);
+        let every_pair = (0..5u64).flat_map(|user| (0..4u64).map(move |time| (user, time, 10u32)));
+        for (user, time, n) in [(0u64, 0u64, 5u32), (4, 3, 10), (2, 1, 1), (3, 2, 37)]
+            .into_iter()
+            .chain(every_pair)
+        {
+            let resp = c.recommend(user, time, n).expect("round trip");
+            let want = model.recommend(user as usize, time as usize, n as usize);
+            match resp.body {
+                ResponseBody::Ranking { items, .. } => {
+                    assert_eq!(items.len(), want.len(), "{workers} workers");
+                    for ((gp, gs), (wp, ws)) in items.iter().zip(&want) {
+                        assert_eq!(*gp, *wp as u64, "{workers} workers");
+                        assert_eq!(
+                            gs.to_bits(),
+                            ws.to_bits(),
+                            "wire score must be bitwise at {workers} workers"
+                        );
+                    }
                 }
+                other => panic!("expected ranking, got {other:?}"),
             }
-            other => panic!("expected ranking, got {other:?}"),
         }
     }
 }

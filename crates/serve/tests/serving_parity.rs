@@ -12,6 +12,9 @@
 //!    post-swap answers equal a fresh engine on the new model bitwise,
 //!    and no pre-swap cache entry survives a purge.
 
+#[path = "../../core/tests/support/full_sort.rs"]
+mod full_sort;
+
 use proptest::prelude::*;
 use tcss_core::{random_init, topn, TcssModel};
 use tcss_linalg::set_num_threads;
@@ -103,7 +106,7 @@ proptest! {
         for q in &requests {
             prop_assert_eq!(
                 model.recommend(q.user, q.time, n),
-                model.recommend_full_sort(q.user, q.time, n)
+                full_sort::recommend_full_sort(&model, q.user, q.time, n)
             );
         }
         let engine = ServingEngine::new(model);

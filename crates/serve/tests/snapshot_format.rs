@@ -128,6 +128,28 @@ proptest! {
     }
 }
 
+/// The f32 snapshot's payload fits in 55 % of the f64 model's
+/// `num_params × 8` bytes (50.02 % on 600 × 3000 × 12 at rank 10; the
+/// per-factor layout overhead is what the other 5 % covers).
+#[test]
+fn f32_payload_fits_55_percent_of_f64_bytes() {
+    let dir = tmpdir("budget");
+    for (dims, rank) in [((600, 3000, 12), 10), ((30, 120, 6), 4)] {
+        let (u1, u2, u3) = random_init(dims, rank, 2026);
+        let m = TcssModel::new(u1, u2, u3);
+        let path = dir.join("f32.tcsssnap");
+        write_snapshot(&m, QuantMode::F32, &path).expect("write");
+        let snap = SnapshotModel::open(&path).expect("open");
+        let f64_bytes = m.num_params() * 8;
+        assert!(
+            snap.payload_bytes() * 100 <= f64_bytes * 55,
+            "{dims:?} r{rank}: f32 payload {} B exceeds 55 % of {f64_bytes} B",
+            snap.payload_bytes()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn clean_roundtrip_loads_under_both_opens() {
     let dir = tmpdir("clean");

@@ -13,6 +13,7 @@
 //! Datasets use the three-file CSV interchange format of `tcss_data::io`;
 //! models use the text format of `tcss_core::model_io`.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tcss::core::{load_model, save_model, TcssConfig, TcssModel, TcssTrainer, CHECKPOINT_FILE};
@@ -52,7 +53,9 @@ const USAGE: &str = "usage:
                  [--timeout-ms T] [--retries N]
 
 <stem> names the CSV triplet <stem>.pois.csv / .checkins.csv / .edges.csv.
-Every subcommand rejects a flag it does not know, naming the flag.
+Every subcommand rejects, naming the flag, a flag it does not know, a flag
+given twice, and a value flag with no value; tcss <subcommand> --help
+prints this text.
 
 serving:
   tcss serve binds a wire-protocol server (default 127.0.0.1:0, i.e. an
@@ -97,124 +100,179 @@ fault tolerance:
   --resume                continue from <dir>/checkpoint.tcssck (needs --checkpoint-dir)
   --lenient               skip (and count) malformed check-in/edge CSV rows";
 
-/// Pull `--flag value` out of the argument list; `None` when absent.
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// One subcommand's flags, parsed in a single pass: each given flag maps
+/// to its value (`None` for a switch).
+struct Args(BTreeMap<&'static str, Option<String>>);
 
-fn req<'a>(args: &'a [String], flag: &str) -> Result<&'a str, String> {
-    opt(args, flag).ok_or_else(|| format!("missing required {flag}"))
+impl Args {
+    /// The value of `flag`; `None` when absent.
+    fn opt(&self, flag: &str) -> Option<&str> {
+        self.0.get(flag)?.as_deref()
+    }
+
+    fn req(&self, flag: &str) -> Result<&str, String> {
+        self.opt(flag)
+            .ok_or_else(|| format!("missing required {flag}"))
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.0.contains_key(flag)
+    }
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("cannot parse {what}: {s:?}"))
 }
 
-fn has(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// A subcommand: the flags that take a value, the switches, and the body.
+struct Command {
+    name: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<(), String>,
 }
 
-/// A subcommand's allow-list: flags that take a value, then switches.
-type Flags = (&'static [&'static str], &'static [&'static str]);
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        values: &["--preset", "--out"],
+        switches: &["--no-preprocess"],
+        run: cmd_generate,
+    },
+    Command {
+        name: "train",
+        values: &[
+            "--data",
+            "--synth",
+            "--model",
+            "--epochs",
+            "--rank",
+            "--lambda",
+            "--seed",
+            "--loss",
+            "--init",
+            "--granularity",
+            "--threads",
+            "--workers",
+            "--worker-threads",
+            "--checkpoint-dir",
+            "--checkpoint-every",
+        ],
+        switches: &["--resume", "--lenient"],
+        run: cmd_train,
+    },
+    Command {
+        name: "recommend",
+        values: &["--data", "--model", "--user", "--month", "--top"],
+        switches: &[],
+        run: cmd_recommend,
+    },
+    Command {
+        name: "recommend-batch",
+        values: &["--data", "--model", "--requests", "--top"],
+        switches: &[],
+        run: cmd_recommend_batch,
+    },
+    Command {
+        name: "evaluate",
+        values: &["--data", "--model", "--test-fraction"],
+        switches: &[],
+        run: cmd_evaluate,
+    },
+    Command {
+        name: "export-snapshot",
+        values: &["--model", "--out", "--quant"],
+        switches: &[],
+        run: cmd_export_snapshot,
+    },
+    Command {
+        name: "serve",
+        values: &[
+            "--data",
+            "--model",
+            "--snapshot",
+            "--addr",
+            "--threads",
+            "--queue-depth",
+            "--deadline-ms",
+            "--idle-timeout-ms",
+            "--drain-timeout-ms",
+            "--maintenance-ms",
+        ],
+        switches: &[],
+        run: cmd_serve,
+    },
+    Command {
+        name: "query",
+        values: &[
+            "--addr",
+            "--user",
+            "--month",
+            "--top",
+            "--timeout-ms",
+            "--retries",
+        ],
+        switches: &[],
+        run: cmd_query,
+    },
+    // Hidden: the worker role of `train --workers N`. Spawned by the
+    // coordinator, never by hand.
+    Command {
+        name: "dist-worker",
+        values: &["--socket", "--worker"],
+        switches: &[],
+        run: cmd_dist_worker,
+    },
+];
 
-/// The allow-list of `cmd`, or `None` for an unknown subcommand.
-fn flags_of(cmd: &str) -> Option<Flags> {
-    Some(match cmd {
-        "generate" => (&["--preset", "--out"], &["--no-preprocess"]),
-        "train" => (
-            &[
-                "--data",
-                "--synth",
-                "--model",
-                "--epochs",
-                "--rank",
-                "--lambda",
-                "--seed",
-                "--loss",
-                "--init",
-                "--granularity",
-                "--threads",
-                "--workers",
-                "--worker-threads",
-                "--checkpoint-dir",
-                "--checkpoint-every",
-            ],
-            &["--resume", "--lenient"],
-        ),
-        "recommend" => (&["--data", "--model", "--user", "--month", "--top"], &[]),
-        "recommend-batch" => (&["--data", "--model", "--requests", "--top"], &[]),
-        "evaluate" => (&["--data", "--model", "--test-fraction"], &[]),
-        "export-snapshot" => (&["--model", "--out", "--quant"], &[]),
-        "serve" => (
-            &[
-                "--data",
-                "--model",
-                "--snapshot",
-                "--addr",
-                "--threads",
-                "--queue-depth",
-                "--deadline-ms",
-                "--idle-timeout-ms",
-                "--drain-timeout-ms",
-                "--maintenance-ms",
-            ],
-            &[],
-        ),
-        "query" => (
-            &[
-                "--addr",
-                "--user",
-                "--month",
-                "--top",
-                "--timeout-ms",
-                "--retries",
-            ],
-            &[],
-        ),
-        "dist-worker" => (&["--socket", "--worker"], &[]),
-        _ => return None,
-    })
-}
-
-/// Fail on the first `--flag` that `cmd` does not accept, before any work.
-fn check_flags(cmd: &str, args: &[String], (values, switches): Flags) -> Result<(), String> {
+/// Parse `cmd`'s arguments in one pass, before any work: every argument
+/// is a flag `cmd` knows, given at most once, and every value flag is
+/// followed by its value (taken as is, even if it starts with `--`).
+/// `Ok(None)` when `--help`/`-h` asks for usage instead.
+fn parse_args(cmd: &Command, args: &[String]) -> Result<Option<Args>, String> {
+    let name = cmd.name;
+    let mut map = BTreeMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if values.contains(&arg.as_str()) {
-            it.next(); // the flag's value, whatever it looks like
-        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
-            return Err(format!("unknown flag {arg:?} for tcss {cmd}"));
+        let (flag, value) = if let Some(&flag) = cmd.values.iter().find(|&&f| f == arg) {
+            let value = it
+                .next()
+                .ok_or_else(|| format!("flag {flag:?} of tcss {name} needs a value"))?;
+            (flag, Some(value.clone()))
+        } else if let Some(&flag) = cmd.switches.iter().find(|&&f| f == arg) {
+            (flag, None)
+        } else if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg:?} for tcss {name}"));
+        } else {
+            return Err(format!("unexpected argument {arg:?} for tcss {name}"));
+        };
+        if map.insert(flag, value).is_some() {
+            return Err(format!("duplicate flag {flag:?} for tcss {name}"));
         }
     }
-    Ok(())
+    Ok(Some(Args(map)))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    if let Some((cmd, rest)) = args.split_first() {
-        if let Some(flags) = flags_of(cmd) {
-            check_flags(cmd, rest, flags)?;
+    let parsed = match args.split_first() {
+        Some((name, rest)) if name != "--help" && name != "-h" => {
+            let cmd = COMMANDS
+                .iter()
+                .find(|c| c.name == name)
+                .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+            parse_args(cmd, rest)?.map(|args| (cmd, args))
         }
-    }
-    match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("recommend") => cmd_recommend(&args[1..]),
-        Some("recommend-batch") => cmd_recommend_batch(&args[1..]),
-        Some("evaluate") => cmd_evaluate(&args[1..]),
-        Some("export-snapshot") => cmd_export_snapshot(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        // Hidden: the worker role of `train --workers N`. Spawned by the
-        // coordinator, never by hand.
-        Some("dist-worker") => cmd_dist_worker(&args[1..]),
-        Some("--help" | "-h") | None => {
+        _ => None,
+    };
+    match parsed {
+        Some((cmd, args)) => (cmd.run)(&args),
+        None => {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
@@ -252,16 +310,16 @@ fn parse_preset(name: &str) -> Result<SynthPreset, String> {
     }
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let preset = parse_preset(req(args, "--preset")?)?;
-    let out = PathBuf::from(req(args, "--out")?);
+fn cmd_generate(args: &Args) -> Result<(), String> {
+    let preset = parse_preset(args.req("--preset")?)?;
+    let out = PathBuf::from(args.req("--out")?);
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
         }
     }
     let mut data = preset.generate();
-    if !has(args, "--no-preprocess") {
+    if !args.has("--no-preprocess") {
         data = preprocess(&data, &PreprocessConfig::default());
     }
     save_dataset(&data, &out).map_err(|e| format!("writing dataset: {e}"))?;
@@ -270,24 +328,24 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn training_config(args: &[String]) -> Result<TcssConfig, String> {
+fn training_config(args: &Args) -> Result<TcssConfig, String> {
     let mut cfg = TcssConfig::default();
-    if let Some(v) = opt(args, "--epochs") {
+    if let Some(v) = args.opt("--epochs") {
         cfg.epochs = parse(v, "--epochs")?;
     }
-    if let Some(v) = opt(args, "--rank") {
+    if let Some(v) = args.opt("--rank") {
         cfg.rank = parse(v, "--rank")?;
     }
-    if let Some(v) = opt(args, "--lambda") {
+    if let Some(v) = args.opt("--lambda") {
         cfg.lambda = parse(v, "--lambda")?;
         if cfg.lambda == 0.0 {
             cfg.hausdorff = tcss::core::HausdorffVariant::None;
         }
     }
-    if let Some(v) = opt(args, "--seed") {
+    if let Some(v) = args.opt("--seed") {
         cfg.seed = parse(v, "--seed")?;
     }
-    if let Some(v) = opt(args, "--loss") {
+    if let Some(v) = args.opt("--loss") {
         cfg.loss = match v {
             "whole" => LossStrategy::WholeDataRewritten,
             "naive" => LossStrategy::WholeDataNaive,
@@ -295,7 +353,7 @@ fn training_config(args: &[String]) -> Result<TcssConfig, String> {
             other => return Err(format!("unknown loss strategy {other:?}")),
         };
     }
-    if let Some(v) = opt(args, "--init") {
+    if let Some(v) = args.opt("--init") {
         cfg.init = match v {
             "spectral" => InitMethod::Spectral,
             "random" => InitMethod::Random,
@@ -303,19 +361,19 @@ fn training_config(args: &[String]) -> Result<TcssConfig, String> {
             other => return Err(format!("unknown init method {other:?}")),
         };
     }
-    if let Some(v) = opt(args, "--threads") {
+    if let Some(v) = args.opt("--threads") {
         cfg.num_threads = Some(parse(v, "--threads")?);
     }
-    if let Some(v) = opt(args, "--workers") {
+    if let Some(v) = args.opt("--workers") {
         cfg.workers = Some(parse(v, "--workers")?);
     }
-    if let Some(v) = opt(args, "--checkpoint-dir") {
+    if let Some(v) = args.opt("--checkpoint-dir") {
         cfg.checkpoint_dir = Some(PathBuf::from(v));
     }
-    if let Some(v) = opt(args, "--checkpoint-every") {
+    if let Some(v) = args.opt("--checkpoint-every") {
         cfg.checkpoint_every = parse(v, "--checkpoint-every")?;
     }
-    if has(args, "--resume") {
+    if args.has("--resume") {
         let dir = cfg
             .checkpoint_dir
             .as_ref()
@@ -331,21 +389,21 @@ fn training_config(args: &[String]) -> Result<TcssConfig, String> {
     Ok(cfg)
 }
 
-fn cmd_train(args: &[String]) -> Result<(), String> {
+fn cmd_train(args: &Args) -> Result<(), String> {
     let cfg = training_config(args)?;
-    let granularity = match opt(args, "--granularity") {
+    let granularity = match args.opt("--granularity") {
         Some("month") | None => Granularity::Month,
         Some("week") => Granularity::Week,
         Some("hour") => Granularity::Hour,
         Some(other) => return Err(format!("unknown granularity {other:?}")),
     };
-    let data = match (opt(args, "--data"), opt(args, "--synth")) {
-        (Some(stem), None) => load_with_mode(stem, has(args, "--lenient"))?,
+    let data = match (args.opt("--data"), args.opt("--synth")) {
+        (Some(stem), None) => load_with_mode(stem, args.has("--lenient"))?,
         (None, Some(preset)) => parse_preset(preset)?.generate(),
         (Some(_), Some(_)) => return Err("--data and --synth are mutually exclusive".into()),
         (None, None) => return Err("train needs --data <stem> or --synth <preset>".into()),
     };
-    let model_path = opt(args, "--model").map(PathBuf::from);
+    let model_path = args.opt("--model").map(PathBuf::from);
     let epochs = cfg.epochs;
     let lambda = cfg.lambda;
     let workers = cfg.workers;
@@ -367,7 +425,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             // hidden dist-worker subcommand.
             let exe = std::env::current_exe()
                 .map_err(|e| format!("cannot locate own executable: {e}"))?;
-            let worker_threads = match opt(args, "--worker-threads") {
+            let worker_threads = match args.opt("--worker-threads") {
                 Some(v) => Some(parse(v, "--worker-threads")?),
                 None => None,
             };
@@ -412,9 +470,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dist_worker(args: &[String]) -> Result<(), String> {
-    let socket = PathBuf::from(req(args, "--socket")?);
-    let worker: u32 = parse(req(args, "--worker")?, "--worker")?;
+fn cmd_dist_worker(args: &Args) -> Result<(), String> {
+    let socket = PathBuf::from(args.req("--socket")?);
+    let worker: u32 = parse(args.req("--worker")?, "--worker")?;
     tcss::core::dist::run_worker(&socket, worker).map_err(|e| format!("dist-worker {worker}: {e}"))
 }
 
@@ -431,12 +489,12 @@ fn load_model_checked(path: &str, data: &Dataset) -> Result<TcssModel, String> {
     Ok(model)
 }
 
-fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let data = load(req(args, "--data")?)?;
-    let model = load_model_checked(req(args, "--model")?, &data)?;
-    let user: usize = parse(req(args, "--user")?, "--user")?;
-    let month: usize = parse(req(args, "--month")?, "--month")?;
-    let top: usize = match opt(args, "--top") {
+fn cmd_recommend(args: &Args) -> Result<(), String> {
+    let data = load(args.req("--data")?)?;
+    let model = load_model_checked(args.req("--model")?, &data)?;
+    let user: usize = parse(args.req("--user")?, "--user")?;
+    let month: usize = parse(args.req("--month")?, "--month")?;
+    let top: usize = match args.opt("--top") {
         Some(v) => parse(v, "--top")?,
         None => 10,
     };
@@ -476,14 +534,14 @@ fn parse_requests(spec: &str) -> Result<Vec<ScoreRequest>, String> {
         .collect()
 }
 
-fn cmd_recommend_batch(args: &[String]) -> Result<(), String> {
-    let data = load(req(args, "--data")?)?;
-    let model = load_model_checked(req(args, "--model")?, &data)?;
-    let requests = parse_requests(req(args, "--requests")?)?;
+fn cmd_recommend_batch(args: &Args) -> Result<(), String> {
+    let data = load(args.req("--data")?)?;
+    let model = load_model_checked(args.req("--model")?, &data)?;
+    let requests = parse_requests(args.req("--requests")?)?;
     if requests.is_empty() {
         return Err("--requests needs at least one <user>:<month> pair".into());
     }
-    let top: usize = match opt(args, "--top") {
+    let top: usize = match args.opt("--top") {
         Some(v) => parse(v, "--top")?,
         None => 10,
     };
@@ -547,13 +605,13 @@ fn install_stop_handlers() {
     }
 }
 
-fn cmd_export_snapshot(args: &[String]) -> Result<(), String> {
+fn cmd_export_snapshot(args: &Args) -> Result<(), String> {
     use tcss::serve::snapshot::{write_snapshot, SnapshotModel};
     use tcss::serve::QuantMode;
 
-    let model_path = req(args, "--model")?;
-    let out = PathBuf::from(req(args, "--out")?);
-    let mode = match opt(args, "--quant") {
+    let model_path = args.req("--model")?;
+    let out = PathBuf::from(args.req("--out")?);
+    let mode = match args.opt("--quant") {
         Some(v) => {
             QuantMode::parse(v).ok_or_else(|| format!("--quant must be f32 or i16, got {v:?}"))?
         }
@@ -582,28 +640,28 @@ fn cmd_export_snapshot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let data = load(req(args, "--data")?)?;
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let data = load(args.req("--data")?)?;
     let mut cfg = tcss::serve::net::ServerConfig::default();
-    if let Some(v) = opt(args, "--addr") {
+    if let Some(v) = args.opt("--addr") {
         cfg.addr = parse(v, "--addr")?;
     }
-    if let Some(v) = opt(args, "--threads") {
+    if let Some(v) = args.opt("--threads") {
         cfg.workers = parse(v, "--threads")?;
     }
-    if let Some(v) = opt(args, "--queue-depth") {
+    if let Some(v) = args.opt("--queue-depth") {
         cfg.queue_depth = parse(v, "--queue-depth")?;
     }
-    if let Some(v) = opt(args, "--deadline-ms") {
+    if let Some(v) = args.opt("--deadline-ms") {
         cfg.request_deadline = Some(std::time::Duration::from_millis(parse(v, "--deadline-ms")?));
     }
-    if let Some(v) = opt(args, "--idle-timeout-ms") {
+    if let Some(v) = args.opt("--idle-timeout-ms") {
         cfg.idle_timeout = Some(std::time::Duration::from_millis(parse(
             v,
             "--idle-timeout-ms",
         )?));
     }
-    if let Some(v) = opt(args, "--maintenance-ms") {
+    if let Some(v) = args.opt("--maintenance-ms") {
         let ms: u64 = parse(v, "--maintenance-ms")?;
         cfg.maintenance_interval = if ms == 0 {
             None
@@ -611,12 +669,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             Some(std::time::Duration::from_millis(ms))
         };
     }
-    let drain_timeout = std::time::Duration::from_millis(match opt(args, "--drain-timeout-ms") {
+    let drain_timeout = std::time::Duration::from_millis(match args.opt("--drain-timeout-ms") {
         Some(v) => parse(v, "--drain-timeout-ms")?,
         None => 5000u64,
     });
 
-    let (engine, source) = if let Some(snap_path) = opt(args, "--snapshot") {
+    let (engine, source) = if let Some(snap_path) = args.opt("--snapshot") {
         let snap = tcss::serve::SnapshotModel::open(Path::new(snap_path))
             .map_err(|e| format!("opening snapshot: {e}"))?;
         let (i, j, _) = snap.dims();
@@ -633,7 +691,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             format!("compact {mode} snapshot {snap_path}"),
         )
     } else {
-        let model = load_model_checked(req(args, "--model")?, &data)?;
+        let model = load_model_checked(args.req("--model")?, &data)?;
         (
             std::sync::Arc::new(ServingEngine::new(model)),
             "f64 model".to_string(),
@@ -689,19 +747,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let addr: std::net::SocketAddr = parse(req(args, "--addr")?, "--addr")?;
-    let user: u64 = parse(req(args, "--user")?, "--user")?;
-    let month: u64 = parse(req(args, "--month")?, "--month")?;
-    let top: u32 = match opt(args, "--top") {
+fn cmd_query(args: &Args) -> Result<(), String> {
+    let addr: std::net::SocketAddr = parse(args.req("--addr")?, "--addr")?;
+    let user: u64 = parse(args.req("--user")?, "--user")?;
+    let month: u64 = parse(args.req("--month")?, "--month")?;
+    let top: u32 = match args.opt("--top") {
         Some(v) => parse(v, "--top")?,
         None => 10,
     };
     let mut ccfg = tcss::serve::net::ClientConfig::default();
-    if let Some(v) = opt(args, "--timeout-ms") {
+    if let Some(v) = args.opt("--timeout-ms") {
         ccfg.read_timeout = std::time::Duration::from_millis(parse(v, "--timeout-ms")?);
     }
-    if let Some(v) = opt(args, "--retries") {
+    if let Some(v) = args.opt("--retries") {
         ccfg.retries = parse(v, "--retries")?;
     }
     let mut client = tcss::serve::net::NetClient::connect_with_config(addr, ccfg)
@@ -734,10 +792,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let data = load(req(args, "--data")?)?;
-    let model = load_model_checked(req(args, "--model")?, &data)?;
-    let fraction: f64 = match opt(args, "--test-fraction") {
+fn cmd_evaluate(args: &Args) -> Result<(), String> {
+    let data = load(args.req("--data")?)?;
+    let model = load_model_checked(args.req("--model")?, &data)?;
+    let fraction: f64 = match args.opt("--test-fraction") {
         Some(v) => parse(v, "--test-fraction")?,
         None => 0.2,
     };

@@ -204,11 +204,53 @@ fn unknown_flags_fail_naming_the_flag() {
     }
 }
 
+/// `--help` prints usage and succeeds, bare or after a subcommand (where
+/// it used to fail as an unknown flag).
 #[test]
 fn help_prints_usage() {
-    let out = bin().args(["--help"]).output().expect("run");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+    for args in [
+        &["--help"][..],
+        &["train", "--help"],
+        &["serve", "-h"],
+        &["query", "--top", "5", "--help"],
+    ] {
+        let out = bin().args(args).output().expect("run");
+        assert!(out.status.success(), "{args:?} must succeed");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("usage:"),
+            "{args:?}"
+        );
+    }
+}
+
+/// A flag given twice, or a value flag ending the line without its
+/// value, fails naming the flag before any work — instead of the first
+/// value silently winning, or the flag reading as absent (which would
+/// train for the default number of epochs).
+#[test]
+fn duplicate_or_valueless_flags_fail_naming_the_flag() {
+    for (args, message) in [
+        (
+            &[
+                "train", "--epochs", "3", "--synth", "gmu-5k", "--epochs", "4",
+            ][..],
+            "duplicate flag \"--epochs\" for tcss train",
+        ),
+        (
+            &["train", "--resume", "--resume"],
+            "duplicate flag \"--resume\" for tcss train",
+        ),
+        (
+            &["train", "--synth", "gmu-5k", "--epochs"],
+            "flag \"--epochs\" of tcss train needs a value",
+        ),
+    ] {
+        let out = bin().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
