@@ -11,12 +11,12 @@
 //! argument and failure model.
 
 use super::wire::{
-    decode_hello, encode_frame, encode_setup, encode_shutdown, tag_of, FrameDecoder, Setup,
-    WireLoss, TAG_HELLO,
+    decode_hello, encode_setup, encode_shutdown, tag_of, Setup, WireLoss, MAX_FRAME_LEN, TAG_HELLO,
 };
-use super::{read_frame, DistError};
+use super::DistError;
 use crate::config::LossStrategy;
 use crate::fault::FaultPlan;
+use crate::frame::{read_frame, write_frame, FrameDecoder};
 use crate::loss::ENTRIES_PER_CHUNK;
 use crate::train::{TcssTrainer, TrainContext, TrainError, TrainReport};
 use std::io::Write;
@@ -229,8 +229,8 @@ impl TcssTrainer {
         };
         guard.listener.set_nonblocking(false)?;
         stream.set_nonblocking(false)?;
-        let mut dec = FrameDecoder::new();
-        let hello = read_frame(&mut stream, &mut dec)?.ok_or_else(|| {
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
+        let hello = read_frame::<DistError>(&mut stream, &mut dec)?.ok_or_else(|| {
             DistError::Protocol(format!("worker {worker} disconnected before Hello"))
         })?;
         if tag_of(&hello)? != TAG_HELLO {
@@ -265,7 +265,9 @@ impl TcssTrainer {
             weight_decay: cfg.weight_decay,
             entries: self.tensor.entries().to_vec(),
         };
-        stream.write_all(&encode_frame(&encode_setup(&setup)))?;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_setup(&setup));
+        stream.write_all(&frame)?;
         let entries = self.tensor.entries();
         let lo = (chunk_start * ENTRIES_PER_CHUNK).min(entries.len());
         let hi = (chunk_end * ENTRIES_PER_CHUNK).min(entries.len());
@@ -288,8 +290,10 @@ impl TcssTrainer {
     /// Best-effort fleet teardown: Shutdown frame, then reap. Workers also
     /// exit on EOF, so a failed write still converges.
     pub(super) fn shutdown_fleet(&self, slots: &mut Vec<WorkerSlot>) {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_shutdown());
         for slot in slots.iter_mut() {
-            let _ = slot.stream.write_all(&encode_frame(&encode_shutdown()));
+            let _ = slot.stream.write_all(&frame);
             let _ = slot.stream.shutdown(std::net::Shutdown::Both);
         }
         for slot in slots.iter_mut() {

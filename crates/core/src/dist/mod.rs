@@ -29,9 +29,9 @@
 //!   per-chunk kernels the in-process path runs, routes each chunk's
 //!   delta rows to their owners, merges the deltas bound for its own
 //!   rows, and steps those rows with the in-process Adam kernel.
-//! * **Transport** ([`wire`]) — Unix sockets with hand-rolled
-//!   length-prefixed framing (no async runtime), every frame checksummed
-//!   with [`crate::digest::fnv1a64`].
+//! * **Transport** ([`wire`]) — Unix sockets carrying the workspace's
+//!   one frame format ([`crate::frame`]: length prefix, payload, CRC32C
+//!   trailer; no async runtime), capped at [`wire::MAX_FRAME_LEN`].
 //!
 //! # The process-count-parity contract
 //!
@@ -76,10 +76,10 @@ pub mod wire;
 pub mod worker;
 
 pub use coordinator::{DistConfig, DistReport};
-pub use wire::{encode_frame, FrameDecoder, WireError};
+pub use wire::WireError;
 pub use worker::run_worker;
 
-use std::io::Read;
+use crate::frame::FrameError;
 
 /// Typed failures of the distributed runtime.
 #[derive(Debug)]
@@ -147,6 +147,12 @@ impl From<WireError> for DistError {
     }
 }
 
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        DistError::Wire(WireError::Frame(e))
+    }
+}
+
 /// Monotonic on-CPU time of the calling process, in nanoseconds.
 ///
 /// Workers report their per-step `busy_ns` with this clock, and the
@@ -201,25 +207,4 @@ fn fallback_wall_ns() -> u64 {
     use std::time::Instant;
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Read whole frames from a blocking stream through a push-based decoder.
-/// A clean EOF between frames is `Ok(None)`; EOF mid-frame is a typed
-/// [`WireError::TruncatedEof`].
-pub(crate) fn read_frame(
-    stream: &mut impl Read,
-    dec: &mut FrameDecoder,
-) -> Result<Option<Vec<u8>>, DistError> {
-    let mut tmp = [0u8; 64 * 1024];
-    loop {
-        if let Some(frame) = dec.next_frame()? {
-            return Ok(Some(frame));
-        }
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            dec.finish()?;
-            return Ok(None);
-        }
-        dec.push(&tmp[..n]);
-    }
 }

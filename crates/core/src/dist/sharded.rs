@@ -72,19 +72,19 @@
 
 use super::coordinator::{bind_socket, DistConfig, DistReport, SocketGuard, WorkerSlot};
 use super::wire::{
-    apply_exch, apply_snap_rows, apply_upd_rows, complete_frame_buffered, decode_chunk_stats,
-    decode_norm_part, decode_snap_req, decode_step_owned, decode_tail_rows, decode_verdict,
-    encode_adopt_into, encode_chunk_stats_into, encode_exch_into, encode_norm_part_into,
-    encode_snap_req_into, encode_snap_rows_into, encode_step_owned_into, encode_tail_gram_into,
+    apply_exch, apply_snap_rows, apply_upd_rows, decode_chunk_stats, decode_norm_part,
+    decode_snap_req, decode_step_owned, decode_tail_rows, decode_verdict, encode_adopt_into,
+    encode_chunk_stats_into, encode_exch_into, encode_norm_part_into, encode_snap_req_into,
+    encode_snap_rows_into, encode_step_owned_into, encode_tail_gram_into,
     encode_tail_inactive_into, encode_tail_rows_into, encode_upd_rows_into, encode_verdict_into,
-    exch_header, msg_epoch, msg_epoch_src, raw_frame_payload, read_raw_frame, tag_of, FrameBuf,
-    FrameDecoder, Setup, TailMsg, TAG_ADOPT, TAG_CHUNK_STATS, TAG_EXCH, TAG_NORM_PART,
-    TAG_SHUTDOWN, TAG_SNAP_REQ, TAG_SNAP_ROWS, TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS,
-    TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
+    exch_header, msg_epoch, msg_epoch_src, tag_of, Setup, TailMsg, MAX_FRAME_LEN, TAG_ADOPT,
+    TAG_CHUNK_STATS, TAG_EXCH, TAG_NORM_PART, TAG_SHUTDOWN, TAG_SNAP_REQ, TAG_SNAP_ROWS,
+    TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS, TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
 };
-use super::{busy_now_ns, read_frame, DistError};
+use super::{busy_now_ns, DistError};
 use crate::checkpoint::{config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint};
 use crate::fault::FaultPlan;
+use crate::frame::{raw_payload, read_frame, FrameBuf, FrameDecoder};
 use crate::loss::{Grads, ENTRIES_PER_CHUNK};
 use crate::model::TcssModel;
 use crate::model_io::ModelIoError;
@@ -564,62 +564,46 @@ enum Event {
 /// path; the main thread receives ready-to-relay raw frames.
 ///
 /// Workers batch a whole phase into one write (stats + every exchange
-/// frame), so frames arrive in bursts. The reader buffers the socket
-/// and forwards each burst as a single [`Event::Frames`]: one kernel
-/// read and one event-loop wake-up per burst instead of one of each
-/// per frame — on a single-CPU host those wake-ups are context
-/// switches on the critical path.
+/// frame), so frames arrive in bursts. After each socket read the reader
+/// drains every complete frame into a single [`Event::Frames`]: one
+/// event-loop wake-up per burst instead of one per frame — on a
+/// single-CPU host those wake-ups are context switches on the critical
+/// path. The decoder never blocks mid-frame, so verified frames are
+/// never held back while the next read waits.
 fn spawn_reader(
     stream: &UnixStream,
     src: usize,
     gen: u64,
     tx: &mpsc::Sender<Event>,
 ) -> Result<(), DistError> {
-    let stream = stream.try_clone()?;
+    let mut stream = stream.try_clone()?;
     let tx = tx.clone();
     std::thread::spawn(move || {
-        let mut rd = std::io::BufReader::with_capacity(256 * 1024, stream);
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        loop {
-            match read_raw_frame(&mut rd) {
-                Ok(Some(raw)) => {
-                    batch.push(raw);
-                    // Parse ahead only while a COMPLETE frame is already
-                    // buffered: blocking mid-frame while holding verified
-                    // frames would deadlock against the exchange barrier
-                    // (the coordinator may be waiting on exactly these).
-                    if complete_frame_buffered(rd.buffer()) {
-                        continue;
-                    }
-                    let batch = std::mem::take(&mut batch);
-                    if tx.send(Event::Frames { src, gen, batch }).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => {
-                    if !batch.is_empty() {
-                        let _ = tx.send(Event::Frames { src, gen, batch });
-                    }
-                    let _ = tx.send(Event::Lost {
-                        src,
-                        gen,
-                        detail: "worker closed its socket".into(),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    if !batch.is_empty() {
-                        let _ = tx.send(Event::Frames { src, gen, batch });
-                    }
-                    let _ = tx.send(Event::Lost {
-                        src,
-                        gen,
-                        detail: format!("reading frames failed: {e}"),
-                    });
-                    return;
-                }
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
+        let detail = loop {
+            match dec.read_from(&mut stream) {
+                Ok(0) => match dec.finish() {
+                    Ok(()) => break "worker closed its socket".to_string(),
+                    Err(e) => break format!("reading frames failed: {e}"),
+                },
+                Ok(_) => {}
+                Err(e) => break format!("reading frames failed: {e}"),
             }
-        }
+            let mut batch = Vec::new();
+            let drained = loop {
+                match dec.next_raw_frame() {
+                    Ok(Some(raw)) => batch.push(raw),
+                    other => break other,
+                }
+            };
+            if !batch.is_empty() && tx.send(Event::Frames { src, gen, batch }).is_err() {
+                return;
+            }
+            if let Err(e) = drained {
+                break format!("reading frames failed: {e}");
+            }
+        };
+        let _ = tx.send(Event::Lost { src, gen, detail });
     });
     Ok(())
 }
@@ -780,7 +764,7 @@ impl Fleet<'_> {
     ) -> SendResult {
         self.bytes_received += raw.len() as u64;
         let w = self.w();
-        let payload = raw_frame_payload(&raw);
+        let payload = raw_payload(&raw);
         let tag = tag_of(payload).map_err(|e| (src, format!("corrupt frame: {e}")))?;
         match tag {
             TAG_EXCH => {
@@ -1043,7 +1027,7 @@ impl Fleet<'_> {
                 &mut model.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
                 &mut model.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
             ];
-            match apply_upd_rows(raw_frame_payload(&raw), ep, dests) {
+            match apply_upd_rows(raw_payload(&raw), ep, dests) {
                 Ok(busy_ns) => self.worker_busy_ns[src] += busy_ns,
                 Err(e) => {
                     return Attempt::Lost {
@@ -1074,7 +1058,7 @@ impl Fleet<'_> {
             };
             for raw in batch {
                 self.bytes_received += raw.len() as u64;
-                let payload = raw_frame_payload(&raw);
+                let payload = raw_payload(&raw);
                 let tag = tag_of(payload).map_err(|e| (src, format!("corrupt frame: {e}")))?;
                 if tag != TAG_SNAP_ROWS {
                     continue; // stale attempt leftovers; all consumed slots

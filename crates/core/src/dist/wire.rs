@@ -1,42 +1,29 @@
-//! Length-prefixed, checksummed framing and message codec for the
-//! distributed-training transport.
+//! Message codec of the distributed-training transport.
 //!
-//! Same hand-rolled idiom as `tcss_serve::net::frame` (no async runtime,
-//! no serialization crates), with one addition: every frame carries a
-//! trailing [`frame_checksum`] (word-folded FNV-1a) of its payload, so a
-//! torn or corrupted delta exchange surfaces as a typed
-//! [`WireError::ChecksumMismatch`] instead of silently perturbing
-//! training. Wire format of one frame:
-//!
-//! ```text
-//! [u32 LE payload length][payload bytes][u64 LE frame_checksum(payload)]
-//! ```
+//! Every message travels as one payload of the workspace's one frame
+//! format ([`crate::frame`]: length prefix, payload, CRC32C trailer),
+//! decoded with a [`MAX_FRAME_LEN`] cap; a torn or corrupted delta
+//! exchange therefore surfaces as a typed [`WireError::Frame`] instead
+//! of silently perturbing training. The first payload byte is the
+//! message tag.
 //!
 //! All multi-byte integers and floats are little-endian; `f64`s travel as
 //! `to_le_bytes`/`from_le_bytes`, which round-trips every bit pattern —
-//! the process-count-parity contract depends on that exactness.
-//!
-//! The decoder is push-based and cannot block or hang: feed it arbitrary
-//! byte splits with [`FrameDecoder::push`], drain complete frames with
-//! [`FrameDecoder::next_frame`], and signal EOF with
-//! [`FrameDecoder::finish`]. A decoder that has reported an error is
-//! poisoned: the stream cannot be resynchronized after a framing fault,
-//! so further use keeps failing instead of mis-parsing.
+//! the process-count-parity contract depends on that exactness. Decoding
+//! never panics: every malformed payload is a typed
+//! [`WireError::Malformed`].
 
+use crate::frame::FrameError;
 use crate::model::TcssModel;
 use crate::sparse_grads::SparseGrads;
 use tcss_linalg::Matrix;
 use tcss_sparse::TensorEntry;
 
-/// Bytes in the length prefix.
-pub const HEADER_LEN: usize = 4;
-/// Bytes in the checksum trailer.
-pub const TRAILER_LEN: usize = 8;
 /// Frame-size cap for the training transport. Delta frames scale with
 /// `touched rows × rank`, and a full-model broadcast is `(I+J+K+1)·r`
 /// doubles, so the cap is generous; anything larger is a corrupt length
 /// prefix, not a real message.
-pub const MAX_FRAME_LEN: usize = 1 << 30;
+pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Message tags (first payload byte).
 pub(crate) const TAG_HELLO: u8 = 1;
@@ -77,25 +64,9 @@ pub(crate) const TAG_STEP_OWNED: u8 = 15;
 /// these — the codec never panics and the decoder never blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// A length prefix declared a frame larger than [`MAX_FRAME_LEN`].
-    Oversized {
-        /// Length the prefix declared.
-        declared: usize,
-        /// The decoder's cap.
-        max: usize,
-    },
-    /// The stream ended mid-frame.
-    TruncatedEof {
-        /// Bytes left in the buffer when EOF was signalled.
-        buffered: usize,
-    },
-    /// The payload checksum did not match its trailer.
-    ChecksumMismatch {
-        /// Checksum the trailer carried.
-        expected: u64,
-        /// Checksum recomputed over the received payload.
-        got: u64,
-    },
+    /// The frame layer rejected the stream (oversized, truncated or
+    /// corrupted frame).
+    Frame(FrameError),
     /// A structurally invalid message payload (bad tag, truncated field,
     /// inconsistent dimensions).
     Malformed(String),
@@ -104,336 +75,13 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Oversized { declared, max } => {
-                write!(f, "frame of {declared} bytes exceeds cap of {max}")
-            }
-            WireError::TruncatedEof { buffered } => {
-                write!(f, "stream ended mid-frame with {buffered} bytes buffered")
-            }
-            WireError::ChecksumMismatch { expected, got } => write!(
-                f,
-                "frame checksum mismatch: trailer {expected:016x}, payload hashes to {got:016x}"
-            ),
+            WireError::Frame(e) => e.fmt(f),
             WireError::Malformed(msg) => write!(f, "malformed message: {msg}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-// ---------------------------------------------------------------------
-// Frame encoding / decoding
-// ---------------------------------------------------------------------
-
-/// The frame-trailer checksum: hardware CRC32C where the CPU has it,
-/// word-folded FNV-1a elsewhere.
-///
-/// The training transport moves megabytes of delta floats per epoch, and
-/// the checksum runs on both the encode and the verify side of every
-/// frame — at 4 tail-sharded workers that is ~2 MB/epoch through this
-/// function on the coordinator alone, a measurable slice of the
-/// critical path. Two interleaved `crc32q` streams break the serial
-/// xor-multiply dependency chain of FNV (≈3 cycles per 8 bytes) into
-/// two independent 3-cycle chains (≈3 cycles per 16 bytes), roughly
-/// doubling throughput on top of the cheaper op. The streams are seeded
-/// differently and packed into the u64 trailer, so any single flipped
-/// byte lands in exactly one stream and changes its 32 bits
-/// (`tests/dist_parity.rs` proptests corruption detection over random
-/// single-byte flips).
-///
-/// Frames are process-local, same-host, and never persisted: both ends
-/// of a socket resolve the same CPU feature, so the two
-/// implementations never need to agree with each other, and neither
-/// owes compatibility to the on-disk digests, which stay on `fnv1a64`.
-pub(crate) fn frame_checksum(data: &[u8]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static HAS_SSE42: OnceLock<bool> = OnceLock::new();
-        if *HAS_SSE42.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.2")) {
-            // SAFETY: guarded by the runtime feature check above.
-            return unsafe { crc32c_checksum(data) };
-        }
-    }
-    fnv_checksum(data)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_checksum(data: &[u8]) -> u64 {
-    use core::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut a: u64 = 0xffff_ffff; // even 8-byte words
-    let mut b: u64 = 0x5a5a_5a5a; // odd 8-byte words
-    let mut pairs = data.chunks_exact(16);
-    for p in &mut pairs {
-        a = _mm_crc32_u64(a, u64::from_le_bytes(p[..8].try_into().unwrap()));
-        b = _mm_crc32_u64(b, u64::from_le_bytes(p[8..].try_into().unwrap()));
-    }
-    let rem = pairs.remainder();
-    let mut words = rem.chunks_exact(8);
-    for w in &mut words {
-        a = _mm_crc32_u64(a, u64::from_le_bytes(w.try_into().unwrap()));
-    }
-    for &byte in words.remainder() {
-        a = u64::from(_mm_crc32_u8(a as u32, byte));
-    }
-    (a << 32) | b
-}
-
-/// Portable fallback: FNV-1a folded over 8-byte little-endian words
-/// (plus a byte-at-a-time tail), ~7× the byte-at-a-time
-/// [`crate::digest::fnv1a64`].
-fn fnv_checksum(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        h ^= u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
-        h = h.wrapping_mul(PRIME);
-    }
-    for &b in words.remainder() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Encode one frame: length prefix, payload, checksum trailer.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
-    out
-}
-
-/// Reusable frame-encode buffer: [`encode_frame`] allocates a fresh `Vec`
-/// per call, which shows up at high epoch rates. A `FrameBuf` keeps one
-/// buffer alive across epochs; messages are encoded **in place** after the
-/// length prefix, then [`FrameBuf::finish`] patches the prefix and appends
-/// the checksum trailer:
-///
-/// ```text
-/// let p = buf.payload();        // cleared, positioned after the prefix
-/// encode_step_into(p, ...);     // append the message
-/// stream.write_all(buf.finish())?;
-/// ```
-#[derive(Debug, Default)]
-pub(crate) struct FrameBuf {
-    buf: Vec<u8>,
-    /// Byte offset of the current (unsealed) frame's header.
-    start: usize,
-}
-
-impl FrameBuf {
-    pub(crate) fn new() -> Self {
-        FrameBuf {
-            buf: Vec::new(),
-            start: 0,
-        }
-    }
-
-    /// Start a frame: clear the buffer, reserve the length prefix, and
-    /// hand back the payload sink.
-    pub(crate) fn payload(&mut self) -> &mut Vec<u8> {
-        self.buf.clear();
-        self.start = 0;
-        self.buf.extend_from_slice(&[0u8; HEADER_LEN]);
-        &mut self.buf
-    }
-
-    /// Payload bytes encoded so far (for in-place patching of fields at
-    /// known offsets — patch **before** [`FrameBuf::finish`] so the
-    /// checksum covers the final bytes).
-    pub(crate) fn payload_mut(&mut self) -> &mut [u8] {
-        let at = self.start + HEADER_LEN;
-        &mut self.buf[at..]
-    }
-
-    /// Seal the current frame in place and start another one behind it,
-    /// so several messages accumulate into a single buffer and go out in
-    /// one `write_all` — one syscall (and one receiver wake-up) for a
-    /// whole burst instead of one per frame. The stream is byte-ordered,
-    /// so the receiver's decoder sees exactly the same frame sequence.
-    pub(crate) fn next_payload(&mut self) -> &mut Vec<u8> {
-        self.seal();
-        self.start = self.buf.len();
-        self.buf.extend_from_slice(&[0u8; HEADER_LEN]);
-        &mut self.buf
-    }
-
-    /// Patch the current frame's length prefix and append its checksum.
-    fn seal(&mut self) {
-        let len = self.buf.len() - self.start - HEADER_LEN;
-        debug_assert!(len <= MAX_FRAME_LEN);
-        self.buf[self.start..self.start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
-        let sum = frame_checksum(&self.buf[self.start + HEADER_LEN..]);
-        self.buf.extend_from_slice(&sum.to_le_bytes());
-    }
-
-    /// Seal the current frame and return every frame buffered since
-    /// [`FrameBuf::payload`], ready for one write.
-    pub(crate) fn finish(&mut self) -> &[u8] {
-        self.seal();
-        &self.buf
-    }
-}
-
-/// The payload slice of a raw frame (header + payload + trailer) as
-/// produced by [`read_raw_frame`] — the relay path keeps frames raw so
-/// forwarding is a plain write, with no re-checksumming.
-pub(crate) fn raw_frame_payload(raw: &[u8]) -> &[u8] {
-    &raw[HEADER_LEN..raw.len() - TRAILER_LEN]
-}
-
-/// Whether `buf` starts with one complete frame (header + declared
-/// payload + trailer). Reader threads use this to parse ahead through a
-/// buffered burst without risking a blocking read mid-frame: an
-/// oversized or garbage length simply reports `false` and the next
-/// [`read_raw_frame`] surfaces the typed error.
-pub(crate) fn complete_frame_buffered(buf: &[u8]) -> bool {
-    if buf.len() < HEADER_LEN {
-        return false;
-    }
-    let declared =
-        u32::from_le_bytes(buf[..HEADER_LEN].try_into().expect("4-byte header")) as usize;
-    buf.len().saturating_sub(HEADER_LEN + TRAILER_LEN) >= declared
-}
-
-/// Read one complete raw frame (header + payload + trailer) from a
-/// blocking stream with `read_exact`, verifying the checksum. A clean EOF
-/// between frames is `Ok(None)`; EOF mid-frame or a corrupt frame is a
-/// typed error. Used by the coordinator's per-worker reader threads,
-/// which need the raw bytes to relay Exch frames verbatim.
-pub(crate) fn read_raw_frame(
-    stream: &mut impl std::io::Read,
-) -> Result<Option<Vec<u8>>, super::DistError> {
-    let mut hdr = [0u8; HEADER_LEN];
-    let mut got = 0;
-    while got < HEADER_LEN {
-        let n = stream.read(&mut hdr[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(WireError::TruncatedEof { buffered: got }.into());
-        }
-        got += n;
-    }
-    let declared = u32::from_le_bytes(hdr) as usize;
-    if declared > MAX_FRAME_LEN {
-        return Err(WireError::Oversized {
-            declared,
-            max: MAX_FRAME_LEN,
-        }
-        .into());
-    }
-    let mut raw = vec![0u8; HEADER_LEN + declared + TRAILER_LEN];
-    raw[..HEADER_LEN].copy_from_slice(&hdr);
-    stream
-        .read_exact(&mut raw[HEADER_LEN..])
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => {
-                super::DistError::Wire(WireError::TruncatedEof { buffered: 0 })
-            }
-            _ => super::DistError::Io(e),
-        })?;
-    let expected = u64::from_le_bytes(raw[HEADER_LEN + declared..].try_into().unwrap());
-    let got = frame_checksum(&raw[HEADER_LEN..HEADER_LEN + declared]);
-    if got != expected {
-        return Err(WireError::ChecksumMismatch { expected, got }.into());
-    }
-    Ok(Some(raw))
-}
-
-/// Push-based frame decoder. Mirrors `tcss_serve::net::frame::FrameDecoder`
-/// (buffer + compaction + poisoning) with the checksum trailer added.
-#[derive(Debug)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-    poisoned: bool,
-}
-
-impl FrameDecoder {
-    /// A fresh decoder with an empty buffer.
-    pub fn new() -> Self {
-        FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
-            poisoned: false,
-        }
-    }
-
-    /// Append raw bytes from the transport. Accepts arbitrary splits —
-    /// byte-at-a-time and whole-stream-at-once decode identically.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily so long sessions don't grow the buffer forever.
-        if self.pos >= 4096 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Try to extract the next complete, checksum-verified payload.
-    /// `Ok(None)` means "need more bytes".
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.poisoned {
-            return Err(WireError::Malformed(
-                "decoder already failed; the stream cannot be resynchronized".into(),
-            ));
-        }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let declared = u32::from_le_bytes(avail[..HEADER_LEN].try_into().unwrap()) as usize;
-        if declared > MAX_FRAME_LEN {
-            self.poisoned = true;
-            return Err(WireError::Oversized {
-                declared,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        let total = HEADER_LEN + declared + TRAILER_LEN;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[HEADER_LEN..HEADER_LEN + declared];
-        let expected = u64::from_le_bytes(avail[HEADER_LEN + declared..total].try_into().unwrap());
-        let got = frame_checksum(payload);
-        if got != expected {
-            self.poisoned = true;
-            return Err(WireError::ChecksumMismatch { expected, got });
-        }
-        let out = payload.to_vec();
-        self.pos += total;
-        Ok(Some(out))
-    }
-
-    /// Signal EOF: any buffered partial frame is a typed error.
-    pub fn finish(&self) -> Result<(), WireError> {
-        if self.buffered() != 0 {
-            return Err(WireError::TruncatedEof {
-                buffered: self.buffered(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 // ---------------------------------------------------------------------
 // Primitive readers
@@ -1324,54 +972,106 @@ fn expect_tag(r: &mut Reader<'_>, tag: u8, name: &str) -> Result<(), WireError> 
 mod tests {
     use super::*;
 
+    use crate::dist::DistError;
+    use crate::frame::{raw_payload, read_frame, FrameBuf, FrameDecoder, HEADER_LEN, TRAILER_LEN};
+
+    /// One worker burst as the sender writes it: two Exch frames in one
+    /// buffer.
+    fn exch_burst() -> Vec<u8> {
+        let mut buf = FrameBuf::new();
+        let (row, none): (&[u32], &[u32]) = (&[2], &[]);
+        encode_exch_into(
+            buf.payload(),
+            7,
+            1,
+            0,
+            1,
+            [(row, &[0.5]), (none, &[]), (none, &[])],
+        );
+        encode_exch_into(
+            buf.next_payload(),
+            7,
+            1,
+            2,
+            1,
+            [(none, &[]), (row, &[-0.0]), (none, &[])],
+        );
+        buf.finish().to_vec()
+    }
+
+    /// Read one frame with the training cap, as workers do, and return
+    /// the frame error it surfaced through [`DistError`].
+    fn frame_error(bytes: &[u8], dec: &mut FrameDecoder) -> FrameError {
+        match read_frame::<DistError>(&mut &bytes[..], dec) {
+            Err(DistError::Wire(WireError::Frame(e))) => e,
+            other => panic!("expected a frame error, got {other:?}"),
+        }
+    }
+
+    /// Byte-at-a-time delivery through the training cap yields the burst's
+    /// raw frames byte-identical (the relay forwards them verbatim) and
+    /// routable by their payload headers.
     #[test]
     fn frame_roundtrip_arbitrary_split() {
-        let payloads: Vec<Vec<u8>> = vec![vec![], vec![42], (0..255).collect()];
-        let mut stream = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
-        // Byte-at-a-time must decode identically to all-at-once.
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for &b in &stream {
+        let burst = exch_burst();
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
+        let mut raws = Vec::new();
+        for &b in &burst {
             dec.push(&[b]);
-            while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+            while let Some(raw) = dec.next_raw_frame().unwrap() {
+                raws.push(raw);
             }
         }
         dec.finish().unwrap();
-        assert_eq!(got, payloads);
+        assert_eq!(raws.concat(), burst);
+        let routes: Vec<_> = raws
+            .iter()
+            .map(|r| exch_header(raw_payload(r)).unwrap())
+            .collect();
+        assert_eq!(routes, [(7, 1, 0), (7, 1, 2)]);
     }
 
     #[test]
     fn corrupt_payload_is_checksum_mismatch() {
-        let mut f = encode_frame(b"delta payload");
-        f[HEADER_LEN + 3] ^= 0x10;
-        let mut dec = FrameDecoder::new();
-        dec.push(&f);
-        let err = dec.next_frame().unwrap_err();
-        assert!(matches!(err, WireError::ChecksumMismatch { .. }), "{err}");
-        // Poisoned afterwards.
-        assert!(dec.next_frame().is_err());
+        let mut burst = exch_burst();
+        burst[HEADER_LEN + 3] ^= 0x10;
+        let err = frame_error(&burst, &mut FrameDecoder::new(MAX_FRAME_LEN));
+        assert!(matches!(err, FrameError::ChecksumMismatch { .. }), "{err}");
     }
 
+    /// The training cap is exactly [`MAX_FRAME_LEN`]: a header at the cap
+    /// waits for its body (here: truncated at EOF), one byte over is a
+    /// typed oversize error.
     #[test]
     fn oversized_frame_is_typed() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&(u32::MAX).to_le_bytes());
-        let err = dec.next_frame().unwrap_err();
-        assert!(matches!(err, WireError::Oversized { .. }), "{err}");
+        let read = |declared: u32| {
+            frame_error(
+                &declared.to_le_bytes(),
+                &mut FrameDecoder::new(MAX_FRAME_LEN),
+            )
+        };
+        assert_eq!(
+            read(MAX_FRAME_LEN),
+            FrameError::TruncatedEof { buffered: 4 }
+        );
+        let (declared, max) = (MAX_FRAME_LEN + 1, MAX_FRAME_LEN);
+        assert_eq!(read(declared), FrameError::Oversized { declared, max });
     }
 
     #[test]
     fn truncated_stream_is_typed_at_eof() {
-        let f = encode_frame(b"whole frame");
-        let mut dec = FrameDecoder::new();
-        dec.push(&f[..f.len() - 3]);
-        assert_eq!(dec.next_frame().unwrap(), None);
-        let err = dec.finish().unwrap_err();
-        assert!(matches!(err, WireError::TruncatedEof { .. }), "{err}");
+        let burst = exch_burst();
+        let cut = &burst[..burst.len() - 3];
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
+        let first = read_frame::<DistError>(&mut &cut[..], &mut dec)
+            .unwrap()
+            .unwrap();
+        assert_eq!(exch_header(&first).unwrap(), (7, 1, 0));
+        let buffered = cut.len() - (HEADER_LEN + first.len() + TRAILER_LEN);
+        assert_eq!(
+            frame_error(&[], &mut dec),
+            FrameError::TruncatedEof { buffered }
+        );
     }
 
     #[test]
@@ -1490,40 +1190,6 @@ mod tests {
             assert_eq!(bits(got.u3.as_slice()), bits(model.u3.as_slice()));
             assert_eq!(bits(&got.h), bits(&model.h));
         }
-    }
-
-    #[test]
-    fn frame_buf_matches_encode_frame_and_reuses_allocation() {
-        let mut buf = FrameBuf::new();
-        for payload in [b"abc".as_slice(), b"".as_slice(), b"longer payload!!"] {
-            let p = buf.payload();
-            p.extend_from_slice(payload);
-            assert_eq!(buf.finish(), encode_frame(payload).as_slice());
-        }
-        // Patching through payload_mut lands inside the checksummed bytes.
-        let p = buf.payload();
-        p.extend_from_slice(&[0u8; 8]);
-        buf.payload_mut()[..8].copy_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
-        let framed = buf.finish().to_vec();
-        let mut dec = FrameDecoder::new();
-        dec.push(&framed);
-        let out = dec.next_frame().unwrap().unwrap();
-        assert_eq!(out, 0x0123_4567_89AB_CDEFu64.to_le_bytes());
-    }
-
-    #[test]
-    fn read_raw_frame_roundtrips_and_rejects_corruption() {
-        let good = encode_frame(b"exchange body");
-        let raw = read_raw_frame(&mut &good[..]).unwrap().unwrap();
-        assert_eq!(raw, good);
-        assert_eq!(raw_frame_payload(&raw), b"exchange body");
-        // Clean EOF between frames.
-        assert!(read_raw_frame(&mut &[][..]).unwrap().is_none());
-        // Truncated and corrupt streams are typed errors.
-        assert!(read_raw_frame(&mut &good[..good.len() - 2]).is_err());
-        let mut bad = good;
-        bad[HEADER_LEN + 1] ^= 0x40;
-        assert!(read_raw_frame(&mut &bad[..]).is_err());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! Shutdown. `eval_block` is the chunk evaluation every epoch runs,
 //! with exactly the kernels the in-process trainer calls.
 
-use super::wire::{
-    decode_setup, encode_frame, encode_hello, tag_of, FrameDecoder, Setup, WireLoss, TAG_SETUP,
-};
-use super::{read_frame, DistError};
+use super::wire::{decode_setup, encode_hello, tag_of, Setup, WireLoss, MAX_FRAME_LEN, TAG_SETUP};
+use super::DistError;
+use crate::frame::{read_frame, write_frame, FrameDecoder};
 use crate::loss::{l2_entry_chunk, negative_sampling_chunk, ENTRIES_PER_CHUNK};
 use crate::sparse_grads::{GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
@@ -24,10 +23,12 @@ use std::path::Path;
 /// epochs until Shutdown (or a clean coordinator-side disconnect).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
     let mut stream = UnixStream::connect(socket)?;
-    stream.write_all(&encode_frame(&encode_hello(worker_id)))?;
-    let mut dec = FrameDecoder::new();
+    let mut hello = Vec::new();
+    write_frame(&mut hello, &encode_hello(worker_id));
+    stream.write_all(&hello)?;
+    let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
 
-    let frame = read_frame(&mut stream, &mut dec)?.ok_or_else(|| {
+    let frame = read_frame::<DistError>(&mut stream, &mut dec)?.ok_or_else(|| {
         DistError::Protocol("coordinator disconnected before sending Setup".into())
     })?;
     if tag_of(&frame)? != TAG_SETUP {

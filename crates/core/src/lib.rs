@@ -40,6 +40,7 @@ pub mod config;
 pub mod digest;
 pub mod dist;
 pub mod fault;
+pub mod frame;
 pub mod hausdorff;
 pub mod init;
 pub mod loss;

@@ -5,12 +5,15 @@
 //! models bit-identical to the in-process checkpointed trainer, for both
 //! entry-loss strategies, over arbitrary tensors. Checkpoints cross
 //! between distributed and in-process runs bit-for-bit in both
-//! directions. Also proptests the delta-codec framing layer: arbitrary
-//! byte splits decode identically, and truncation/corruption surface as
-//! typed errors, never a hang.
+//! directions. Also proptests the transport's framing at the training
+//! cap: arbitrary byte splits decode identically, and truncation is a
+//! typed error with the exact byte count, never a hang. The frame codec's
+//! full property set lives next to it, in `tcss_core::frame`.
 
 use proptest::prelude::*;
-use tcss_core::dist::{encode_frame, DistConfig, FrameDecoder, WireError};
+use tcss_core::dist::wire::MAX_FRAME_LEN;
+use tcss_core::dist::{DistConfig, DistError, WireError};
+use tcss_core::frame::{read_frame, write_frame, FrameDecoder, FrameError};
 use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError};
 use tcss_sparse::SparseTensor3;
 
@@ -122,7 +125,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Framing-layer properties
+// Framing at the training cap
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -138,17 +141,15 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
+            write_frame(&mut stream, p);
         }
         // Deterministic pseudo-random split points from split_seed.
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
         let mut got = Vec::new();
-        let mut pos = 0usize;
-        let mut state = split_seed | 1;
+        let (mut pos, mut state) = (0usize, split_seed | 1);
         while pos < stream.len() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let step = 1 + (state >> 33) as usize % 37;
-            let end = (pos + step).min(stream.len());
+            let end = (pos + 1 + (state >> 33) as usize % 37).min(stream.len());
             dec.push(&stream[pos..end]);
             while let Some(f) = dec.next_frame().expect("well-formed stream") {
                 got.push(f);
@@ -159,59 +160,30 @@ proptest! {
         prop_assert_eq!(got, payloads);
     }
 
-    /// Truncating a stream at any interior point yields a typed error at
-    /// EOF (or earlier), never a hang and never a bogus frame.
+    /// Truncating a frame at any interior point is a typed truncation
+    /// carrying the exact byte count — on the push path and through the
+    /// transport's blocking read — never a hang and never a bogus frame.
     #[test]
     fn truncation_is_always_a_typed_error(
         payload in proptest::collection::vec(0u8..=255, 0..200),
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_frame(&payload);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload);
         // cut ∈ [1, len-1]: always a strict interior truncation.
         let cut = 1 + ((frame.len() - 2) as f64 * cut_frac) as usize;
-        let mut dec = FrameDecoder::new();
+        let want = FrameError::TruncatedEof { buffered: cut };
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
         dec.push(&frame[..cut]);
-        match dec.next_frame() {
-            Ok(Some(f)) => prop_assert!(false, "decoded a frame from a truncated stream: {f:?}"),
-            Ok(None) => {
-                let err = dec.finish().expect_err("EOF mid-frame must be typed");
-                prop_assert!(matches!(err, WireError::TruncatedEof { .. }), "{}", err);
-            }
-            // A cut inside the length prefix can legitimately look
-            // oversized; that is still a typed error, not a hang.
-            Err(e) => prop_assert!(matches!(e, WireError::Oversized { .. }), "{}", e),
-        }
-    }
-
-    /// Flipping any single byte of a frame is detected: checksum mismatch,
-    /// oversized length, or (in the trailer) checksum mismatch again.
-    #[test]
-    fn single_byte_corruption_is_detected(
-        payload in proptest::collection::vec(0u8..=255, 1..100),
-        at_frac in 0.0f64..1.0,
-        mask in 1u8..=255,
-    ) {
-        let mut frame = encode_frame(&payload);
-        let at = ((frame.len() - 1) as f64 * at_frac) as usize;
-        frame[at] ^= mask;
-        let mut dec = FrameDecoder::new();
-        dec.push(&frame);
-        let outcome = dec.next_frame();
-        match outcome {
-            Err(_) => {} // typed: ChecksumMismatch or Oversized
-            Ok(Some(f)) => prop_assert!(
-                false,
-                "corrupted frame decoded as a payload of {} bytes",
-                f.len()
-            ),
-            // A corrupted length prefix can declare a *longer* frame; the
-            // decoder then waits for bytes that never arrive — EOF makes
-            // it typed.
-            Ok(None) => {
-                let err = dec.finish().expect_err("partial frame at EOF");
-                prop_assert!(matches!(err, WireError::TruncatedEof { .. }), "{}", err);
-            }
-        }
+        prop_assert_eq!(dec.next_frame(), Ok(None));
+        prop_assert_eq!(dec.finish(), Err(want));
+        let mut dec = FrameDecoder::new(MAX_FRAME_LEN);
+        let read = read_frame::<DistError>(&mut &frame[..cut], &mut dec);
+        prop_assert!(
+            matches!(read, Err(DistError::Wire(WireError::Frame(e))) if e == want),
+            "{:?}",
+            read
+        );
     }
 }
 

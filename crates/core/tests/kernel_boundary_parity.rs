@@ -20,25 +20,12 @@
 mod dense_loss;
 
 use proptest::prelude::*;
-use tcss_core::loss::{negative_sampling_loss_and_grad_ws, rewritten_loss_and_grad_ws, Grads};
-use tcss_core::{random_init, SliceScratch, TcssModel, TrainWorkspace};
-use tcss_linalg::{set_num_threads, LANES};
+use tcss_core::{random_init, SliceScratch, TcssModel};
+use tcss_linalg::LANES;
 use tcss_sparse::SparseTensor3;
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Ranks straddling the lane boundary (all ≥ 1 and ≤ the test dims).
 const BOUNDARY_RANKS: [usize; 6] = [1, LANES - 1, LANES, LANES + 1, 2 * LANES, 2 * LANES + 1];
-
-fn grads_bits(g: &Grads) -> Vec<u64> {
-    g.u1.as_slice()
-        .iter()
-        .chain(g.u2.as_slice())
-        .chain(g.u3.as_slice())
-        .chain(&g.h)
-        .map(|v| v.to_bits())
-        .collect()
-}
 
 /// Entries + seed for a fixed-dims tensor; the dims stay at
 /// `(9, 10, 2·LANES+1)` so every boundary rank is admissible.
@@ -65,26 +52,8 @@ proptest! {
         for rank in BOUNDARY_RANKS {
             let (u1, u2, u3) = random_init(DIMS, rank, seed);
             let model = TcssModel::new(u1, u2, u3);
-            set_num_threads(Some(1));
-            let (want_l, want_g) =
-                dense_loss::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
-            let want = (want_l.to_bits(), grads_bits(&want_g));
-            for threads in THREAD_COUNTS {
-                set_num_threads(Some(threads));
-                let ws = TrainWorkspace::new();
-                let mut grads = Grads::zeros(&model);
-                let loss =
-                    rewritten_loss_and_grad_ws(&model, t.entries(), 0.95, 0.05, &ws, &mut grads);
-                prop_assert_eq!(
-                    &want,
-                    &(loss.to_bits(), grads_bits(&grads)),
-                    "rewritten loss diverges at rank {} / {} threads",
-                    rank,
-                    threads
-                );
-            }
+            dense_loss::assert_production_matches(&model, &t, None, &format!("rewritten loss at rank {rank}"));
         }
-        set_num_threads(None);
     }
 
     /// Negative-sampling head at every boundary rank, same contract.
@@ -94,28 +63,34 @@ proptest! {
         for rank in BOUNDARY_RANKS {
             let (u1, u2, u3) = random_init(DIMS, rank, seed);
             let model = TcssModel::new(u1, u2, u3);
-            set_num_threads(Some(1));
-            let (want_l, want_g) = dense_loss::negative_sampling_loss_and_grad_dense(
-                &model, &t, 0.95, 0.05, seed ^ 0x5A5A,
-            );
-            let want = (want_l.to_bits(), grads_bits(&want_g));
-            for threads in THREAD_COUNTS {
-                set_num_threads(Some(threads));
-                let ws = TrainWorkspace::new();
-                let mut grads = Grads::zeros(&model);
-                let loss = negative_sampling_loss_and_grad_ws(
-                    &model, &t, 0.95, 0.05, seed ^ 0x5A5A, &ws, &mut grads,
-                );
-                prop_assert_eq!(
-                    &want,
-                    &(loss.to_bits(), grads_bits(&grads)),
-                    "negative sampling diverges at rank {} / {} threads",
-                    rank,
-                    threads
-                );
-            }
+            let what = format!("negative sampling at rank {rank}");
+            dense_loss::assert_production_matches(&model, &t, Some(seed ^ 0x5A5A), &what);
         }
-        set_num_threads(None);
+    }
+}
+
+/// Both entry-loop losses at every boundary rank over two full
+/// 1024-entry chunks plus a ragged tail, so the chunk merge runs across
+/// chunks: production == dense reference, bitwise, at every thread count.
+#[test]
+fn multi_chunk_entry_losses_bitwise_at_boundary_ranks() {
+    let dims = (24, 20, 2 * LANES + 1);
+    let t = dense_loss::spread_tensor(dims, 2 * 1024 + 77);
+    for rank in BOUNDARY_RANKS {
+        let (u1, u2, u3) = random_init(dims, rank, 41);
+        let model = TcssModel::new(u1, u2, u3);
+        dense_loss::assert_production_matches(
+            &model,
+            &t,
+            None,
+            &format!("rewritten loss at rank {rank}"),
+        );
+        dense_loss::assert_production_matches(
+            &model,
+            &t,
+            Some(3),
+            &format!("negative sampling at rank {rank}"),
+        );
     }
 }
 

@@ -7,7 +7,9 @@
 //! equality, no tolerances) —
 //!
 //! * property-tested over random tensors/models at 1/2/4 threads for both
-//!   entry-loop loss heads, including re-use of a warmed workspace pool;
+//!   entry-loop loss heads, including re-use of a warmed workspace pool,
+//!   plus one input spanning two full entry chunks and a ragged tail so
+//!   the cross-chunk merge order is pinned too;
 //! * for the social-Hausdorff head, with and without a candidate-set cap
 //!   (the `select_nth_unstable_by` selection path), against the head's
 //!   sequential forward loss and its own single-thread run (the bitwise
@@ -21,7 +23,7 @@
 mod dense_loss;
 
 use proptest::prelude::*;
-use tcss_core::loss::{negative_sampling_loss_and_grad_ws, rewritten_loss_and_grad_ws, Grads};
+use tcss_core::loss::Grads;
 use tcss_core::{
     random_init, FaultPlan, HausdorffVariant, SocialHausdorffHead, TcssConfig, TcssModel,
     TcssTrainer, TrainError, TrainWorkspace, CHECKPOINT_FILE,
@@ -88,28 +90,7 @@ proptest! {
         let t = SparseTensor3::from_entries(dims, raw).expect("in range");
         let (u1, u2, u3) = random_init(dims, rank, seed);
         let model = TcssModel::new(u1, u2, u3);
-        set_num_threads(Some(1));
-        let (want_l, want_g) =
-            dense_loss::rewritten_loss_and_grad_dense(&model, t.entries(), 0.95, 0.05);
-        let want = (want_l.to_bits(), grads_bits(&want_g));
-        for threads in THREAD_COUNTS {
-            set_num_threads(Some(threads));
-            let ws = TrainWorkspace::new();
-            for round in 0..2 {
-                // Round 1 warms the pools; round 2 runs on recycled buffers.
-                let mut grads = Grads::zeros(&model);
-                let loss =
-                    rewritten_loss_and_grad_ws(&model, t.entries(), 0.95, 0.05, &ws, &mut grads);
-                prop_assert_eq!(
-                    &want,
-                    &(loss.to_bits(), grads_bits(&grads)),
-                    "rewritten loss diverges at {} threads (round {})",
-                    threads,
-                    round
-                );
-            }
-        }
-        set_num_threads(None);
+        dense_loss::assert_production_matches(&model, &t, None, "rewritten loss");
     }
 
     /// Same for negative sampling: the per-chunk RNG streams (and hence
@@ -121,30 +102,21 @@ proptest! {
         let t = SparseTensor3::from_entries(dims, raw).expect("in range");
         let (u1, u2, u3) = random_init(dims, rank, seed);
         let model = TcssModel::new(u1, u2, u3);
-        set_num_threads(Some(1));
-        let (want_l, want_g) = dense_loss::negative_sampling_loss_and_grad_dense(
-            &model, &t, 0.95, 0.05, seed ^ 0xABCD,
-        );
-        let want = (want_l.to_bits(), grads_bits(&want_g));
-        for threads in THREAD_COUNTS {
-            set_num_threads(Some(threads));
-            let ws = TrainWorkspace::new();
-            for round in 0..2 {
-                let mut grads = Grads::zeros(&model);
-                let loss = negative_sampling_loss_and_grad_ws(
-                    &model, &t, 0.95, 0.05, seed ^ 0xABCD, &ws, &mut grads,
-                );
-                prop_assert_eq!(
-                    &want,
-                    &(loss.to_bits(), grads_bits(&grads)),
-                    "negative sampling diverges at {} threads (round {})",
-                    threads,
-                    round
-                );
-            }
-        }
-        set_num_threads(None);
+        dense_loss::assert_production_matches(&model, &t, Some(seed ^ 0xABCD), "negative sampling");
     }
+}
+
+/// Both entry-loop losses over two full 1024-entry chunks plus a ragged
+/// tail: the chunk merge itself (not just one chunk's fold) must match
+/// the dense reference bitwise at every thread count.
+#[test]
+fn multi_chunk_entry_losses_match_dense_reference() {
+    let dims = (20, 16, 8);
+    let t = dense_loss::spread_tensor(dims, 2 * 1024 + 300);
+    let (u1, u2, u3) = random_init(dims, 3, 17);
+    let model = TcssModel::new(u1, u2, u3);
+    dense_loss::assert_production_matches(&model, &t, None, "multi-chunk rewritten loss");
+    dense_loss::assert_production_matches(&model, &t, Some(29), "multi-chunk negative sampling");
 }
 
 /// Sparse Hausdorff head == sequential forward loss == its single-thread,

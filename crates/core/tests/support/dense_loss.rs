@@ -6,13 +6,14 @@
 //! thread. The production path (`tcss_core::loss`, sparse chunk-local
 //! deltas over pooled workspaces) must reproduce these floats bit-for-bit
 //! at every thread count; `sparse_parity.rs` and
-//! `kernel_boundary_parity.rs` assert it.
+//! `kernel_boundary_parity.rs` assert it through
+//! [`assert_production_matches`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tcss_core::loss::Grads;
-use tcss_core::TcssModel;
-use tcss_linalg::kernels;
+use tcss_core::loss::{negative_sampling_loss_and_grad_ws, rewritten_loss_and_grad_ws, Grads};
+use tcss_core::{TcssModel, TrainWorkspace};
+use tcss_linalg::{kernels, set_num_threads};
 use tcss_sparse::{SparseTensor3, TensorEntry};
 
 /// The library's entry chunk grid. The chunk a loss term lands in is part
@@ -148,4 +149,65 @@ pub fn negative_sampling_loss_and_grad_dense(
         }
         loss
     })
+}
+
+/// Assert that production evaluates one entry-loop loss head bitwise
+/// equal to this reference (loss and every gradient element), at 1, 2
+/// and 4 threads, on a cold and then a warmed workspace pool. `neg_seed`
+/// picks the head: `None` for the rewritten L₂, `Some(seed)` for
+/// negative sampling under that seed. `what` labels a failure.
+pub fn assert_production_matches(
+    model: &TcssModel,
+    t: &SparseTensor3,
+    neg_seed: Option<u64>,
+    what: &str,
+) {
+    let bits = |loss: f64, g: &Grads| -> Vec<u64> {
+        let slabs = [g.u1.as_slice(), g.u2.as_slice(), g.u3.as_slice(), &g.h];
+        std::iter::once(loss)
+            .chain(slabs.into_iter().flatten().copied())
+            .map(f64::to_bits)
+            .collect()
+    };
+    set_num_threads(Some(1));
+    let (loss, grads) = match neg_seed {
+        None => rewritten_loss_and_grad_dense(model, t.entries(), 0.95, 0.05),
+        Some(seed) => negative_sampling_loss_and_grad_dense(model, t, 0.95, 0.05, seed),
+    };
+    let want = bits(loss, &grads);
+    for threads in [1, 2, 4] {
+        set_num_threads(Some(threads));
+        let ws = TrainWorkspace::new();
+        // Round 0 warms the pools; round 1 runs on recycled buffers.
+        for round in 0..2 {
+            let mut g = Grads::zeros(model);
+            let loss = match neg_seed {
+                None => rewritten_loss_and_grad_ws(model, t.entries(), 0.95, 0.05, &ws, &mut g),
+                Some(seed) => {
+                    negative_sampling_loss_and_grad_ws(model, t, 0.95, 0.05, seed, &ws, &mut g)
+                }
+            };
+            assert_eq!(
+                bits(loss, &g),
+                want,
+                "{what} diverges at {threads} threads (round {round})"
+            );
+        }
+    }
+    set_num_threads(None);
+}
+
+/// A tensor of `n` distinct cells, spread by the bijection
+/// `c · 7919 mod cells` (7919 is prime). Past 2·[`ENTRIES_PER_CHUNK`]
+/// entries it runs the entry-loop merge across chunks, with a ragged tail.
+pub fn spread_tensor(dims: (usize, usize, usize), n: usize) -> SparseTensor3 {
+    let (jk, k) = (dims.1 * dims.2, dims.2);
+    let cells = dims.0 * jk;
+    let raw = (0..n).map(|c| {
+        let x = c * 7919 % cells;
+        (x / jk, x / k % dims.1, x % k, 0.25 + (c % 7) as f64 * 0.25)
+    });
+    let t = SparseTensor3::from_entries(dims, raw).expect("in range");
+    assert_eq!(t.entries().len(), n, "entries stay distinct");
+    t
 }

@@ -1,8 +1,9 @@
 //! A small blocking client for the TCSS wire protocol.
 //!
 //! Used by the `tcss query` CLI and the protocol/chaos test suites. The
-//! client is deliberately simple — one blocking socket, the shared
-//! [`FrameDecoder`] — but supports
+//! client is deliberately simple — one blocking socket read through the
+//! workspace's one frame codec ([`read_frame`] into a [`FrameDecoder`],
+//! so every response frame is checksum-verified) — but supports
 //! pipelining: [`NetClient::send_recommend`] queues without waiting and
 //! [`NetClient::read_response`] drains answers in arrival order, with
 //! correlation ids matching them back to requests. Every read honours a
@@ -26,17 +27,19 @@
 //! [`ClientError::DeadlineExceeded`] instead of another attempt.
 //! Server-side `DeadlineExceeded`/`Internal` errors are retried too —
 //! the server guarantees such requests were never scored, so a retry
-//! cannot double-apply anything. Malformed server bytes (framing or
-//! protocol decode failures) are **not** retried: they indicate
-//! corruption, not load, and deserve a loud failure.
+//! cannot double-apply anything. Malformed server bytes (framing errors,
+//! checksum mismatches included, or protocol decode failures) are
+//! **not** retried: they indicate corruption, not load, and deserve a
+//! loud failure.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::net::frame::{self, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
+use crate::net::frame::{read_frame, write_frame, FrameDecoder, FrameError};
 use crate::net::proto::{self, ErrorCode, Request, RequestBody, Response, ResponseBody, WireError};
+use crate::net::DEFAULT_MAX_FRAME_LEN;
 
 /// Typed client-side failures.
 #[derive(Debug)]
@@ -92,6 +95,12 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+impl From<FrameError> for ClientError {
+    fn from(e: FrameError) -> Self {
+        ClientError::Frame(e)
     }
 }
 
@@ -237,8 +246,14 @@ impl NetClient {
             id,
             body: RequestBody::Recommend { user, time, n },
         });
-        self.stream.write_all(&frame::encode_frame(&payload))?;
+        self.send_frame(&payload)?;
         Ok(id)
+    }
+
+    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, payload);
+        self.stream.write_all(&framed)
     }
 
     /// Send raw bytes verbatim — the protocol tests' malformed-input
@@ -261,27 +276,9 @@ impl NetClient {
     }
 
     fn read_from_wire(&mut self) -> Result<Response, ClientError> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    return proto::decode_response(&payload).map_err(ClientError::Wire)
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Frame(e)),
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return match self.decoder.finish() {
-                        Ok(()) => Err(ClientError::ServerClosed),
-                        Err(e) => Err(ClientError::Frame(e)),
-                    }
-                }
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
-            }
-        }
+        let payload = read_frame::<ClientError>(&mut self.stream, &mut self.decoder)?
+            .ok_or(ClientError::ServerClosed)?;
+        proto::decode_response(&payload).map_err(ClientError::Wire)
     }
 
     /// Response for a specific correlation id; other responses read on
@@ -406,7 +403,7 @@ impl NetClient {
             id,
             body: RequestBody::Ping,
         });
-        self.stream.write_all(&frame::encode_frame(&payload))?;
+        self.send_frame(&payload)?;
         let resp = self.read_response_for(id)?;
         match &resp.body {
             ResponseBody::Pong => Ok(()),

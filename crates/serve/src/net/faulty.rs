@@ -27,15 +27,16 @@
 //!   connection with an RST (SO_LINGER 0). The server must absorb the
 //!   reset and keep serving other connections.
 //! * [`TransportFault::CorruptPayloadByte`] — XOR one byte of the
-//!   request *payload* (framing left intact), modelling in-flight
-//!   corruption. The server must answer a typed error (`Malformed` when
-//!   the kind byte is hit) or treat the bytes as the different-but-valid
-//!   request they now encode — never crash, never mis-frame later
-//!   requests.
+//!   request *payload* after framing (length prefix and checksum trailer
+//!   left intact), modelling in-flight corruption. The frame checksum
+//!   catches every such flip: the server answers a typed
+//!   `ChecksumMismatch` error (id 0 — nothing in an untrusted frame is
+//!   salvaged) and closes, so a corrupted byte can never be served as a
+//!   different-but-valid request.
 //!
-//! Faults that kill the transport ([`PartialWrite`](TransportFault) —
-//! after its typed answer is read — and [`Reset`](TransportFault))
-//! leave the shim disconnected; [`FaultyTransport::reconnect`] restores
+//! Faults that kill the transport ([`PartialWrite`](TransportFault) and
+//! `CorruptPayloadByte` — after their typed answer is read — and
+//! [`Reset`](TransportFault)) leave the shim disconnected; [`FaultyTransport::reconnect`] restores
 //! a clean connection while the request counter (and therefore the
 //! remaining plan) keeps advancing.
 
@@ -45,8 +46,9 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::net::client::ClientError;
-use crate::net::frame::{self, FrameDecoder, DEFAULT_MAX_FRAME_LEN};
+use crate::net::frame::{read_frame, write_frame, FrameDecoder, HEADER_LEN};
 use crate::net::proto::{self, Request, RequestBody, Response};
+use crate::net::DEFAULT_MAX_FRAME_LEN;
 
 /// One injectable socket misbehaviour, keyed by request index in a
 /// [`TransportFaultPlan`].
@@ -72,10 +74,9 @@ pub enum TransportFault {
     /// the transport (reconnect required).
     Reset,
     /// XOR the payload byte at `offset` (mod payload length) with
-    /// `mask` before framing; the frame itself stays well-formed.
-    /// Offset 0 is the request kind byte — corrupting it
-    /// deterministically yields a typed `Malformed` answer addressed to
-    /// the salvaged correlation id (bytes 1..9).
+    /// `mask` after framing, so the trailer no longer matches. The
+    /// server must answer a typed `ChecksumMismatch` error and close;
+    /// the transport is dead for further sends (reconnect required).
     CorruptPayloadByte {
         /// Byte position within the encoded payload.
         offset: usize,
@@ -190,15 +191,15 @@ impl FaultyTransport {
         self.request_index += 1;
         let fault = self.plan.take(idx);
 
-        let mut payload = proto::encode_request(&Request {
+        let payload = proto::encode_request(&Request {
             id,
             body: RequestBody::Recommend { user, time, n },
         });
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload);
         if let Some(TransportFault::CorruptPayloadByte { offset, mask }) = fault {
-            let at = offset % payload.len();
-            payload[at] ^= mask;
+            framed[HEADER_LEN + offset % payload.len()] ^= mask;
         }
-        let framed = frame::encode_frame(&payload);
 
         let stream = self
             .stream
@@ -235,28 +236,12 @@ impl FaultyTransport {
     /// dead transport, timeout, or server close — never hangs past the
     /// read timeout.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        use std::io::Read;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    return proto::decode_response(&payload).map_err(ClientError::Wire)
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Frame(e)),
-            }
-            let stream = self.stream.as_mut().ok_or(ClientError::ServerClosed)?;
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    self.stream = None;
-                    return match self.decoder.finish() {
-                        Ok(()) => Err(ClientError::ServerClosed),
-                        Err(e) => Err(ClientError::Frame(e)),
-                    };
-                }
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
+        let stream = self.stream.as_mut().ok_or(ClientError::ServerClosed)?;
+        match read_frame::<ClientError>(stream, &mut self.decoder)? {
+            Some(payload) => proto::decode_response(&payload).map_err(ClientError::Wire),
+            None => {
+                self.stream = None;
+                Err(ClientError::ServerClosed)
             }
         }
     }

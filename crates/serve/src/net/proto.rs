@@ -17,6 +17,14 @@
 //!   kind 4 Error      body := code:u8 msg_len:u32 msg:utf8
 //! ```
 //!
+//! Frame format: every payload travels as `[u32 LE len][payload][u64 LE
+//! checksum]`, the workspace's one frame codec (`tcss_core::frame`,
+//! shared with the training transport). Earlier releases sent
+//! `[u32 LE len][payload]` with no trailer; there is no version
+//! handshake, so mixing the two is unsupported: an old peer's frames
+//! fail the checksum (typed `ChecksumMismatch`, then close) or stall
+//! until the idle reaper closes them.
+//!
 //! `id` is a caller-chosen correlation id echoed verbatim in the
 //! response, so clients may pipeline. Decoding is exact: short bodies,
 //! unknown kinds, bad UTF-8 and trailing garbage are typed
@@ -71,6 +79,10 @@ pub enum ErrorCode {
     /// execution) scoring this request. The connection survives; the
     /// request was not answered with data and may be retried.
     Internal = 7,
+    /// A frame's payload did not hash to its checksum trailer: the bytes
+    /// were corrupted in flight. Connection-fatal, like the other
+    /// framing errors.
+    ChecksumMismatch = 8,
 }
 
 impl ErrorCode {
@@ -83,6 +95,7 @@ impl ErrorCode {
             5 => Some(ErrorCode::Truncated),
             6 => Some(ErrorCode::DeadlineExceeded),
             7 => Some(ErrorCode::Internal),
+            8 => Some(ErrorCode::ChecksumMismatch),
             _ => None,
         }
     }

@@ -12,7 +12,7 @@
 //!   `poll` wakes the moment a byte lands on its pipe);
 //! * **N worker threads** each run an independent readiness loop over
 //!   their own connections: non-blocking reads feed the
-//!   [`FrameDecoder`](crate::net::frame::FrameDecoder), every complete
+//!   [`FrameDecoder`], every complete
 //!   request decoded in one readiness pass is batched *across
 //!   connections* into packed [`ServingEngine::recommend_batch_pinned`]
 //!   calls (the same `W · U²ᵀ` batching the in-process path uses), and
@@ -82,8 +82,9 @@ use std::time::{Duration, Instant};
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::net::admission::{AdmissionGate, Permit};
-use crate::net::frame::{self, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
+use crate::net::frame::{self, FrameDecoder, FrameError};
 use crate::net::proto::{self, ErrorCode, Request, RequestBody, Response, ResponseBody};
+use crate::net::DEFAULT_MAX_FRAME_LEN;
 use crate::{ScoreRequest, ServingEngine};
 
 // ---------------------------------------------------------------------------
@@ -343,6 +344,7 @@ fn frame_error_response(fe: FrameError) -> Response {
     let code = match fe {
         FrameError::Oversized { .. } => ErrorCode::FrameTooLarge,
         FrameError::TruncatedEof { .. } => ErrorCode::Truncated,
+        FrameError::ChecksumMismatch { .. } => ErrorCode::ChecksumMismatch,
     };
     Response {
         id: 0,

@@ -4,48 +4,48 @@
 //!
 //! 1. **Framing survives arbitrary fragmentation.** Any frame stream
 //!    delivered in any byte-boundary split (one byte at a time, headers
-//!    torn across reads, many frames in one read) decodes to exactly the
-//!    original payload sequence.
+//!    torn across reads, many frames in one read) decodes, at the serving
+//!    cap, to exactly the original payload sequence.
 //! 2. **Messages round-trip bitwise.** Requests and responses (scores
 //!    included, via `f64::to_bits`) survive encode→frame→split→decode
 //!    unchanged.
 //! 3. **Hostile input yields typed errors, never a panic or a hang.**
-//!    Malformed, truncated, oversized and trailing-garbage inputs are
-//!    property-tested at the codec layer and exercised end-to-end over a
-//!    live loopback server, where each must produce a typed `Error`
-//!    response (and close the connection for framing-level corruption)
-//!    within the client's read timeout.
+//!    Truncated and oversized frames and malformed and trailing-garbage
+//!    payloads are property-tested at the codec layer and exercised
+//!    end-to-end over a live loopback server, where each must produce a
+//!    typed `Error` response (and close the connection for framing-level
+//!    corruption) within the client's read timeout.
+//!
+//! The frame codec's remaining properties (read splits, byte-identical
+//! raw frames, corruption detection, sticky poison) are proptested next
+//! to it, in `tcss_core::frame`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use tcss_core::{random_init, TcssModel};
-use tcss_serve::net::frame::{encode_frame, FrameDecoder, FrameError};
+use tcss_serve::net::frame::{read_frame, write_frame, FrameDecoder, FrameError};
 use tcss_serve::net::proto::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, Request,
     RequestBody, Response, ResponseBody,
 };
-use tcss_serve::net::{NetClient, NetServer, ServerConfig};
+use tcss_serve::net::{NetClient, NetServer, ServerConfig, DEFAULT_MAX_FRAME_LEN};
 use tcss_serve::ServingEngine;
 
 // ---------------------------------------------------------------------------
 // Codec properties.
 
+fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, payload);
+    out
+}
+
 /// Split `stream` into chunks at the (wrapped) cut offsets in `cuts`.
 fn split_at(stream: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
-    let mut points: Vec<usize> = cuts
-        .iter()
-        .map(|&c| {
-            if stream.is_empty() {
-                0
-            } else {
-                c % stream.len()
-            }
-        })
-        .collect();
-    points.push(0);
-    points.push(stream.len());
+    let mut points: Vec<usize> = cuts.iter().map(|&c| c % stream.len().max(1)).collect();
+    points.extend([0, stream.len()]);
     points.sort_unstable();
     points.dedup();
     points
@@ -64,11 +64,8 @@ proptest! {
             proptest::collection::vec(0u8..=255, 0..48), 0..8),
         cuts in proptest::collection::vec(0usize..4096, 0..24),
     ) {
-        let mut stream = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
-        let mut dec = FrameDecoder::new(1 << 12);
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p)).collect();
+        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         let mut got: Vec<Vec<u8>> = Vec::new();
         for chunk in split_at(&stream, &cuts) {
             dec.push(&chunk);
@@ -148,8 +145,10 @@ proptest! {
         ));
     }
 
-    /// A frame stream cut mid-frame is a typed truncation at EOF; cut on
-    /// a boundary it finishes clean. Never a panic, never a silent drop.
+    /// A frame stream cut mid-frame is a typed truncation at EOF carrying
+    /// the exact byte count, on the push path and through the blocking
+    /// `read_frame`; cut on a boundary it finishes clean. Never a panic,
+    /// never a silent drop.
     #[test]
     fn truncation_is_detected_at_eof(
         payload in proptest::collection::vec(0u8..=255, 0..32),
@@ -157,41 +156,43 @@ proptest! {
     ) {
         let wire = encode_frame(&payload);
         let keep = cut % (wire.len() + 1);
-        let mut dec = FrameDecoder::new(1 << 12);
+        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         dec.push(&wire[..keep]);
         let decoded = dec.next_frame().expect("no error before EOF");
+        let mut rd = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+        let read = read_frame::<Box<dyn std::error::Error>>(&mut &wire[..keep], &mut rd)
+            .map_err(|e| *e.downcast_ref::<FrameError>().expect("a frame error"));
         if keep == wire.len() {
-            prop_assert_eq!(decoded, Some(payload));
+            prop_assert_eq!(decoded.as_ref(), Some(&payload));
             prop_assert!(dec.finish().is_ok());
-        } else {
+            prop_assert_eq!(read, Ok(Some(payload)));
+        } else if keep == 0 {
             prop_assert_eq!(decoded, None);
-            if keep == 0 {
-                prop_assert!(dec.finish().is_ok(), "nothing buffered is clean");
-            } else {
-                prop_assert!(matches!(
-                    dec.finish(),
-                    Err(FrameError::TruncatedEof { buffered }) if buffered == keep
-                ));
-            }
+            prop_assert!(dec.finish().is_ok(), "nothing buffered is clean");
+            prop_assert_eq!(read, Ok(None));
+        } else {
+            let want = FrameError::TruncatedEof { buffered: keep };
+            prop_assert_eq!(decoded, None);
+            prop_assert_eq!(dec.finish(), Err(want));
+            prop_assert_eq!(read, Err(want));
         }
     }
 
-    /// Any header whose declared length exceeds the cap errors before
-    /// buffering a single payload byte, and the decoder stays poisoned.
+    /// Any header whose declared length exceeds the serving cap errors
+    /// before buffering a single payload byte, and the decoder stays
+    /// poisoned through `next_frame` and `finish`.
     #[test]
     fn oversized_headers_error_eagerly(
-        declared in 65u32..=u32::MAX,
+        declared in DEFAULT_MAX_FRAME_LEN + 1..=u32::MAX,
         tail in proptest::collection::vec(0u8..=255, 0..16),
     ) {
-        let mut dec = FrameDecoder::new(64);
-        let mut wire = declared.to_le_bytes().to_vec();
-        wire.extend_from_slice(&tail);
-        dec.push(&wire);
-        prop_assert!(matches!(
-            dec.next_frame(),
-            Err(FrameError::Oversized { declared: d, max: 64 }) if d == declared
-        ));
-        prop_assert!(dec.next_frame().is_err(), "poison sticks");
+        let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+        let want = FrameError::Oversized { declared, max: DEFAULT_MAX_FRAME_LEN };
+        dec.push(&declared.to_le_bytes());
+        prop_assert_eq!(dec.next_frame(), Err(want));
+        dec.push(&tail);
+        prop_assert_eq!(dec.next_frame(), Err(want), "poison sticks");
+        prop_assert_eq!(dec.finish(), Err(want));
     }
 }
 
