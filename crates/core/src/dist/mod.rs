@@ -41,7 +41,7 @@
 //! 1. the **global chunk grid** (`chunk_count(nnz, ENTRIES_PER_CHUNK)`)
 //!    depends only on the tensor, never on the worker count;
 //! 2. each chunk's value is computed by the *same* kernel functions the
-//!    in-process path calls ([`crate::loss::l2_entry_chunk`] /
+//!    in-process path calls (`loss::l2_entry_chunk` /
 //!    `negative_sampling_chunk`), pure functions of `(model, entries,
 //!    global range)` — a worker's thread count only reorders *which cores*
 //!    evaluate chunks, never their contents;

@@ -5,7 +5,7 @@
 //! over the whole model itself would leave a serial epoch tail that
 //! grows with the model. This module shards that tail by **row
 //! ownership** — worker `w` owns the contiguous row range
-//! [`crate::sparse_grads::owned_range`]`(dim, n, w)` of *each* factor,
+//! `sparse_grads::owned_range(dim, n, w)` of *each* factor,
 //! keeps the model rows and Adam moments for those rows resident across
 //! epochs, and applies [`tcss_linalg::kernels::adam_update`] to them
 //! itself. The coordinator retains only what is not row-decomposable:
@@ -21,7 +21,7 @@
 //!    concurrently with worker chunk evaluation — the tail depends only
 //!    on the broadcast model, so the overlap cannot change any bits.
 //! 2. Each worker evaluates its chunk block, splits every chunk's
-//!    touched rows by owner ([`crate::sparse_grads::OwnerSplit`]), sends
+//!    touched rows by owner (`sparse_grads::OwnerSplit`), sends
 //!    **ChunkStats** (per-chunk losses + dense `h` deltas) to the
 //!    coordinator and one **Exch** frame per *other* worker with the
 //!    un-merged row deltas bound for that owner. Stats plus every Exch

@@ -13,27 +13,29 @@
 //!   [p_{ij} d(j,j') + (1−p_{ij}) d_max]` with the generalized mean
 //!   `M_α` (α = −1 by default) standing in for min(·).
 //!
-//! The gradients flow `∂L₁/∂p → ∂p/∂X̂ → ∂X̂/∂(U¹,U²,U³,h)`; the last hop is
-//! shared with the `L₂` head ([`crate::sparse_grads::backprop_entry_sparse`]).
+//! The gradients flow `∂L₁/∂p → ∂p/∂X̂ → ∂X̂/∂(U¹,U²,U³,h)`. The last hop
+//! is contracted per user: every candidate POI's score derivatives fold
+//! into one `r`-wide row per touched factor row (`|S| + K + 2` row adds
+//! per user) instead of four axpys per tensor entry, as the `L₂` head's
+//! entry loop does.
 
 use crate::config::HausdorffVariant;
 #[cfg(test)]
 use crate::loss::backprop_entry;
 use crate::loss::Grads;
 use crate::model::{clamp_prob, SliceScratch, TcssModel};
-use crate::sparse_grads::{backprop_entry_sparse, GradScratch, SparseGrads};
+use crate::sparse_grads::{GradRow, GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
 use tcss_data::{CheckIn, Dataset};
 use tcss_geo::{entropy_weights, DistanceMatrix, WeightedHausdorffParams};
 use tcss_linalg::kernels;
 
-/// Per-user scratch buffers for the Hausdorff head: clamped slice values,
-/// visit probabilities, `dL/dp`, generalized-mean terms, prefix/suffix
-/// products, the candidate set, and the candidate-indexed gather buffers
-/// that let the per-`j'` distance scans run over contiguous memory.
-/// Checked out of the trainer's [`TrainWorkspace`] pool once per worker
-/// per parallel region — before this existed, every user of every epoch
-/// allocated all of these vectors.
+/// Per-user scratch buffers for the Hausdorff head: the slice and its
+/// clamped values, visit probabilities, the candidate set, the
+/// candidate-indexed buffers the pair loop runs over, and the contracted
+/// backprop's products. Checked out of the trainer's [`TrainWorkspace`]
+/// pool once per worker per parallel region, so no user of any epoch
+/// allocates once the pool is warm.
 ///
 /// Buffers carry no information between users: each is either fully
 /// overwritten before it is read or explicitly reset per call.
@@ -47,25 +49,35 @@ pub struct UserScratch {
     x: Vec<f64>,
     /// Visit probabilities `p_{ij}`, `j_dim`.
     p: Vec<f64>,
-    /// `dL/dp`, `j_dim`, zeroed per user.
-    dp: Vec<f64>,
-    /// Generalized-mean terms `f_j`, `|S|`.
-    f: Vec<f64>,
-    /// `f_j^α` cache, `|S|` (reused by the gradient as `f^{α−1} = f^α / f`,
-    /// halving the `powf` count of the distance scans).
-    fpow: Vec<f64>,
+    /// Candidate set `S(vᵢ)`.
+    cand: Vec<usize>,
     /// Candidate-gathered probabilities `p_{ij}` for `j ∈ S`, `|S|`.
     pc: Vec<f64>,
     /// Candidate-gathered `e_j · minD_j`, `|S|`.
     ewm: Vec<f64>,
-    /// Candidate-gathered distance column `d(j, j')` for `j ∈ S`, `|S|`.
+    /// Candidate-gathered distance row `d(j', j)` for `j ∈ S`, `|S|`.
     dcol: Vec<f64>,
+    /// Generalized-mean terms `f_j` (general-α path only), `|S|`.
+    f: Vec<f64>,
+    /// `f_j^α`, `|S|`; at α = −1 the gradient weights
+    /// `(1/f_j)²·(d(j,j') − d_max)` instead.
+    fpow: Vec<f64>,
+    /// `dL/dp_{ij}` for `j ∈ S`, candidate-indexed, `|S|`.
+    dp: Vec<f64>,
     /// Prefix products of `(1 − x)`, `k_dim + 1`.
     prefix: Vec<f64>,
     /// Suffix products of `(1 − x)`, `k_dim + 1`.
     suffix: Vec<f64>,
-    /// Candidate set `S(vᵢ)`.
-    cand: Vec<usize>,
+    /// Masked score derivatives `c_{jk} = ∂(scale·L₁)/∂X̂_{ijk}` for
+    /// `j ∈ S` (zero where the clamp blocks), `|S| · k_dim`.
+    c: Vec<f64>,
+    /// `W_j = Σ_k c_{jk} U³_k` of the current candidate, then each
+    /// `V_k` in turn, `r`.
+    w: Vec<f64>,
+    /// `Vᵀ` (`V_k = Σ_j c_{jk} U²_j`, accumulated transposed), `r · k_dim`.
+    vt: Vec<f64>,
+    /// `a = Σ_j U²_j ∘ W_j`, `r`.
+    a: Vec<f64>,
 }
 
 impl UserScratch {
@@ -77,17 +89,20 @@ impl UserScratch {
 
 /// Where [`SocialHausdorffHead::user_loss_grad`] sends its gradient: a
 /// chunk-local sparse delta (production parallel path), nowhere
-/// (forward-only evaluation), or — in the test build only — a dense buffer
-/// for the reference fold. The sparse and dense destinations run the
-/// identical per-entry arithmetic ([`backprop_entry_sparse`] /
-/// `loss::backprop_entry`), which is what the bitwise dense↔sparse parity
-/// rests on.
+/// (forward-only evaluation), or — in the test build only — a dense buffer.
+/// The sparse and dense destinations receive the identical per-row adds of
+/// the contracted backprop, which is what the bitwise dense↔sparse parity
+/// rests on; `PerEntry` folds the same masked score derivatives one tensor
+/// entry at a time, the reference the contraction is checked against.
 enum GradTarget<'a> {
     /// Forward pass only.
     None,
     /// Accumulate `scale · ∂L₁/∂θ` into a dense buffer.
     #[cfg(test)]
     Dense(&'a mut Grads, f64),
+    /// Like `Dense`, through the per-entry `loss::backprop_entry` fold.
+    #[cfg(test)]
+    PerEntry(&'a mut Grads, f64),
     /// Accumulate `scale · ∂L₁/∂θ` into a chunk's sparse delta.
     Sparse(&'a mut SparseGrads, &'a mut GradScratch, f64),
 }
@@ -101,21 +116,26 @@ impl GradTarget<'_> {
         match self {
             GradTarget::None => 0.0,
             #[cfg(test)]
-            GradTarget::Dense(_, s) => *s,
+            GradTarget::Dense(_, s) | GradTarget::PerEntry(_, s) => *s,
             GradTarget::Sparse(_, _, s) => *s,
         }
     }
 
+    /// `row += a ∘ b`.
     #[inline]
-    fn backprop(&mut self, model: &TcssModel, i: usize, j: usize, k: usize, c: f64) {
-        match self {
-            GradTarget::None => {}
+    fn add_row(&mut self, row: GradRow, a: &[f64], b: &[f64]) {
+        let y: &mut [f64] = match self {
+            GradTarget::None => return,
             #[cfg(test)]
-            GradTarget::Dense(grads, _) => backprop_entry(model, grads, i, j, k, c),
-            GradTarget::Sparse(delta, scratch, _) => {
-                backprop_entry_sparse(model, delta, scratch, i, j, k, c)
-            }
-        }
+            GradTarget::Dense(grads, _) | GradTarget::PerEntry(grads, _) => match row {
+                GradRow::U1(i) => grads.u1.row_mut(i),
+                GradRow::U2(j) => grads.u2.row_mut(j),
+                GradRow::U3(k) => grads.u3.row_mut(k),
+                GradRow::H => &mut grads.h,
+            },
+            GradTarget::Sparse(delta, scratch, _) => delta.row_mut(scratch, row),
+        };
+        kernels::fused_mul_axpy(1.0, a, b, y);
     }
 }
 
@@ -314,6 +334,17 @@ impl SocialHausdorffHead {
     /// vectors come from `us`; every buffer is fully overwritten (or
     /// explicitly reset) before it is read, so a pooled scratch cannot leak
     /// state between users.
+    ///
+    /// Three phases, each over contiguous candidate-indexed buffers:
+    ///
+    /// 1. the `J × K` slice, clamped, and the candidate set `S(vᵢ)`;
+    /// 2. the pair loop over `(j', j) ∈ N × S`: one contiguous distance
+    ///    row per `j'` ([`DistanceMatrix::row`], gathered over `S`), the
+    ///    generalized mean through the lane kernels (closed form at
+    ///    α = −1, `powf` otherwise), and `dL/dp` accumulated into the
+    ///    `|S|`-long candidate buffer;
+    /// 3. the masked score derivatives and the contracted backprop
+    ///    ([`mask_score_grads`], [`contracted_backprop`]).
     fn user_loss_grad(
         &self,
         model: &TcssModel,
@@ -330,25 +361,24 @@ impl SocialHausdorffHead {
         let alpha = self.params.alpha;
         let eps = self.params.epsilon;
         let floor = self.params.floor;
+        let wants_grad = target.wants_grad();
 
         // Raw slice and clamped probabilities.
         let (_, j_dim, k_dim) = model.dims();
+        model.user_slice_into(user, &mut us.slice, &mut us.raw);
         let UserScratch {
-            slice,
             raw,
             x,
             p,
-            dp,
-            f,
-            fpow,
+            cand,
             pc,
             ewm,
             dcol,
-            prefix,
-            suffix,
-            cand,
+            f,
+            fpow,
+            dp,
+            ..
         } = us;
-        model.user_slice_into(user, slice, raw);
         x.resize(j_dim * k_dim, 0.0);
         p.resize(j_dim, 0.0);
         for j in 0..j_dim {
@@ -368,15 +398,14 @@ impl SocialHausdorffHead {
             return 0.0;
         }
 
-        // Gather the candidate-indexed quantities once so the per-`j'`
-        // scans below run over contiguous buffers instead of scattered
-        // `p[j]` / `dist.get` lookups.
+        // Gather the candidate-indexed quantities once so the pair loop
+        // below runs over contiguous buffers.
         let s = s_set.len();
-        pc.resize(s, 0.0);
-        ewm.resize(s, 0.0);
-        for (idx, &j) in s_set.iter().enumerate() {
-            pc[idx] = p[j];
-            ewm[idx] = self.e_weights[j] * min_d[j];
+        pc.clear();
+        ewm.clear();
+        for &j in s_set {
+            pc.push(p[j]);
+            ewm.push(self.e_weights[j] * min_d[j]);
         }
 
         // ---- Term 1 ----
@@ -390,82 +419,193 @@ impl SocialHausdorffHead {
         let n_len = n_set.len() as f64;
         let s_len = s as f64;
         let mut term2 = 0.0;
-        // dL/dp accumulated over both terms.
+        // dL/dp over both terms, starting from the term-1 derivative
+        // (e_j·minD_j − term1)/(A+ε).
         dp.clear();
-        dp.resize(j_dim, 0.0);
-        for (idx, &j) in s_set.iter().enumerate() {
-            // Term-1 derivative: (e_j·minD_j − term1)/(A+ε).
-            dp[j] += (ewm[idx] - term1) / (a_norm + eps);
-        }
-        f.resize(s, 0.0);
+        dp.extend(ewm.iter().map(|&em| (em - term1) / (a_norm + eps)));
         fpow.resize(s, 0.0);
         dcol.resize(s, 0.0);
         for &jp in n_set {
-            for (idx, &j) in s_set.iter().enumerate() {
-                dcol[idx] = self.dist.get(j, jp);
+            // d(j, j') for j ∈ S, read along row j' (the matrix is symmetric).
+            let row = self.dist.row(jp);
+            for (dst, &j) in dcol.iter_mut().zip(s_set) {
+                *dst = row[j];
             }
-            for idx in 0..s {
-                let fj = (pc[idx] * dcol[idx] + (1.0 - pc[idx]) * d_max).max(floor);
-                f[idx] = fj;
-                fpow[idx] = fj.powf(alpha);
-            }
-            let mean_pow = kernels::sum(fpow) / s_len;
-            let m = mean_pow.powf(1.0 / alpha);
-            term2 += self.e_weights[jp] * m;
-            if target.wants_grad() {
-                // dM/df_j = (1/|S|) · m̄^{(1−α)/α} · f_j^{α−1}; the cached
-                // `f^α` gives `f^{α−1}` as `f^α / f`, saving a `powf` per
-                // (j, j') pair. df_j/dp_j = d(j,j') − d_max (zero where the
-                // floor clamps, i.e. where `f` sits exactly on the floor).
-                let m_bar_pow = mean_pow.powf((1.0 - alpha) / alpha);
-                for (idx, &j) in s_set.iter().enumerate() {
-                    if f[idx] <= floor {
-                        continue;
+            let e_jp = self.e_weights[jp];
+            if alpha == -1.0 {
+                // Harmonic mean: m = 1/mean(1/f) and dM/df_j = (m/f_j)²/|S|;
+                // df_j/dp_j = d(j,j') − d_max, zero where the floor clamps
+                // f_j. `fpow` receives (1/f_j)²·(d(j,j') − d_max).
+                let m = 1.0 / (kernels::recip_affine_sum(pc, dcol, floor, d_max, fpow) / s_len);
+                term2 += e_jp * m;
+                if wants_grad {
+                    kernels::axpy(e_jp / n_len * (m * m) / s_len, fpow, dp);
+                }
+            } else {
+                f.resize(s, 0.0);
+                for idx in 0..s {
+                    let fj = (pc[idx] * dcol[idx] + (1.0 - pc[idx]) * d_max).max(floor);
+                    f[idx] = fj;
+                    fpow[idx] = fj.powf(alpha);
+                }
+                let mean_pow = kernels::sum(fpow) / s_len;
+                term2 += e_jp * mean_pow.powf(1.0 / alpha);
+                if wants_grad {
+                    // dM/df_j = (1/|S|) · m̄^{(1−α)/α} · f_j^{α−1}, with
+                    // f^{α−1} = f^α / f from the cached power.
+                    let m_bar_pow = mean_pow.powf((1.0 - alpha) / alpha);
+                    for idx in 0..s {
+                        if f[idx] > floor {
+                            let dm_df = m_bar_pow * (fpow[idx] / f[idx]) / s_len;
+                            dp[idx] += e_jp / n_len * dm_df * (dcol[idx] - d_max);
+                        }
                     }
-                    let dm_df = m_bar_pow * (fpow[idx] / f[idx]) / s_len;
-                    dp[j] += self.e_weights[jp] / n_len * dm_df * (dcol[idx] - d_max);
                 }
             }
         }
         term2 /= n_len;
 
-        // ---- Backprop dL/dp → dL/dX̂ → factors ----
-        if target.wants_grad() {
-            let scale = target.scale();
-            prefix.resize(k_dim + 1, 0.0);
-            suffix.resize(k_dim + 1, 0.0);
-            prefix[0] = 1.0;
-            suffix[k_dim] = 1.0;
-            for &j in s_set {
-                if dp[j] == 0.0 {
-                    continue;
-                }
-                // dp/dx_k = Π_{k'≠k} (1 − x_{k'}) via prefix/suffix products.
-                let xs = &x[j * k_dim..(j + 1) * k_dim];
-                for k in 0..k_dim {
-                    prefix[k + 1] = prefix[k] * (1.0 - xs[k]);
-                }
-                for k in (0..k_dim).rev() {
-                    suffix[k] = suffix[k + 1] * (1.0 - xs[k]);
-                }
-                for k in 0..k_dim {
-                    let raw = raw[j * k_dim + k];
-                    let dp_dx = prefix[k] * suffix[k + 1];
-                    let c = scale * dp[j] * dp_dx;
-                    // Projected-gradient treatment of the clamp: block the
-                    // gradient only when it points *out of* [0, 1). A hard
-                    // zero-on-saturation rule would permanently silence the
-                    // never-visited POIs (raw score ≲ 0) that the social
-                    // head exists to lift. (Update direction is −c.)
-                    let blocked = (raw <= 0.0 && c > 0.0) || (raw >= 1.0 - 1e-9 && c < 0.0);
-                    if !blocked && c != 0.0 {
-                        target.backprop(model, user, j, k, c);
-                    }
-                }
+        if wants_grad {
+            mask_score_grads(us, k_dim, target.scale());
+            #[cfg(test)]
+            if let GradTarget::PerEntry(grads, _) = &mut target {
+                per_entry_backprop(model, user, us, grads);
+                return term1 + term2;
+            }
+            contracted_backprop(model, user, us, &mut target);
+        }
+        term1 + term2
+    }
+}
+
+/// Chain `dL/dp` through `p = 1 − Π_k(1 − x_k)` into the masked score
+/// derivatives `c_{jk} = scale · dL/dp_j · Π_{k'≠k}(1 − x_{k'})`
+/// (prefix/suffix products), zeroed where the clamp blocks them.
+fn mask_score_grads(us: &mut UserScratch, k_dim: usize, scale: f64) {
+    let UserScratch {
+        raw,
+        x,
+        cand,
+        dp,
+        prefix,
+        suffix,
+        c,
+        ..
+    } = us;
+    prefix.resize(k_dim + 1, 0.0);
+    suffix.resize(k_dim + 1, 0.0);
+    prefix[0] = 1.0;
+    suffix[k_dim] = 1.0;
+    c.resize(cand.len() * k_dim, 0.0);
+    for (idx, &j) in cand.iter().enumerate() {
+        let cj = &mut c[idx * k_dim..(idx + 1) * k_dim];
+        if dp[idx] == 0.0 {
+            cj.fill(0.0);
+            continue;
+        }
+        let xs = &x[j * k_dim..(j + 1) * k_dim];
+        for k in 0..k_dim {
+            prefix[k + 1] = prefix[k] * (1.0 - xs[k]);
+        }
+        for k in (0..k_dim).rev() {
+            suffix[k] = suffix[k + 1] * (1.0 - xs[k]);
+        }
+        let raws = &raw[j * k_dim..(j + 1) * k_dim];
+        for k in 0..k_dim {
+            let ck = scale * dp[idx] * (prefix[k] * suffix[k + 1]);
+            // Projected-gradient treatment of the clamp: block the
+            // gradient only when it points *out of* [0, 1). A hard
+            // zero-on-saturation rule would permanently silence the
+            // never-visited POIs (raw score ≲ 0) that the social head
+            // exists to lift. (Update direction is −c.)
+            let blocked = (raws[k] <= 0.0 && ck > 0.0) || (raws[k] >= 1.0 - 1e-9 && ck < 0.0);
+            cj[k] = if blocked { 0.0 } else { ck };
+        }
+    }
+}
+
+/// Backprop of the masked score derivatives `c_{jk}` (`j ∈ S`) into the
+/// factors, contracted per user instead of per entry. With
+/// `X̂_{ijk} = Σ_t h_t U¹_{it} U²_{jt} U³_{kt}`:
+///
+/// ```text
+/// W_j = Σ_k c_jk U³_k      V_k = Σ_j c_jk U²_j      a = Σ_j U²_j ∘ W_j
+/// gU²_j += (h∘U¹ᵢ)∘W_j     gU³_k += (h∘U¹ᵢ)∘V_k
+/// gU¹ᵢ  += h∘a             gh    += U¹ᵢ∘a
+/// ```
+///
+/// — `|S| + K + 2` row adds per user (only candidates with a nonzero
+/// `c_{j·}` emit a `U²` row) where the per-entry fold made `4·|S|·K`
+/// `r`-wide axpys and three slot lookups per entry. Both contractions run
+/// along the time mode, over the slice's `U³ᵀ`: `W_{jt}` is one
+/// `K`-long [`kernels::dot`] and `V` accumulates transposed (`Vᵀ_t +=
+/// U²_{jt} c_{j·}`, one `K`-long axpy), read back one `V_k` at a time.
+fn contracted_backprop(
+    model: &TcssModel,
+    user: usize,
+    us: &mut UserScratch,
+    target: &mut GradTarget,
+) {
+    let r = model.h.len();
+    let k_dim = model.u3.rows();
+    let UserScratch {
+        slice,
+        cand,
+        c,
+        w,
+        vt,
+        a,
+        ..
+    } = us;
+    let hu = slice.h_u1();
+    let u3t = slice.u3_transposed();
+    w.resize(r, 0.0);
+    vt.clear();
+    vt.resize(r * k_dim, 0.0);
+    a.clear();
+    a.resize(r, 0.0);
+    let mut any_live = false;
+    for (idx, &j) in cand.iter().enumerate() {
+        let cj = &c[idx * k_dim..(idx + 1) * k_dim];
+        if cj.iter().all(|&ck| ck == 0.0) {
+            continue;
+        }
+        any_live = true;
+        let uj = model.u2.row(j);
+        for (t, (wt, &ujt)) in w.iter_mut().zip(uj).enumerate() {
+            *wt = kernels::dot(cj, &u3t[t * k_dim..(t + 1) * k_dim]);
+            kernels::axpy(ujt, cj, &mut vt[t * k_dim..(t + 1) * k_dim]);
+        }
+        kernels::fused_mul_axpy(1.0, uj, w, a);
+        target.add_row(GradRow::U2(j), hu, w);
+    }
+    if !any_live {
+        return;
+    }
+    for k in 0..k_dim {
+        // V_k, read out of the transposed accumulator.
+        for (t, vk) in w.iter_mut().enumerate() {
+            *vk = vt[t * k_dim + k];
+        }
+        target.add_row(GradRow::U3(k), hu, w);
+    }
+    target.add_row(GradRow::U1(user), &model.h, a);
+    target.add_row(GradRow::H, model.u1.row(user), a);
+}
+
+/// Test reference for [`contracted_backprop`]: fold every nonzero masked
+/// `c_{jk}` through the per-entry `loss::backprop_entry`, four `r`-wide
+/// axpys per entry.
+#[cfg(test)]
+fn per_entry_backprop(model: &TcssModel, user: usize, us: &UserScratch, grads: &mut Grads) {
+    let k_dim = model.u3.rows();
+    for (idx, &j) in us.cand.iter().enumerate() {
+        for k in 0..k_dim {
+            let ck = us.c[idx * k_dim + k];
+            if ck != 0.0 {
+                backprop_entry(model, grads, user, j, k, ck);
             }
         }
-
-        term1 + term2
     }
 }
 
@@ -570,46 +710,53 @@ mod tests {
     }
 
     /// The head's forward value must agree with the reference forward
-    /// implementation in `tcss-geo`.
+    /// implementation in `tcss-geo`: at the paper's α = −1 (the closed-form
+    /// harmonic-mean path) and at α = −2.5 (the general `powf` path).
     #[test]
     fn forward_matches_geo_reference() {
         let (data, train) = toy_data();
-        let head = SocialHausdorffHead::new(
-            &data,
-            &train,
-            HausdorffVariant::Social,
-            Default::default(),
-            None,
-        );
-        let model = toy_model(&data);
-        let got = head.loss(&model);
-        // Reference: per user, call tcss_geo::weighted_hausdorff with the
-        // same probabilities, candidate set (= all POIs) and weights, on
-        // the same normalized distance matrix.
-        let dist = data.distance_matrix().normalized();
-        let mut expect = 0.0;
-        for i in 0..data.n_users {
-            let n_set = head.target_set(i);
-            if n_set.is_empty() {
-                continue;
+        for alpha in [-1.0, -2.5] {
+            let params = WeightedHausdorffParams {
+                alpha,
+                ..Default::default()
+            };
+            let head = SocialHausdorffHead::new(
+                &data,
+                &train,
+                HausdorffVariant::Social,
+                params.clone(),
+                None,
+            );
+            let model = toy_model(&data);
+            let got = head.loss(&model);
+            // Reference: per user, call tcss_geo::weighted_hausdorff with the
+            // same probabilities, candidate set and weights, on the same
+            // normalized distance matrix.
+            let dist = data.distance_matrix().normalized();
+            let mut expect = 0.0;
+            for i in 0..data.n_users {
+                let n_set = head.target_set(i);
+                if n_set.is_empty() {
+                    continue;
+                }
+                let p = model.visit_probabilities(i);
+                // Eq 7: S(vᵢ) = POIs with positive visit probability.
+                let s_set: Vec<usize> = (0..data.n_pois()).filter(|&j| p[j] > 0.0).collect();
+                let p_sub: Vec<f64> = s_set.iter().map(|&j| p[j]).collect();
+                expect += tcss_geo::weighted_hausdorff(
+                    &s_set,
+                    &p_sub,
+                    n_set,
+                    &dist,
+                    head.entropy_weights(),
+                    &params,
+                );
             }
-            let p = model.visit_probabilities(i);
-            // Eq 7: S(vᵢ) = POIs with positive visit probability.
-            let s_set: Vec<usize> = (0..data.n_pois()).filter(|&j| p[j] > 0.0).collect();
-            let p_sub: Vec<f64> = s_set.iter().map(|&j| p[j]).collect();
-            expect += tcss_geo::weighted_hausdorff(
-                &s_set,
-                &p_sub,
-                n_set,
-                &dist,
-                head.entropy_weights(),
-                &Default::default(),
+            assert!(
+                (got - expect).abs() < 1e-9,
+                "α={alpha}: head {got} vs reference {expect}"
             );
         }
-        assert!(
-            (got - expect).abs() < 1e-9,
-            "head {got} vs reference {expect}"
-        );
     }
 
     /// Finite-difference check of the full analytic gradient through
@@ -783,6 +930,77 @@ mod tests {
             }
         }
         tcss_linalg::set_num_threads(None);
+    }
+
+    /// The contracted backprop equals the per-entry `backprop_entry` fold
+    /// of the same masked score derivatives to 1e-12 relative, on a model
+    /// whose scores saturate the clamp at both ends with the gradient
+    /// blocked in both directions (raw ≤ 0 with `c > 0`, raw ≥ 1 with
+    /// `c < 0`).
+    #[test]
+    fn contracted_backprop_matches_per_entry_fold() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tcss_data::SynthPreset;
+        let data = SynthPreset::Gmu5k.generate();
+        let train: Vec<CheckIn> = data.checkins.iter().take(2000).copied().collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut mk = |n: usize| tcss_linalg::Matrix::from_fn(n, 4, |_, _| rng.gen_range(-0.6..1.0));
+        let model = TcssModel::new(mk(data.n_users), mk(data.n_pois()), mk(12));
+        for alpha in [-1.0, -2.5] {
+            let params = WeightedHausdorffParams {
+                alpha,
+                ..Default::default()
+            };
+            let head =
+                SocialHausdorffHead::new(&data, &train, HausdorffVariant::Social, params, None);
+            let mut contracted = Grads::zeros(&model);
+            let mut per_entry = Grads::zeros(&model);
+            let mut us = UserScratch::new();
+            let (mut blocked_low, mut blocked_high) = (0, 0);
+            for i in 0..data.n_users {
+                let l_contracted = head.user_loss_grad(
+                    &model,
+                    i,
+                    &mut us,
+                    GradTarget::Dense(&mut contracted, 240.0),
+                );
+                let l_per_entry = head.user_loss_grad(
+                    &model,
+                    i,
+                    &mut us,
+                    GradTarget::PerEntry(&mut per_entry, 240.0),
+                );
+                assert_eq!(l_contracted.to_bits(), l_per_entry.to_bits());
+                if head.target_set(i).is_empty() || us.cand.is_empty() {
+                    continue;
+                }
+                let k_dim = 12;
+                for (idx, &j) in us.cand.iter().enumerate() {
+                    for k in 0..k_dim {
+                        let raw = us.raw[j * k_dim + k];
+                        blocked_low += usize::from(raw <= 0.0 && us.dp[idx] > 0.0);
+                        blocked_high += usize::from(raw >= 1.0 - 1e-9 && us.dp[idx] < 0.0);
+                    }
+                }
+            }
+            assert!(
+                blocked_low > 0 && blocked_high > 0,
+                "α={alpha}: clamp blocked {blocked_low} low / {blocked_high} high entries"
+            );
+            let largest = grads_bits(&per_entry)
+                .iter()
+                .map(|&b| f64::from_bits(b).abs())
+                .fold(0.0, f64::max);
+            assert!(largest > 0.0, "α={alpha}: the head produced no gradient");
+            for (a, b) in grads_bits(&contracted).iter().zip(grads_bits(&per_entry)) {
+                let (a, b) = (f64::from_bits(*a), f64::from_bits(b));
+                assert!(
+                    (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+                    "α={alpha}: contracted {a} vs per-entry {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -243,6 +243,17 @@ impl SliceScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// `h ⊙ U¹ᵢ` of the last [`TcssModel::user_slice_into`] call, `r`.
+    pub(crate) fn h_u1(&self) -> &[f64] {
+        &self.hw
+    }
+
+    /// `U³ᵀ` (`r × K`, row `t` holds `U³_{·t}`) of the last
+    /// [`TcssModel::user_slice_into`] call.
+    pub(crate) fn u3_transposed(&self) -> &[f64] {
+        &self.u3t
+    }
 }
 
 /// Clamp a raw score into `[0, 1−δ]` for probability semantics.

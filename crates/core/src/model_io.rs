@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `v2` adds two robustness guarantees. Writes are **atomic** (temp file +
-//! fsync + rename, via [`crate::checkpoint::atomic_write`]), so a crash
+//! fsync + rename, via `checkpoint::atomic_write`), so a crash
 //! mid-save can never leave a half-written model under the target name.
 //! Loads verify the **checksum before parsing**, so truncation and bit
 //! flips are reported as [`ModelIoError::Parse`] corruption with byte

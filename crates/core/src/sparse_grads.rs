@@ -102,9 +102,9 @@ impl FactorDelta {
 ///
 /// Allocated once per worker per run (checked out of the trainer's
 /// [`crate::workspace::TrainWorkspace`] pool), sized `O(I + J + K)` in
-/// `u32`. Between chunks every entry is [`EMPTY`]; a chunk marks the rows
-/// it touches and [`SparseGrads::detach`] un-marks them before the worker
-/// moves on.
+/// `u32`. Between chunks every entry is empty (`u32::MAX`); a chunk
+/// marks the rows it touches and [`SparseGrads::detach`] un-marks them
+/// before the worker moves on.
 #[derive(Debug)]
 pub struct GradScratch {
     slot1: Vec<u32>,
@@ -132,6 +132,22 @@ impl GradScratch {
             *self = GradScratch::for_model(model);
         }
     }
+}
+
+/// One row of a gradient: a factor row or the dense core `h`. The address
+/// of [`SparseGrads::row_mut`], the row-add API that lets a kernel with a
+/// closed-form per-row gradient (the Hausdorff head's contracted backprop)
+/// add a whole `r`-wide delta with one slot lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GradRow {
+    /// Row of `U¹` (a user).
+    U1(usize),
+    /// Row of `U²` (a POI).
+    U2(usize),
+    /// Row of `U³` (a time bin).
+    U3(usize),
+    /// The core vector `h`.
+    H,
 }
 
 /// Borrowed wire view of one delta: the rank plus, per factor, the
@@ -166,6 +182,21 @@ impl SparseGrads {
         self.u3.clear();
         self.h.clear();
         self.h.resize(self.r, 0.0);
+    }
+
+    /// The accumulation buffer of one gradient row, registering a factor
+    /// row on first touch (through the worker's `scratch`, like
+    /// [`backprop_entry_sparse`]). Adds into it land in the merge exactly
+    /// as adds into the same row of a dense [`Grads`] would.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, scratch: &mut GradScratch, row: GradRow) -> &mut [f64] {
+        let r = self.r;
+        match row {
+            GradRow::U1(i) => self.u1.row_mut(&mut scratch.slot1, i, r),
+            GradRow::U2(j) => self.u2.row_mut(&mut scratch.slot2, j, r),
+            GradRow::U3(k) => self.u3.row_mut(&mut scratch.slot3, k, r),
+            GradRow::H => &mut self.h,
+        }
     }
 
     /// Number of touched rows across the three factors (diagnostics).
@@ -382,6 +413,50 @@ mod tests {
         // Only the touched rows were recorded: 2 in U¹ (users 0, 2),
         // 2 in U² (POIs 0, 3), 2 in U³ (times 0, 1).
         assert_eq!(delta.touched_rows(), 6);
+    }
+
+    /// Row adds through [`SparseGrads::row_mut`] scatter to the same bits
+    /// as the same adds into the dense rows, and register each row once.
+    #[test]
+    fn row_adds_match_dense_rows_bitwise() {
+        let m = model();
+        let adds = [
+            (GradRow::U2(3), [0.5, -1.25, 2.0]),
+            (GradRow::U3(1), [1.0, 0.75, -0.5]),
+            (GradRow::U2(3), [0.1, 0.2, 0.3]),
+            (GradRow::U1(4), [-2.0, 0.0, 1.5]),
+            (GradRow::H, [0.25, 0.5, 0.125]),
+        ];
+        let mut dense = Grads::zeros(&m);
+        for (row, a) in &adds {
+            let y = match *row {
+                GradRow::U1(i) => dense.u1.row_mut(i),
+                GradRow::U2(j) => dense.u2.row_mut(j),
+                GradRow::U3(k) => dense.u3.row_mut(k),
+                GradRow::H => &mut dense.h,
+            };
+            kernels::fused_mul_axpy(1.0, a, &m.h, y);
+        }
+        let mut scratch = GradScratch::for_model(&m);
+        let mut delta = SparseGrads::new();
+        delta.begin(&m);
+        for (row, a) in &adds {
+            kernels::fused_mul_axpy(1.0, a, &m.h, delta.row_mut(&mut scratch, *row));
+        }
+        delta.detach(&mut scratch);
+        assert_eq!(delta.touched_rows(), 3);
+        let mut scattered = Grads::zeros(&m);
+        delta.scatter_into(&mut scattered);
+        let bits = |g: &Grads| -> Vec<u64> {
+            g.u1.as_slice()
+                .iter()
+                .chain(g.u2.as_slice())
+                .chain(g.u3.as_slice())
+                .chain(&g.h)
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&dense), bits(&scattered));
     }
 
     #[test]

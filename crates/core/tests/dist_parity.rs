@@ -3,7 +3,8 @@
 //! Training with 1, 2, or 4 worker processes (owner-computes tail
 //! sharding, DESIGN.md §5j) — at 1 or 2 threads per worker — must produce
 //! models bit-identical to the in-process checkpointed trainer, for both
-//! entry-loss strategies, over arbitrary tensors. Checkpoints cross
+//! entry-loss strategies, over arbitrary tensors, and with the
+//! social-Hausdorff head on over a small synthetic LBSN. Checkpoints cross
 //! between distributed and in-process runs bit-for-bit in both
 //! directions. Also proptests the transport's framing at the training
 //! cap: arbitrary byte splits decode identically, and truncation is a
@@ -15,6 +16,7 @@ use tcss_core::dist::wire::MAX_FRAME_LEN;
 use tcss_core::dist::{DistConfig, DistError, WireError};
 use tcss_core::frame::{read_frame, write_frame, FrameDecoder, FrameError};
 use tcss_core::{InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError};
+use tcss_data::{Granularity, SynthConfig, SynthPreset};
 use tcss_sparse::SparseTensor3;
 
 /// The dedicated worker binary of the core crate (built by cargo for
@@ -121,6 +123,61 @@ proptest! {
             &model_bits(&threaded.report.model), &want,
             "2 workers × 2 threads diverged from the in-process model"
         );
+    }
+}
+
+/// The same contract with the paper's social-Hausdorff head on (λ > 0):
+/// the coordinator evaluates the head, so its gradient must land on the
+/// in-process bits at every worker count, whether the head runs every
+/// epoch or every third.
+#[test]
+fn head_on_worker_count_never_changes_a_bit() {
+    let data = tcss_data::synth::generate(&SynthConfig {
+        n_users: 24,
+        n_pois: 30,
+        n_clusters: 3,
+        n_communities: 3,
+        avg_checkins_per_user: 10,
+        avg_friends: 3,
+        ..SynthPreset::Gowalla.config()
+    });
+    for every in [1usize, 3] {
+        let trainer = |workers: Option<usize>, lambda: f64| {
+            let cfg = TcssConfig {
+                rank: 3,
+                lambda,
+                hausdorff_every: every,
+                init: InitMethod::Random,
+                epochs: 4,
+                checkpoint_every: 2,
+                num_threads: Some(1),
+                workers,
+                ..TcssConfig::default()
+            };
+            TcssTrainer::new(&data, &data.checkins, Granularity::Month, cfg)
+        };
+        let in_process = |lambda| {
+            trainer(None, lambda)
+                .train_with_checkpoints(|_| {})
+                .expect("in-process run trains")
+                .model
+        };
+        let want = model_bits(&in_process(240.0));
+        assert_ne!(
+            model_bits(&in_process(0.0)),
+            want,
+            "the head left no trace on the model"
+        );
+        for workers in [1usize, 2, 4] {
+            let report = trainer(Some(workers), 240.0)
+                .train_distributed(&dist_cfg(workers, 1), |_| {})
+                .unwrap_or_else(|e| panic!("{workers}-worker run failed: {e}"));
+            assert_eq!(
+                model_bits(&report.report.model),
+                want,
+                "head every {every} epoch(s): {workers} workers diverged from the in-process model"
+            );
+        }
     }
 }
 

@@ -56,6 +56,15 @@ impl DistanceMatrix {
         self.d[a * self.n + b]
     }
 
+    /// Distances from POI `a` to every POI, as one contiguous row. The
+    /// matrix is symmetric, so `row(a)[b] == get(b, a)`: a scan over the
+    /// first index at a fixed second index reads this row instead of
+    /// striding down a column.
+    #[inline]
+    pub fn row(&self, a: usize) -> &[f64] {
+        &self.d[a * self.n..(a + 1) * self.n]
+    }
+
     /// Maximum pairwise distance `d_max` (0.0 when fewer than two POIs).
     #[inline]
     pub fn max_distance(&self) -> f64 {
@@ -207,6 +216,7 @@ mod tests {
             assert_eq!(d.get(a, a), 0.0);
             for b in 0..4 {
                 assert_eq!(d.get(a, b), d.get(b, a));
+                assert_eq!(d.row(a)[b], d.get(b, a));
             }
         }
         assert!((d.max_distance() - d.get(0, 3)).abs() < 1e-9);

@@ -3,11 +3,12 @@
 //! Every primitive here is plain safe Rust — no intrinsics, no `unsafe`.
 //! Two implementation shapes, chosen by what blocks autovectorization:
 //!
-//! * **Reductions** ([`dot`], [`dot4`], [`sum`]) carry a serial dependency
-//!   through their accumulator, which LLVM must not reassociate; they are
-//!   written over [`slice::chunks_exact`] with [`LANES`] independent
-//!   accumulators plus an explicit remainder loop, which both breaks the
-//!   dependency chain and eliminates per-element bounds checks.
+//! * **Reductions** ([`dot`], [`dot4`], [`sum`], [`recip_affine_sum`])
+//!   carry a serial dependency through their accumulator, which LLVM must
+//!   not reassociate; they are written over [`slice::chunks_exact`] with
+//!   [`LANES`] independent accumulators plus an explicit remainder loop,
+//!   which both breaks the dependency chain and eliminates per-element
+//!   bounds checks.
 //! * **Elementwise kernels** ([`axpy`] and friends) have no cross-element
 //!   dependency, so vectorization is legal as-is; the only obstacle is
 //!   bounds checking. They are plain index loops over slices re-sliced to
@@ -37,13 +38,14 @@
 //!   the documented order. They are **bit-for-bit identical** to the
 //!   scalar loops they replaced — vectorizing across elements never
 //!   reorders any per-element float chain.
-//! * **Reduction kernels** ([`dot`], [`dot4`], [`sum`]) use `LANES`
-//!   independent accumulators and therefore define a **new canonical
-//!   summation order** (see below). It is a *fixed* order — a pure
-//!   function of the input length, never of the thread count or the
-//!   caller — so the workspace-wide bitwise determinism contract
-//!   (`tcss_linalg::parallel`) is preserved: every path that consumes a
-//!   reduction kernel produces the same bits at 1, 2, or 4 threads.
+//! * **Reduction kernels** ([`dot`], [`dot4`], [`sum`],
+//!   [`recip_affine_sum`]) use `LANES` independent accumulators and
+//!   therefore define a **new canonical summation order** (see below). It
+//!   is a *fixed* order — a pure function of the input length, never of
+//!   the thread count or the caller — so the workspace-wide bitwise
+//!   determinism contract (`tcss_linalg::parallel`) is preserved: every
+//!   path that consumes a reduction kernel produces the same bits at 1,
+//!   2, or 4 threads.
 //!
 //! The canonical reduction order, pinned by the proptests in
 //! `tests/kernel_parity.rs`:
@@ -236,6 +238,60 @@ pub fn update_row_quad(
         acc += w[3] * r3[i];
         out[i] = acc;
     }
+}
+
+/// Harmonic-mean terms of an affine family and their gradient weights:
+/// the generalized mean `M_α` at α = −1 over `f = p·d + (1 − p)·d_max`,
+/// as the social-Hausdorff head's pair loop evaluates it for one target
+/// POI.
+///
+/// ```text
+/// f[i]  = p[i]·d[i] + (1 − p[i])·d_max
+/// v[i]  = 1 / max(f[i], floor)
+/// gw[i] = (v[i]·v[i])·(d[i] − d_max)   where f[i] > floor, else 0.0
+/// out   = Σ v[i]                        (canonical lane order)
+/// ```
+///
+/// `∂f/∂p = d − d_max`, so `g·gw[i]` is the gradient of `g·Σ v` with the
+/// sign flipped — the head scales it by `m²/|S|` and [`axpy`]s it into
+/// `dL/dp`; it is zero where the floor clamps `f`. Writes every `gw[i]`
+/// and returns the sum of the `v[i]` in the canonical reduction order of
+/// the module docs (the same bits as [`sum`] over them). All slices must
+/// have `gw`'s length.
+#[inline]
+pub fn recip_affine_sum(p: &[f64], d: &[f64], floor: f64, d_max: f64, gw: &mut [f64]) -> f64 {
+    debug_assert_eq!(p.len(), gw.len());
+    debug_assert_eq!(d.len(), gw.len());
+    let term = |p: f64, d: f64, gw: &mut f64| {
+        let f = p * d + (1.0 - p) * d_max;
+        let v = 1.0 / f.max(floor);
+        *gw = if f > floor {
+            (v * v) * (d - d_max)
+        } else {
+            0.0
+        };
+        v
+    };
+    let len = gw.len();
+    let n = len - len % LANES;
+    let (p_main, p_tail) = p[..len].split_at(n);
+    let (d_main, d_tail) = d[..len].split_at(n);
+    let (gw_main, gw_tail) = gw.split_at_mut(n);
+    let mut acc = [0.0f64; LANES];
+    for ((cp, cd), cg) in p_main
+        .chunks_exact(LANES)
+        .zip(d_main.chunks_exact(LANES))
+        .zip(gw_main.chunks_exact_mut(LANES))
+    {
+        for l in 0..LANES {
+            acc[l] += term(cp[l], cd[l], &mut cg[l]);
+        }
+    }
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for i in 0..gw_tail.len() {
+        s += term(p_tail[i], d_tail[i], &mut gw_tail[i]);
+    }
+    s
 }
 
 /// Adam's first-moment decay β₁ (the optimizer literature default).

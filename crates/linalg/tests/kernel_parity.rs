@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use tcss_linalg::kernels::{
     axpy, dequant_i16, dot, dot4, dot_f32, dot_f32_i16, fused_mul3_axpy, fused_mul_axpy, mul3_f32,
-    sum, update_row_quad,
+    recip_affine_sum, sum, update_row_quad,
 };
 use tcss_linalg::{lowp, set_num_threads, Matrix, LANES, LANES_F32};
 
@@ -156,6 +156,36 @@ proptest! {
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The α = −1 generalized-mean pair kernel: per element
+    /// `v = 1/max(p·d + (1 − p)·d_max, floor)` and the gradient weight
+    /// `v²·(d − d_max)` (zero where the floor clamps), with the `v` summed
+    /// in the canonical order. The floor sits inside the range of `f` so
+    /// some terms clamp.
+    #[test]
+    fn recip_affine_sum_matches_reference(
+        (p, d) in len_strategy().prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0.0f64..1.0, n),
+                proptest::collection::vec(0.0f64..1.0, n),
+            )
+        })
+    ) {
+        let (floor, d_max) = (0.3, 1.0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut terms = Vec::new();
+        let mut want_gw = Vec::new();
+        for i in 0..p.len() {
+            let f = p[i] * d[i] + (1.0 - p[i]) * d_max;
+            let v = 1.0 / f.max(floor);
+            terms.push(v);
+            want_gw.push(if f > floor { (v * v) * (d[i] - d_max) } else { 0.0 });
+        }
+        let mut gw = vec![f64::NAN; p.len()];
+        let total = recip_affine_sum(&p, &d, floor, d_max, &mut gw);
+        prop_assert_eq!(bits(&gw), bits(&want_gw));
+        prop_assert_eq!(total.to_bits(), lanes_reduce(&terms).to_bits());
     }
 }
 

@@ -68,8 +68,8 @@ pub struct CacheStats {
 ///    a `B × r` matrix `W` and all `B · J` scores come from one
 ///    `W · U²ᵀ` pass through [`Matrix::matmul_nt`], whose per-element
 ///    contract (`kernels::dot(w_row, u2_row)`) makes every batch row
-///    **bit-for-bit** equal to [`TcssModel::scores_for`] on the same
-///    snapshot, at any thread count.
+///    **bit-for-bit** equal to [`tcss_core::TcssModel::scores_for`] on
+///    the same snapshot, at any thread count.
 ///
 /// All methods take `&self`; the engine is `Sync` and meant to be shared
 /// (`Arc<ServingEngine>`) across request-handling threads.
@@ -349,7 +349,7 @@ impl ServingEngine {
     /// with the deterministic ranking order of [`tcss_core::topn`]
     /// (descending score, ascending POI on ties) — so results are
     /// identical whether they came from the cache, a batch, or
-    /// [`TcssModel::recommend`] on the same snapshot.
+    /// [`tcss_core::TcssModel::recommend`] on the same snapshot.
     pub fn recommend_batch(
         &self,
         requests: &[ScoreRequest],

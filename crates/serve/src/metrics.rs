@@ -9,7 +9,7 @@
 //! snapshots expose real p50/p99/p999 tails, not just means; the legacy
 //! `*_ns` sum fields are preserved as the histogram sums.
 //!
-//! [`MetricsInner::take`] resets counters and histograms with per-cell
+//! `MetricsInner::take` resets counters and histograms with per-cell
 //! atomic swaps: under concurrent recorders every increment lands in
 //! exactly one snapshot (counts are conserved — the race test in
 //! `tests/histogram_metrics.rs` pins this down).

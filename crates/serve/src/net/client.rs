@@ -16,7 +16,8 @@
 //! [`NetClient::recommend_with_retry`] layers resilience on top of the
 //! raw round trip: typed `Overloaded` responses and *transient* I/O
 //! failures (connection reset/aborted, broken pipe, read timeout, a
-//! clean server close) are retried up to [`ClientConfig::retries`] times
+//! clean server close, the server's connection-level rejection of bytes
+//! corrupted in transit) are retried up to [`ClientConfig::retries`] times
 //! with **deterministic capped exponential backoff** — delay for attempt
 //! `k` is `min(backoff_base · 2ᵏ, backoff_cap)`, no jitter, matching the
 //! repo's reproducibility posture (two identical runs back off
@@ -52,6 +53,16 @@ pub enum ClientError {
     Wire(WireError),
     /// The server closed the connection before answering.
     ServerClosed,
+    /// The server rejected this connection's bytes with a
+    /// connection-level `Error` (correlation id 0: `FrameTooLarge`,
+    /// `Truncated` or `ChecksumMismatch`) and closed it. Nothing on the
+    /// connection after the bad frame was scored.
+    Connection {
+        /// The server's typed reason.
+        code: ErrorCode,
+        /// The server's human-readable detail.
+        message: String,
+    },
     /// The server answered with a body the call cannot use (e.g. a
     /// `Ranking` where a `Pong` was expected).
     Unexpected(Response),
@@ -77,6 +88,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Frame(e) => write!(f, "framing error from server: {e}"),
             ClientError::Wire(e) => write!(f, "protocol error from server: {e}"),
             ClientError::ServerClosed => write!(f, "server closed the connection"),
+            ClientError::Connection { code, message } => {
+                write!(f, "server rejected the connection ({code:?}): {message}")
+            }
             ClientError::Unexpected(resp) => {
                 write!(f, "unexpected response body for id {}", resp.id)
             }
@@ -283,6 +297,12 @@ impl NetClient {
 
     /// Response for a specific correlation id; other responses read on
     /// the way are stashed for later [`NetClient::read_response`] calls.
+    /// A framing `Error` (id 0, which no request carries:
+    /// `FrameTooLarge`, `Truncated` or `ChecksumMismatch`) read on the way
+    /// answers no request: the server closes after it, so it surfaces as
+    /// [`ClientError::Connection`] with the server's code. Any other id-0
+    /// `Error` (a `Malformed` payload too short to carry an id) leaves the
+    /// connection open and is stashed like any other response.
     pub fn read_response_for(&mut self, id: u64) -> Result<Response, ClientError> {
         if let Some(resp) = self.stash.remove(&id) {
             return Ok(resp);
@@ -292,7 +312,20 @@ impl NetClient {
             if resp.id == id {
                 return Ok(resp);
             }
-            self.stash.insert(resp.id, resp);
+            match resp {
+                Response {
+                    id: 0,
+                    body:
+                        ResponseBody::Error {
+                            code:
+                                code @ (ErrorCode::FrameTooLarge
+                                | ErrorCode::Truncated
+                                | ErrorCode::ChecksumMismatch),
+                            message,
+                        },
+                } => return Err(ClientError::Connection { code, message }),
+                resp => self.stash.insert(resp.id, resp),
+            };
         }
     }
 
@@ -382,7 +415,10 @@ impl NetClient {
     /// bug, not load.
     fn is_transient(err: &ClientError) -> bool {
         match err {
-            ClientError::ServerClosed => true,
+            // The server closed the connection without scoring the
+            // request (for `Connection`, because our bytes arrived
+            // corrupted): reconnect and retry.
+            ClientError::ServerClosed | ClientError::Connection { .. } => true,
             ClientError::Io(e) => matches!(
                 e.kind(),
                 io::ErrorKind::ConnectionReset

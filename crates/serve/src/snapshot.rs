@@ -42,7 +42,7 @@
 //! multiple of 64 from the payload base, so when the file is mapped (page-
 //! aligned by `mmap`'s contract) each section is safely referenced as a
 //! `&[f32]` / `&[i16]` via `slice::from_raw_parts` — no copy, no parse.
-//! Section offsets are *derived* from `(mode, dims)` by [`Layout`], never
+//! Section offsets are *derived* from `(mode, dims)` by `Layout`, never
 //! stored: the header's `payload_len` must match the derived length, which
 //! cross-checks dims against mode for free.
 //!

@@ -323,6 +323,56 @@ fn oversized_frame_gets_typed_error_then_close() {
     ));
 }
 
+/// A frame corrupted in transit gets the server's connection-level
+/// `ChecksumMismatch` (id 0); the client surfaces that typed code to the
+/// caller waiting on the request, instead of stashing it as some other
+/// request's answer and reporting a bare close.
+#[test]
+fn corrupted_frame_surfaces_typed_connection_error() {
+    let (handle, _model) = live_server();
+    let mut c = client(&handle);
+    let mut framed = encode_frame(&encode_request(&Request {
+        id: 5,
+        body: RequestBody::Ping,
+    }));
+    framed[6] ^= 0x40; // a payload byte: the CRC32C trailer no longer matches
+    c.send_raw(&framed).expect("send corrupted frame");
+    match c.read_response_for(5) {
+        Err(tcss_serve::net::ClientError::Connection {
+            code: ErrorCode::ChecksumMismatch,
+            ..
+        }) => {}
+        other => panic!("expected a typed ChecksumMismatch, got {other:?}"),
+    }
+}
+
+/// A well-framed payload too short to carry an id gets `Malformed` under
+/// id 0, but unlike a framing error it leaves the connection open: a
+/// caller waiting on its own request still gets its answer, and the id-0
+/// error stays readable.
+#[test]
+fn short_malformed_payload_is_not_a_connection_error() {
+    let (handle, model) = live_server();
+    let mut c = client(&handle);
+    c.send_raw(&encode_frame(&[0xEE, 1, 2])).expect("send");
+    let resp = c.recommend(1, 1, 4).expect("the connection survives");
+    match resp.body {
+        ResponseBody::Ranking { items, .. } => {
+            assert_eq!(items.len(), model.recommend(1, 1, 4).len())
+        }
+        other => panic!("expected ranking, got {other:?}"),
+    }
+    let err = c.read_response().expect("typed error response");
+    assert_eq!(err.id, 0, "no id to salvage");
+    assert!(matches!(
+        err.body,
+        ResponseBody::Error {
+            code: ErrorCode::Malformed,
+            ..
+        }
+    ));
+}
+
 #[test]
 fn half_closed_partial_frame_gets_truncation_error() {
     let (handle, _model) = live_server();

@@ -15,9 +15,9 @@
 //! * drain under active load flushes every built response — clients see
 //!   bitwise-correct answers or a clean EOF, never a torn frame;
 //! * an implicit `Drop` of the handle gives the same flush guarantee;
-//! * the client retry loop survives `Overloaded` storms and reaped
-//!   connections with deterministic capped backoff, and its per-call
-//!   deadline expires typed.
+//! * the client retry loop survives `Overloaded` storms, reaped
+//!   connections and requests corrupted in transit with deterministic
+//!   capped backoff, and its per-call deadline expires typed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -413,6 +413,71 @@ fn client_reconnects_after_its_connection_is_reaped() {
         .expect("served after reconnect");
     assert_bitwise(&resp, &m, 5, 2);
     assert_eq!(client.stats().reconnects, 1, "exactly one reconnect");
+}
+
+/// A loopback proxy to `server` that flips one payload byte of the first
+/// connection's first request and relays everything else untouched.
+fn corrupting_proxy(server: std::net::SocketAddr) -> std::net::SocketAddr {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    fn pump(mut from: TcpStream, mut to: TcpStream, mut corrupt_at: Option<usize>) {
+        let mut buf = [0u8; 4096];
+        let mut seen = 0;
+        while let Ok(n @ 1..) = from.read(&mut buf) {
+            if let Some(at) = corrupt_at.filter(|&at| at < seen + n) {
+                buf[at - seen] ^= 0x40;
+                corrupt_at = None;
+            }
+            seen += n;
+            if to.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = to.shutdown(Shutdown::Write);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr");
+    std::thread::spawn(move || {
+        for (n, client) in listener.incoming().enumerate() {
+            let Ok(client) = client else { return };
+            let upstream = TcpStream::connect(server).expect("proxy connects upstream");
+            let (c2, u2) = (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+            // Byte 6 is inside the payload (after the 4-byte length).
+            let corrupt_at = (n == 0).then_some(6);
+            std::thread::spawn(move || pump(client, upstream, corrupt_at));
+            std::thread::spawn(move || pump(u2, c2, None));
+        }
+    });
+    addr
+}
+
+#[test]
+fn client_reconnects_after_its_request_arrives_corrupted() {
+    let m = model();
+    let handle = NetServer::start(
+        Arc::new(ServingEngine::new(model())),
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let mut client = NetClient::connect_with_config(
+        corrupting_proxy(handle.addr()),
+        ClientConfig {
+            retries: 3,
+            backoff_base: Duration::from_millis(5),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+
+    // The first attempt's frame fails the server's checksum: a typed
+    // connection-level `ChecksumMismatch` and a close. The retry loop
+    // reconnects (through a clean proxied connection) and succeeds.
+    let resp = client
+        .recommend_with_retry(5, 2, TOP_N)
+        .expect("served after reconnect");
+    assert_bitwise(&resp, &m, 5, 2);
+    assert_eq!(client.stats().reconnects, 1, "exactly one reconnect");
+    wait_for(&handle, |metrics| metrics.protocol_errors >= 1);
 }
 
 #[test]

@@ -156,7 +156,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a half-open
+    /// Length specification for [`vec()`]: an exact size or a half-open
     /// range (mirrors upstream's `Into<SizeRange>` bounds).
     pub trait IntoSizeRange {
         /// Convert to a half-open `start..end` length range.
