@@ -123,8 +123,9 @@ pub(crate) fn verify_checksum(text: &str) -> Result<&str, ModelIoError> {
 
 /// Write `contents` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, fsync the directory. A crash at any
-/// point leaves either the old file or the new file — never a mix.
-pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+/// point leaves either the old file or the new file — never a mix. The
+/// one writer of models, checkpoints and serving snapshots.
+pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = {
         let mut os = path.as_os_str().to_os_string();
         os.push(".tmp");
@@ -132,7 +133,7 @@ pub(crate) fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     };
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
+        f.write_all(contents)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -201,10 +202,11 @@ pub fn config_fingerprint(cfg: &TcssConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Save / load
+// Save / load. The text float codec below is shared with `model_io`.
 // ---------------------------------------------------------------------
 
-fn write_matrix(out: &mut String, tag: &str, m: &Matrix) {
+/// One `{tag} {row}: <floats>` line per row of `m`.
+pub(crate) fn write_matrix(out: &mut String, tag: &str, m: &Matrix) {
     for i in 0..m.rows() {
         let _ = write!(out, "{tag} {i}:");
         for v in m.row(i) {
@@ -215,7 +217,8 @@ fn write_matrix(out: &mut String, tag: &str, m: &Matrix) {
     }
 }
 
-fn write_vector(out: &mut String, tag: &str, v: &[f64]) {
+/// One `{tag}: <floats>` line.
+pub(crate) fn write_vector(out: &mut String, tag: &str, v: &[f64]) {
     let _ = write!(out, "{tag}:");
     for x in v {
         let _ = write!(out, " {x:.17e}");
@@ -248,10 +251,12 @@ pub fn save_checkpoint(ck: &Checkpoint, path: &Path) -> Result<(), ModelIoError>
     write_grads_shaped(&mut out, "m", &ck.m);
     write_grads_shaped(&mut out, "v", &ck.v);
     append_checksum(&mut out);
-    atomic_write(path, &out)?;
+    atomic_write(path, out.as_bytes())?;
     Ok(())
 }
 
+/// Exactly `expect` whitespace-separated floats, or a parse error naming
+/// `what`.
 fn parse_floats(rest: &str, expect: usize, what: &str) -> Result<Vec<f64>, ModelIoError> {
     let vals: Result<Vec<f64>, _> = rest.split_whitespace().map(str::parse).collect();
     let vals = vals.map_err(|_| ModelIoError::Parse(format!("bad float in {what}")))?;
@@ -264,18 +269,36 @@ fn parse_floats(rest: &str, expect: usize, what: &str) -> Result<Vec<f64>, Model
     Ok(vals)
 }
 
-struct LineReader<'a> {
+/// The `I J K r` of a six-field `<magic> <version> I J K r` header.
+pub(crate) fn header_dims(fields: &[&str]) -> Result<[usize; 4], ModelIoError> {
+    let mut dims = [0; 4];
+    for (d, f) in dims.iter_mut().zip(&fields[2..]) {
+        *d = f
+            .parse()
+            .map_err(|_| ModelIoError::Parse("bad dimensions in header".into()))?;
+    }
+    Ok(dims)
+}
+
+/// Reads the tagged lines [`write_vector`] and [`write_matrix`] write.
+pub(crate) struct LineReader<'a> {
     lines: std::str::Lines<'a>,
 }
 
 impl<'a> LineReader<'a> {
-    fn next(&mut self, what: &str) -> Result<&'a str, ModelIoError> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        LineReader {
+            lines: text.lines(),
+        }
+    }
+
+    pub(crate) fn next(&mut self, what: &str) -> Result<&'a str, ModelIoError> {
         self.lines
             .next()
             .ok_or_else(|| ModelIoError::Parse(format!("missing {what}")))
     }
 
-    fn tagged(&mut self, tag: &str, expect: usize) -> Result<Vec<f64>, ModelIoError> {
+    pub(crate) fn tagged(&mut self, tag: &str, expect: usize) -> Result<Vec<f64>, ModelIoError> {
         let line = self.next(tag)?;
         let prefix = format!("{tag}:");
         let rest = line
@@ -295,7 +318,12 @@ impl<'a> LineReader<'a> {
             .map_err(|_| ModelIoError::Parse(format!("bad integer in {tag}: {rest:?}")))
     }
 
-    fn matrix(&mut self, tag: &str, rows: usize, cols: usize) -> Result<Matrix, ModelIoError> {
+    pub(crate) fn matrix(
+        &mut self,
+        tag: &str,
+        rows: usize,
+        cols: usize,
+    ) -> Result<Matrix, ModelIoError> {
         let mut m = Matrix::zeros(rows, cols);
         for row in 0..rows {
             let line = self.next(&format!("{tag} row {row}"))?;
@@ -321,26 +349,29 @@ impl<'a> LineReader<'a> {
         let u3 = self.matrix(&format!("{prefix}-u3"), dims.2, r)?;
         Ok(Grads { u1, u2, u3, h })
     }
+
+    /// Nothing but blank lines may follow the last block.
+    pub(crate) fn finish(mut self) -> Result<(), ModelIoError> {
+        match self.lines.find(|l| !l.trim().is_empty()) {
+            Some(extra) => Err(ModelIoError::Parse(format!(
+                "unexpected trailing content: {extra:?}"
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Load and checksum-verify a checkpoint written by [`save_checkpoint`].
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ModelIoError> {
     let text = std::fs::read_to_string(path)?;
     let payload = verify_checksum(&text)?;
-    let mut rd = LineReader {
-        lines: payload.lines(),
-    };
+    let mut rd = LineReader::new(payload);
     let header = rd.next("header")?;
     let fields: Vec<&str> = header.split_whitespace().collect();
     if fields.len() != 6 || fields[0] != "tcss-checkpoint" || fields[1] != "v1" {
         return Err(ModelIoError::Parse(format!("bad header {header:?}")));
     }
-    let dims: Vec<usize> = fields[2..]
-        .iter()
-        .map(|s| s.parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| ModelIoError::Parse("bad dimensions in header".into()))?;
-    let (i, j, k, r) = (dims[0], dims[1], dims[2], dims[3]);
+    let [i, j, k, r] = header_dims(&fields)?;
     if r == 0 || r > i.min(j).min(k) {
         return Err(ModelIoError::Parse(format!(
             "rank {r} inconsistent with dims {i}×{j}×{k}"
@@ -365,11 +396,7 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ModelIoError> {
     let u3 = rd.matrix("u3", k, r)?;
     let m = rd.grads_shaped("m", (i, j, k), r)?;
     let v = rd.grads_shaped("v", (i, j, k), r)?;
-    if let Some(extra) = rd.lines.find(|l| !l.trim().is_empty()) {
-        return Err(ModelIoError::Parse(format!(
-            "unexpected trailing content: {extra:?}"
-        )));
-    }
+    rd.finish()?;
     if !lr_scale.is_finite() || lr_scale <= 0.0 || lr_scale > 1.0 {
         return Err(ModelIoError::Parse(format!(
             "lr-scale {lr_scale} outside (0, 1]"

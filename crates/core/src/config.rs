@@ -109,15 +109,16 @@ pub struct TcssConfig {
     /// excluded from the checkpoint fingerprint, so single-process and
     /// distributed runs can resume each other's checkpoints).
     pub workers: Option<usize>,
-    /// Directory where [`crate::train::TcssTrainer::train_with_checkpoints`]
-    /// writes its rolling checkpoint file. `None` disables on-disk
-    /// checkpoints (the watchdog still keeps an in-memory rollback
-    /// snapshot).
+    /// Directory where every training entry point (in-process or
+    /// distributed) writes its rolling checkpoint file. `None` disables
+    /// on-disk checkpoints (the run still keeps its in-memory rollback
+    /// state).
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint / rollback-snapshot cadence in epochs.
     pub checkpoint_every: usize,
     /// Resume training from this checkpoint file instead of initializing
-    /// a fresh model. The checkpoint's config fingerprint must match this
+    /// a fresh model (an error for `TcssTrainer::train_model`, which
+    /// starts from the caller's model). The checkpoint's config fingerprint must match this
     /// config (`epochs`, threading and checkpoint policy may differ — see
     /// [`crate::checkpoint::config_fingerprint`]).
     pub resume_from: Option<PathBuf>,

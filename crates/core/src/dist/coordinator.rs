@@ -1,10 +1,11 @@
 //! The coordinator side of the distributed trainer: its configuration,
 //! the per-run socket, and worker spawn and teardown.
 //!
-//! [`TcssTrainer::train_distributed_with_faults`] validates the request
-//! and hands the run to the tail-sharded epoch loop in
-//! [`super::sharded`], which owns the per-epoch protocol, checkpoints,
-//! and worker-loss recovery. This file holds what that loop builds on:
+//! [`TcssTrainer::train_distributed_with_faults`] validates the fleet
+//! request and hands the run to the tail-sharded epoch loop in
+//! [`super::sharded`], which starts the run state the in-process loop
+//! uses (config checks, resume, checkpoints) and owns the per-epoch
+//! protocol and worker-loss recovery. This file holds what that loop builds on:
 //! [`DistConfig`] and [`DistReport`], the socket (`bind_socket`), the
 //! Hello/Setup handshake (`TcssTrainer::spawn_worker`), and fleet
 //! teardown. See the module docs of [`crate::dist`] for the parity
@@ -162,8 +163,6 @@ impl TcssTrainer {
         faults: &FaultPlan,
         mut on_epoch: impl FnMut(TrainContext),
     ) -> Result<DistReport, TrainError> {
-        let cfg = &self.config;
-        self.validate()?;
         if dist.workers == 0 {
             return Err(TrainError::InvalidConfig(
                 "dist.workers must be at least 1".into(),
@@ -176,9 +175,6 @@ impl TcssTrainer {
                  distributed protocol"
                     .into(),
             ));
-        }
-        if cfg.num_threads.is_some() {
-            tcss_linalg::set_num_threads(cfg.num_threads);
         }
         super::sharded::train_tail_sharded(self, dist, faults, &mut on_epoch)
     }

@@ -61,10 +61,11 @@
 //!
 //! Recovery is replay: if a worker dies (detected as an I/O error or EOF
 //! on its socket — there are no application-level timeouts to tune), the
-//! coordinator respawns it, re-sends Setup, rolls the run back to the
-//! last checkpoint (the on-disk one when checkpointing is enabled, else
-//! the in-memory rollback snapshot), and re-installs every worker's
-//! owned rows and Adam moments from it with an Adopt frame;
+//! coordinator respawns it, re-sends Setup, rolls the run back to its
+//! in-memory last good state (with checkpointing on, bitwise what the
+//! last cadence point saved; the checkpoint directory is never re-read),
+//! and re-installs every worker's owned rows and Adam moments from it
+//! with an Adopt frame;
 //! `max_respawns` bounds the budget. Epoch replay is bit-exact for the
 //! same reason resume is: epochs are pure functions of
 //! `(model, adam, epoch)`. The kill-worker faults in

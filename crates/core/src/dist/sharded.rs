@@ -82,21 +82,16 @@ use super::wire::{
     TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS, TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
 };
 use super::{busy_now_ns, DistError};
-use crate::checkpoint::{config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint};
 use crate::fault::FaultPlan;
 use crate::frame::{raw_payload, read_frame, FrameBuf, FrameDecoder};
 use crate::loss::{Grads, ENTRIES_PER_CHUNK};
-use crate::model::TcssModel;
-use crate::model_io::ModelIoError;
 use crate::sparse_grads::{owned_range, OwnerSplit};
 use crate::train::{
-    divergence_trouble, model_is_finite, AdamState, TcssTrainer, TrainContext, TrainError,
-    TrainReport,
+    divergence_trouble, AdamState, RunState, TcssTrainer, TrainContext, TrainError,
 };
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::sync::mpsc;
 use tcss_linalg::{kernels, Matrix};
 use tcss_sparse::SparseTensor3;
@@ -834,7 +829,8 @@ impl Fleet<'_> {
     /// Re-install every worker's owned-range state (initial handshake,
     /// rollback, respawn). The FIFO stream makes this a clean reset at
     /// any worker receive point.
-    fn adopt_all(&mut self, epoch: usize, model: &TcssModel, adam: &AdamState) -> SendResult {
+    fn adopt_all(&mut self, run: &RunState<'_>) -> SendResult {
+        let (model, adam) = (&run.model, &run.adam);
         let r = self.rank;
         for dest in 0..self.w() {
             let rg = self.ranges[dest];
@@ -855,29 +851,27 @@ impl Fleet<'_> {
                     &adam.v.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
                 ),
             ];
-            encode_adopt_into(self.fbuf.payload(), epoch as u64, adam.t, parts);
+            encode_adopt_into(self.fbuf.payload(), run.epoch as u64, adam.t, parts);
             self.send_built(dest)?;
         }
         Ok(())
     }
 
-    /// One epoch attempt over the fleet. Any transport failure or decode
-    /// error surfaces as [`Attempt::Lost`] for respawn + rollback.
-    #[allow(clippy::too_many_arguments)]
+    /// One attempt at the run's current epoch over the fleet. Any
+    /// transport failure or decode error surfaces as [`Attempt::Lost`] for
+    /// respawn + rollback.
     fn attempt(
         &mut self,
-        epoch: usize,
-        model: &mut TcssModel,
-        adam: &mut AdamState,
+        run: &mut RunState<'_>,
         ws: &TrainWorkspace,
         tail: &mut Grads,
         loss_terms: &mut Vec<f64>,
         h_grad: &mut Vec<f64>,
-        lr_scale: f64,
         faults: &FaultPlan,
     ) -> Attempt {
         let trainer = self.trainer;
         let cfg = &trainer.config;
+        let epoch = run.epoch;
         let ep = epoch as u64;
         let w = self.w();
         self.gather_reset();
@@ -889,7 +883,7 @@ impl Fleet<'_> {
             encode_step_owned_into(
                 self.fbuf.payload(),
                 ep,
-                model,
+                &run.model,
                 u1_lo,
                 u1_hi,
                 self.ranges[dest][0],
@@ -911,9 +905,9 @@ impl Fleet<'_> {
         let gram = active && trainer.tail_gram_only(epoch);
         let mut l1 = 0.0;
         let dmats = if gram {
-            Some(trainer.epoch_tail_gram(model, loss_terms, &mut tail.h))
+            Some(trainer.epoch_tail_gram(&run.model, loss_terms, &mut tail.h))
         } else {
-            l1 = trainer.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
+            l1 = trainer.epoch_tail_deferred(&run.model, epoch, ws, tail, loss_terms);
             None
         };
 
@@ -1004,16 +998,17 @@ impl Fleet<'_> {
         }
 
         // 7. Verdict + the coordinator's own h step.
-        let lr_eff = cfg.learning_rate * lr_scale;
+        let lr_eff = run.lr();
         for dest in 0..w {
             encode_verdict_into(self.fbuf.payload(), ep, lr_eff);
             if let Err((worker, detail)) = self.send_built(dest) {
                 return Attempt::Lost { worker, detail };
             }
         }
+        let adam = &mut run.adam;
         adam.t += 1;
         let p = kernels::AdamParams::for_step(lr_eff, cfg.weight_decay, adam.t);
-        kernels::adam_update(&mut model.h, h_grad, &mut adam.m.h, &mut adam.v.h, &p);
+        kernels::adam_update(&mut run.model.h, h_grad, &mut adam.m.h, &mut adam.v.h, &p);
 
         // 8. Splice the worker-stepped rows into the authoritative model.
         if let Err((worker, detail)) = self.pump(ep, faults, Wait::Upd) {
@@ -1022,6 +1017,7 @@ impl Fleet<'_> {
         for src in 0..w {
             let raw = self.gather.upd[src].take().expect("pump completed");
             let rg = self.ranges[src];
+            let model = &mut run.model;
             let dests = [
                 &mut model.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
                 &mut model.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
@@ -1095,19 +1091,12 @@ impl Fleet<'_> {
     }
 }
 
-/// Respawn a lost worker, roll the run back to its last checkpoint, and
+/// Respawn a lost worker, roll the run back to its last good state, and
 /// re-Adopt the whole fleet; loops if the Adopt broadcast itself loses
 /// another worker. Consumes one respawn-budget unit per loss.
-#[allow(clippy::too_many_arguments)]
 fn recover(
     fleet: &mut Fleet<'_>,
-    checkpoint_path: &Option<PathBuf>,
-    last_good: &(TcssModel, AdamState, usize),
-    model: &mut TcssModel,
-    adam: &mut AdamState,
-    epoch: &mut usize,
-    lr_scale: &mut f64,
-    retries: &mut u32,
+    run: &mut RunState<'_>,
     mut lost: (usize, String),
 ) -> Result<(), TrainError> {
     loop {
@@ -1117,7 +1106,7 @@ fn recover(
             fleet.shutdown();
             return Err(TrainError::Dist(DistError::RespawnBudgetExhausted {
                 worker,
-                epoch: *epoch,
+                epoch: run.epoch,
                 respawns: fleet.respawns,
                 detail,
             }));
@@ -1141,30 +1130,8 @@ fn recover(
             fleet.gens[worker],
             &fleet.tx,
         )?;
-        // Resume from the last checkpoint: the on-disk one when
-        // checkpointing is enabled (exercising the full load path), else
-        // the in-memory rollback snapshot — refreshed at the same cadence
-        // points, so the states are identical.
-        match checkpoint_path.as_ref().filter(|p| p.exists()) {
-            Some(path) => {
-                let ck = load_checkpoint(path)?;
-                *model = ck.model;
-                *adam = AdamState {
-                    m: ck.m,
-                    v: ck.v,
-                    t: ck.adam_t,
-                };
-                *epoch = ck.epoch;
-                *lr_scale = ck.lr_scale;
-                *retries = ck.retries;
-            }
-            None => {
-                *model = last_good.0.clone();
-                *adam = last_good.1.clone();
-                *epoch = last_good.2;
-            }
-        }
-        match fleet.adopt_all(*epoch, model, adam) {
+        run.restore();
+        match fleet.adopt_all(run) {
             Ok(()) => return Ok(()),
             Err(next_lost) => lost = next_lost,
         }
@@ -1173,17 +1140,20 @@ fn recover(
 
 /// The distributed epoch loop behind
 /// [`TcssTrainer::train_distributed_with_faults`], which validates the
-/// request and calls it. Same guarantees and the same bits as the
-/// in-process checkpointed loop, with the epoch run by the
-/// owner-computes protocol described in the module docs.
+/// fleet request and calls it. It drives the same run state as the
+/// in-process loop, so it has the same guarantees and the same bits, with
+/// the epoch run by the owner-computes protocol described in the module
+/// docs.
 pub(super) fn train_tail_sharded(
     trainer: &TcssTrainer,
     dist: &DistConfig,
     faults: &FaultPlan,
     on_epoch: &mut dyn FnMut(TrainContext),
 ) -> Result<DistReport, TrainError> {
+    // Started before the socket is bound: a bad config or resume
+    // checkpoint is refused before any worker is spawned.
+    let mut run = RunState::start(trainer, None)?;
     let cfg = &trainer.config;
-    let fingerprint = config_fingerprint(cfg);
     let n_entries = trainer.tensor.entries().len();
     let n_chunks = tcss_linalg::chunk_count(n_entries, ENTRIES_PER_CHUNK);
     let w = dist.workers;
@@ -1235,40 +1205,18 @@ pub(super) fn train_tail_sharded(
         respawns: 0,
     };
 
-    // --- Run state: identical to the in-process checkpointed loop ------
-    let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-        trainer.init_run_state(fingerprint)?;
-    let mut last_good = (model.clone(), adam.clone(), start_epoch);
-    let checkpoint_path = cfg
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| dir.join(crate::checkpoint::CHECKPOINT_FILE));
-    if let Some(dir) = &cfg.checkpoint_dir {
-        std::fs::create_dir_all(dir).map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
-    }
-
     let ws = TrainWorkspace::new();
-    let mut tail = Grads::zeros(&model);
+    let mut tail = Grads::zeros(&run.model);
     let mut loss_terms: Vec<f64> = Vec::new();
     let mut h_grad: Vec<f64> = Vec::new();
-    let mut epoch = start_epoch;
 
     // Every worker starts by adopting its owned-range state.
-    if let Err(lost) = fleet.adopt_all(epoch, &model, &adam) {
-        recover(
-            &mut fleet,
-            &checkpoint_path,
-            &last_good,
-            &mut model,
-            &mut adam,
-            &mut epoch,
-            &mut lr_scale,
-            &mut retries,
-            lost,
-        )?;
+    if let Err(lost) = fleet.adopt_all(&run) {
+        recover(&mut fleet, &mut run, lost)?;
     }
 
-    while epoch < cfg.epochs {
+    while run.epoch < cfg.epochs {
+        let epoch = run.epoch;
         if faults.take_crash(epoch) {
             fleet.shutdown();
             return Err(TrainError::InjectedCrash { epoch });
@@ -1284,57 +1232,23 @@ pub(super) fn train_tail_sharded(
         let epoch_sent0 = fleet.bytes_sent;
         let epoch_recv0 = fleet.bytes_received;
         match fleet.attempt(
-            epoch,
-            &mut model,
-            &mut adam,
+            &mut run,
             &ws,
             &mut tail,
             &mut loss_terms,
             &mut h_grad,
-            lr_scale,
             faults,
         ) {
-            Attempt::Lost { worker, detail } => {
-                recover(
-                    &mut fleet,
-                    &checkpoint_path,
-                    &last_good,
-                    &mut model,
-                    &mut adam,
-                    &mut epoch,
-                    &mut lr_scale,
-                    &mut retries,
-                    (worker, detail),
-                )?;
-            }
+            Attempt::Lost { worker, detail } => recover(&mut fleet, &mut run, (worker, detail))?,
             Attempt::Diverged { detail } => {
-                retries += 1;
-                if retries > cfg.max_retries {
+                if let Err(e) = run.reject(detail) {
                     fleet.shutdown();
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        retries,
-                        detail,
-                    });
+                    return Err(e);
                 }
-                lr_scale *= cfg.lr_backoff;
-                model = last_good.0.clone();
-                adam = last_good.1.clone();
-                epoch = last_good.2;
                 // The rollback reset: workers abandon the poisoned
                 // attempt wherever they are waiting.
-                if let Err(lost) = fleet.adopt_all(epoch, &model, &adam) {
-                    recover(
-                        &mut fleet,
-                        &checkpoint_path,
-                        &last_good,
-                        &mut model,
-                        &mut adam,
-                        &mut epoch,
-                        &mut lr_scale,
-                        &mut retries,
-                        lost,
-                    )?;
+                if let Err(lost) = fleet.adopt_all(&run) {
+                    recover(&mut fleet, &mut run, lost)?;
                 }
             }
             Attempt::Stepped { l2, l1 } => {
@@ -1345,41 +1259,15 @@ pub(super) fn train_tail_sharded(
                     bytes_sent: fleet.bytes_sent - epoch_sent0,
                     bytes_received: fleet.bytes_received - epoch_recv0,
                 });
-                epoch += 1;
-
-                let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-                if due {
-                    if let Err(lost) = fleet.snap(epoch as u64, &mut adam) {
-                        recover(
-                            &mut fleet,
-                            &checkpoint_path,
-                            &last_good,
-                            &mut model,
-                            &mut adam,
-                            &mut epoch,
-                            &mut lr_scale,
-                            &mut retries,
-                            lost,
-                        )?;
+                run.epoch += 1;
+                if run.due() {
+                    // Gather the resident moments, so the committed state
+                    // is the whole run's.
+                    if let Err(lost) = fleet.snap(run.epoch as u64, &mut run.adam) {
+                        recover(&mut fleet, &mut run, lost)?;
                         continue;
                     }
-                    if model_is_finite(&model) {
-                        last_good = (model.clone(), adam.clone(), epoch);
-                        if let Some(path) = &checkpoint_path {
-                            let ck = Checkpoint {
-                                epoch,
-                                adam_t: adam.t,
-                                lr_scale,
-                                retries,
-                                seed: cfg.seed,
-                                fingerprint,
-                                model: model.clone(),
-                                m: adam.m.clone(),
-                                v: adam.v.clone(),
-                            };
-                            save_checkpoint(&ck, path)?;
-                        }
-                    }
+                    run.commit()?;
                 }
             }
         }
@@ -1387,12 +1275,7 @@ pub(super) fn train_tail_sharded(
 
     fleet.shutdown();
     Ok(DistReport {
-        report: TrainReport {
-            model,
-            start_epoch,
-            rollbacks: retries,
-            lr_scale,
-        },
+        report: run.finish(),
         workers: w,
         respawns: fleet.respawns,
         bytes_sent: fleet.bytes_sent,

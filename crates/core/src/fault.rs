@@ -65,7 +65,7 @@ impl FaultPlan {
     /// During distributed training ([`crate::dist`]), `SIGKILL` worker
     /// process `worker` immediately before the coordinator dispatches
     /// `epoch`, once. The coordinator must detect the loss, respawn the
-    /// worker, roll back to its last checkpoint and still produce the
+    /// worker, roll back to its last good state and still produce the
     /// uninterrupted run's model bit-for-bit.
     pub fn kill_worker_at(epoch: usize, worker: usize) -> Self {
         FaultPlan {

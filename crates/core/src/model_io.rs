@@ -21,11 +21,12 @@
 //! offsets — never loaded as a silently wrong model. Legacy `v1` files
 //! (no checksum) still load, but any trailing garbage is rejected.
 
-use crate::checkpoint::{append_checksum, atomic_write, verify_checksum};
+use crate::checkpoint::{
+    append_checksum, atomic_write, header_dims, verify_checksum, write_matrix, write_vector,
+    LineReader,
+};
 use crate::model::TcssModel;
-use std::fmt::Write as _;
 use std::path::Path;
-use tcss_linalg::Matrix;
 
 /// Errors from model persistence.
 #[derive(Debug)]
@@ -53,46 +54,19 @@ impl From<std::io::Error> for ModelIoError {
     }
 }
 
-fn write_matrix(out: &mut String, tag: &str, m: &Matrix) {
-    for i in 0..m.rows() {
-        let _ = write!(out, "{tag} {i}:");
-        for v in m.row(i) {
-            // 17 significant digits: lossless f64 round-trip.
-            let _ = write!(out, " {v:.17e}");
-        }
-        out.push('\n');
-    }
-}
-
 /// Save a trained model to `path`, atomically and with an integrity
 /// checksum (format `v2`).
 pub fn save_model(model: &TcssModel, path: &Path) -> Result<(), ModelIoError> {
     let (i, j, k) = model.dims();
     let r = model.rank();
     let mut out = format!("tcss-model v2 {i} {j} {k} {r}\n");
-    out.push_str("h:");
-    for v in &model.h {
-        let _ = write!(out, " {v:.17e}");
-    }
-    out.push('\n');
+    write_vector(&mut out, "h", &model.h);
     write_matrix(&mut out, "u1", &model.u1);
     write_matrix(&mut out, "u2", &model.u2);
     write_matrix(&mut out, "u3", &model.u3);
     append_checksum(&mut out);
-    atomic_write(path, &out)?;
+    atomic_write(path, out.as_bytes())?;
     Ok(())
-}
-
-fn parse_floats(rest: &str, expect: usize, what: &str) -> Result<Vec<f64>, ModelIoError> {
-    let vals: Result<Vec<f64>, _> = rest.split_whitespace().map(str::parse).collect();
-    let vals = vals.map_err(|_| ModelIoError::Parse(format!("bad float in {what}")))?;
-    if vals.len() != expect {
-        return Err(ModelIoError::Parse(format!(
-            "{what}: expected {expect} values, got {}",
-            vals.len()
-        )));
-    }
-    Ok(vals)
 }
 
 /// Load a model previously written by [`save_model`].
@@ -119,52 +93,17 @@ pub fn load_model(path: &Path) -> Result<TcssModel, ModelIoError> {
             )))
         }
     };
-    let mut lines = payload.lines();
-    lines.next(); // header, already parsed
-    let dims: Vec<usize> = fields[2..]
-        .iter()
-        .map(|s| s.parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| ModelIoError::Parse("bad dimensions in header".into()))?;
-    let (i_dim, j_dim, k_dim, r) = (dims[0], dims[1], dims[2], dims[3]);
-
-    let h_line = lines
-        .next()
-        .ok_or_else(|| ModelIoError::Parse("missing h line".into()))?;
-    let h = parse_floats(
-        h_line
-            .strip_prefix("h:")
-            .ok_or_else(|| ModelIoError::Parse("expected 'h:' line".into()))?,
-        r,
-        "h",
-    )?;
-
-    let mut read_matrix = |tag: &str, rows: usize| -> Result<Matrix, ModelIoError> {
-        let mut m = Matrix::zeros(rows, r);
-        for row in 0..rows {
-            let line = lines
-                .next()
-                .ok_or_else(|| ModelIoError::Parse(format!("missing {tag} row {row}")))?;
-            let prefix = format!("{tag} {row}:");
-            let rest = line
-                .strip_prefix(&prefix)
-                .ok_or_else(|| ModelIoError::Parse(format!("expected {prefix:?}")))?;
-            let vals = parse_floats(rest, r, tag)?;
-            m.row_mut(row).copy_from_slice(&vals);
-        }
-        Ok(m)
-    };
-    let u1 = read_matrix("u1", i_dim)?;
-    let u2 = read_matrix("u2", j_dim)?;
-    let u3 = read_matrix("u3", k_dim)?;
-    if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
-        // Strictness matters for corruption detection: a v2 file whose
-        // header byte got flipped to v1 would otherwise skip checksum
-        // verification, but its trailing checksum line lands here.
-        return Err(ModelIoError::Parse(format!(
-            "unexpected trailing content: {extra:?}"
-        )));
-    }
+    let mut rd = LineReader::new(payload);
+    rd.next("header")?; // already parsed
+    let [i_dim, j_dim, k_dim, r] = header_dims(&fields)?;
+    let h = rd.tagged("h", r)?;
+    let u1 = rd.matrix("u1", i_dim, r)?;
+    let u2 = rd.matrix("u2", j_dim, r)?;
+    let u3 = rd.matrix("u3", k_dim, r)?;
+    // Strictness matters for corruption detection: a v2 file whose header
+    // byte got flipped to v1 would otherwise skip checksum verification,
+    // but its trailing checksum line lands here.
+    rd.finish()?;
     let mut model = TcssModel::try_new(u1, u2, u3).map_err(ModelIoError::Parse)?;
     model.h = h;
     Ok(model)

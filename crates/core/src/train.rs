@@ -1,14 +1,23 @@
 //! Joint training: `L = λ·L₁ + L₂` with Adam (paper Eq 20, §V-D).
 //!
-//! Two training entry points share one epoch kernel:
+//! One run driver serves every entry point. A `RunState` holds the run:
+//! the model and its Adam state, the epoch cursor, the divergence
+//! watchdog's learning-rate scale and retry count, and the last good
+//! state, which is both the rollback target and what the checkpoint file
+//! holds. Two loops drive it, both over the one epoch kernel
+//! (`TcssTrainer::epoch_grads` in-process, its deferred tail
+//! distributed):
 //!
-//! * [`TcssTrainer::train`] / [`TcssTrainer::train_detailed`] — the plain
-//!   loop, unchanged semantics.
-//! * [`TcssTrainer::train_with_checkpoints`] — the fault-tolerant runtime:
-//!   atomic versioned checkpoints (see [`crate::checkpoint`]), resume via
-//!   `TcssConfig::resume_from` with a bit-for-bit identity guarantee, and
-//!   a divergence watchdog that rolls back to the last good state with
-//!   learning-rate backoff instead of emitting garbage factors.
+//! * [`TcssTrainer::train_with_faults`] — the in-process loop, behind
+//!   [`TcssTrainer::train_with_checkpoints`] and the model-returning
+//!   wrappers [`TcssTrainer::train`], [`TcssTrainer::train_detailed`] and
+//!   [`TcssTrainer::train_model`]. It writes atomic versioned checkpoints
+//!   (see [`crate::checkpoint`]), resumes from `TcssConfig::resume_from`
+//!   bit for bit, and rolls a non-finite or exploding epoch back to the
+//!   last good state with learning-rate backoff instead of emitting
+//!   garbage factors.
+//! * [`TcssTrainer::train_distributed`] — the same run over worker
+//!   processes ([`crate::dist`]), with the same bits.
 
 use crate::checkpoint::{
     config_fingerprint, load_checkpoint, save_checkpoint, Checkpoint, CHECKPOINT_FILE,
@@ -22,6 +31,7 @@ use crate::loss::{negative_sampling_loss_and_grad_ws, rewritten_entry_loss_ws, G
 use crate::model::TcssModel;
 use crate::model_io::ModelIoError;
 use crate::workspace::TrainWorkspace;
+use std::path::PathBuf;
 use tcss_data::{CheckIn, Dataset, Granularity};
 use tcss_geo::WeightedHausdorffParams;
 use tcss_linalg::kernels;
@@ -107,7 +117,6 @@ pub struct TrainReport {
 /// Adam state over a [`Grads`]-shaped parameter space. `pub(crate)` so the
 /// distributed coordinator ([`crate::dist`]) can run the exact same
 /// optimizer over worker-gathered gradients.
-#[derive(Clone)]
 pub(crate) struct AdamState {
     pub(crate) m: Grads,
     pub(crate) v: Grads,
@@ -115,14 +124,6 @@ pub(crate) struct AdamState {
 }
 
 impl AdamState {
-    pub(crate) fn new(model: &TcssModel) -> Self {
-        AdamState {
-            m: Grads::zeros(model),
-            v: Grads::zeros(model),
-            t: 0,
-        }
-    }
-
     pub(crate) fn step(
         &mut self,
         model: &mut TcssModel,
@@ -157,14 +158,212 @@ impl AdamState {
     }
 }
 
+/// `dst ← src` over the four same-shaped parameter blocks of a model or
+/// an Adam moment, in place: rollback and commit move whole states
+/// without allocating.
+macro_rules! copy_blocks {
+    ($dst:expr, $src:expr) => {{
+        $dst.u1.as_mut_slice().copy_from_slice($src.u1.as_slice());
+        $dst.u2.as_mut_slice().copy_from_slice($src.u2.as_slice());
+        $dst.u3.as_mut_slice().copy_from_slice($src.u3.as_slice());
+        $dst.h.copy_from_slice(&$src.h);
+    }};
+}
+
+/// One training run's state, driven by the in-process loop
+/// ([`TcssTrainer::train_with_faults`]) and the distributed one
+/// (`dist::sharded`) alike, so both start, roll back and checkpoint the
+/// same way.
+///
+/// `last_good` is the state accepted at the latest cadence point (or the
+/// start). It is the watchdog's and worker-loss recovery's rollback
+/// target, and with `checkpoint_dir` set it is exactly what
+/// `checkpoint.tcssck` holds: [`RunState::commit`] refreshes the one and
+/// saves it as the other.
+pub(crate) struct RunState<'a> {
+    cfg: &'a TcssConfig,
+    pub(crate) model: TcssModel,
+    pub(crate) adam: AdamState,
+    /// Next epoch to run.
+    pub(crate) epoch: usize,
+    /// Watchdog learning-rate multiplier.
+    pub(crate) lr_scale: f64,
+    /// Watchdog rollbacks so far.
+    pub(crate) retries: u32,
+    start_epoch: usize,
+    last_good: Checkpoint,
+    /// `checkpoint_dir/checkpoint.tcssck`, when checkpointing.
+    path: Option<PathBuf>,
+}
+
+impl<'a> RunState<'a> {
+    /// Validate `trainer`'s config, pin its thread count, and start the
+    /// run: from the checkpoint `resume_from` names, else from the
+    /// caller's `seed` model, else from a fresh [`TcssTrainer::try_init_model`].
+    /// Creates the checkpoint directory.
+    pub(crate) fn start(
+        trainer: &'a TcssTrainer,
+        seed: Option<TcssModel>,
+    ) -> Result<Self, TrainError> {
+        let cfg = &trainer.config;
+        trainer.validate()?;
+        if cfg.num_threads.is_some() {
+            // Pin the worker count for the loss/Hausdorff/linalg kernels.
+            // Deterministic reduction means this is purely a speed knob.
+            tcss_linalg::set_num_threads(cfg.num_threads);
+        }
+        let fingerprint = config_fingerprint(cfg);
+        let last_good = match (&cfg.resume_from, seed) {
+            (Some(path), Some(_)) => {
+                return Err(TrainError::InvalidConfig(format!(
+                    "resume_from ({}) cannot resume a run that starts from a \
+                     caller-supplied model",
+                    path.display()
+                )))
+            }
+            (Some(path), None) => {
+                let ck = load_checkpoint(path)?;
+                if ck.fingerprint != fingerprint {
+                    return Err(TrainError::InvalidConfig(format!(
+                        "checkpoint {} was written under a different \
+                         training configuration (fingerprint {:016x}, \
+                         expected {fingerprint:016x}); refusing to mix \
+                         trajectories",
+                        path.display(),
+                        ck.fingerprint
+                    )));
+                }
+                ck
+            }
+            (None, seed) => {
+                let model = match seed {
+                    Some(model) => model,
+                    None => trainer.try_init_model()?,
+                };
+                Checkpoint {
+                    epoch: 0,
+                    adam_t: 0,
+                    lr_scale: 1.0,
+                    retries: 0,
+                    seed: cfg.seed,
+                    fingerprint,
+                    m: Grads::zeros(&model),
+                    v: Grads::zeros(&model),
+                    model,
+                }
+            }
+        };
+        let shape = (last_good.model.dims(), last_good.model.rank());
+        if shape != (trainer.tensor.dims(), cfg.rank) {
+            return Err(TrainError::InvalidConfig(format!(
+                "starting model dims {:?} rank {} do not match the training \
+                 tensor {:?} at rank {}",
+                shape.0,
+                shape.1,
+                trainer.tensor.dims(),
+                cfg.rank
+            )));
+        }
+        if let Some(dir) = &cfg.checkpoint_dir {
+            std::fs::create_dir_all(dir).map_err(ModelIoError::Fs)?;
+        }
+        Ok(RunState {
+            cfg,
+            model: last_good.model.clone(),
+            adam: AdamState {
+                m: last_good.m.clone(),
+                v: last_good.v.clone(),
+                t: last_good.adam_t,
+            },
+            epoch: last_good.epoch,
+            lr_scale: last_good.lr_scale,
+            retries: last_good.retries,
+            start_epoch: last_good.epoch,
+            path: cfg.checkpoint_dir.as_ref().map(|d| d.join(CHECKPOINT_FILE)),
+            last_good,
+        })
+    }
+
+    /// The effective learning rate: `learning_rate · lr_scale`.
+    pub(crate) fn lr(&self) -> f64 {
+        self.cfg.learning_rate * self.lr_scale
+    }
+
+    /// Is the epoch cursor on a cadence point — every `checkpoint_every`
+    /// epochs, and the last one?
+    pub(crate) fn due(&self) -> bool {
+        self.epoch.is_multiple_of(self.cfg.checkpoint_every) || self.epoch == self.cfg.epochs
+    }
+
+    /// The watchdog rejected the epoch at the cursor: spend one retry
+    /// ([`TrainError::Diverged`] once `max_retries` are spent), back the
+    /// learning rate off by `lr_backoff`, and roll back to `last_good`.
+    pub(crate) fn reject(&mut self, detail: String) -> Result<(), TrainError> {
+        self.retries += 1;
+        if self.retries > self.cfg.max_retries {
+            return Err(TrainError::Diverged {
+                epoch: self.epoch,
+                retries: self.retries,
+                detail,
+            });
+        }
+        self.lr_scale *= self.cfg.lr_backoff;
+        self.restore();
+        Ok(())
+    }
+
+    /// Roll the model, Adam state and epoch back to `last_good`, keeping
+    /// the watchdog's `lr_scale` and `retries` (worker loss is not the
+    /// model's fault).
+    pub(crate) fn restore(&mut self) {
+        let good = &self.last_good;
+        copy_blocks!(self.model, good.model);
+        copy_blocks!(self.adam.m, good.m);
+        copy_blocks!(self.adam.v, good.v);
+        self.adam.t = good.adam_t;
+        self.epoch = good.epoch;
+    }
+
+    /// Cadence point: if every parameter is finite (finite-but-huge
+    /// gradients can overflow the Adam update), make the current state
+    /// `last_good` and, when checkpointing, save it.
+    pub(crate) fn commit(&mut self) -> Result<(), TrainError> {
+        if !model_is_finite(&self.model) {
+            return Ok(());
+        }
+        let good = &mut self.last_good;
+        copy_blocks!(good.model, self.model);
+        copy_blocks!(good.m, self.adam.m);
+        copy_blocks!(good.v, self.adam.v);
+        good.adam_t = self.adam.t;
+        good.epoch = self.epoch;
+        good.lr_scale = self.lr_scale;
+        good.retries = self.retries;
+        if let Some(path) = &self.path {
+            save_checkpoint(good, path)?;
+        }
+        Ok(())
+    }
+
+    /// End the run.
+    pub(crate) fn finish(self) -> TrainReport {
+        TrainReport {
+            model: self.model,
+            start_epoch: self.start_epoch,
+            rollbacks: self.retries,
+            lr_scale: self.lr_scale,
+        }
+    }
+}
+
 /// Everything needed to train a TCSS model on one dataset split.
 pub struct TcssTrainer {
     /// Training tensor (binary).
     pub tensor: SparseTensor3,
-    /// Head for `L₁`, present for the Social/SelfHausdorff variants.
-    /// `pub(crate)`: the distributed coordinator evaluates the head
-    /// locally (it is not sharded across workers).
-    pub(crate) head: Option<SocialHausdorffHead>,
+    /// Head for `L₁`, present for the Social/SelfHausdorff variants (the
+    /// distributed coordinator evaluates it locally, through
+    /// [`TcssTrainer::epoch_tail_deferred`]; it is not sharded).
+    head: Option<SocialHausdorffHead>,
     /// Per-user allowed-POI mask for the ZeroOut ablation (`None` for other
     /// variants): POIs farther than `σ·d_max` from the user's nearest
     /// *visited* POI are excluded at recommendation time.
@@ -312,33 +511,52 @@ impl TcssTrainer {
         self.try_init_model().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Train a freshly-initialized model. The callback observes each epoch.
+    /// Train a freshly-initialized model (or resume `resume_from`). The
+    /// callback observes each epoch with the joint loss `λ·L₁ + L₂`.
+    ///
+    /// Panics with the typed [`TrainError`] where
+    /// [`TcssTrainer::train_with_checkpoints`] returns one.
     pub fn train(&self, mut on_epoch: impl FnMut(usize, f64)) -> TcssModel {
         self.train_detailed(|ctx| on_epoch(ctx.epoch, ctx.l1 * self.config.lambda + ctx.l2))
     }
 
-    /// Train with a detailed per-epoch callback.
-    pub fn train_detailed(&self, mut on_epoch: impl FnMut(TrainContext)) -> TcssModel {
-        let mut model = self.init_model();
-        self.train_model(&mut model, &mut on_epoch);
-        model
+    /// [`TcssTrainer::train`] with a detailed per-epoch callback.
+    pub fn train_detailed(&self, on_epoch: impl FnMut(TrainContext)) -> TcssModel {
+        self.train_with_checkpoints(on_epoch)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .model
+    }
+
+    /// Train an externally-initialized model in place (used to compare
+    /// initializations under identical loops): the run starts at epoch 0
+    /// from `model` with fresh Adam moments. A `resume_from` here is an
+    /// [`TrainError::InvalidConfig`].
+    ///
+    /// Panics with the typed [`TrainError`] where
+    /// [`TcssTrainer::train_with_checkpoints`] returns one.
+    pub fn train_model(&self, model: &mut TcssModel, on_epoch: &mut impl FnMut(TrainContext)) {
+        let report = RunState::start(self, Some(model.clone()))
+            .and_then(|run| self.drive(run, &FaultPlan::none(), on_epoch))
+            .unwrap_or_else(|e| panic!("{e}"));
+        *model = report.model;
     }
 
     /// One epoch's losses and joint gradient — the kernel shared by every
-    /// training loop, so the plain and checkpointed paths cannot drift
-    /// apart numerically. Zeroes and refills the caller's `grads` buffer
-    /// (and the `tail` scratch buffer); all other scratch comes from `ws`,
-    /// so steady-state epochs allocate nothing.
+    /// training loop. Zeroes and refills the caller's `grads` buffer (and
+    /// the `tail` and `loss_terms` scratch); all other scratch comes from
+    /// `ws`, so steady-state epochs allocate nothing.
     ///
     /// The epoch's gradient is assembled in the **canonical two-phase
     /// order** the distributed layer mirrors: the entry-chunk deltas
     /// scatter into `grads` first (ascending global chunk order), the
-    /// epoch tail — whole-data Gram term plus Hausdorff head — accumulates
-    /// into the separate `tail` buffer, and `tail` is then added into
-    /// `grads` **once per element** (skipped entirely on epochs where the
-    /// tail is inactive, so a quiet tail cannot perturb signed zeros).
-    /// Tail-sharded workers replay exactly this sequence on their owned
-    /// row ranges, which is what makes their bits equal these.
+    /// epoch tail ([`TcssTrainer::epoch_tail_deferred`]: whole-data Gram
+    /// term plus Hausdorff head) accumulates into the separate `tail`
+    /// buffer, its recorded Gram loss terms fold into `l2` in order, and
+    /// `tail` is then added into `grads` **once per element** (skipped
+    /// entirely on epochs where the tail is inactive, so a quiet tail
+    /// cannot perturb signed zeros). Tail-sharded workers replay exactly
+    /// this sequence on their owned row ranges, which is what makes their
+    /// bits equal these.
     fn epoch_grads(
         &self,
         model: &TcssModel,
@@ -346,6 +564,7 @@ impl TcssTrainer {
         ws: &TrainWorkspace,
         grads: &mut Grads,
         tail: &mut Grads,
+        loss_terms: &mut Vec<f64>,
     ) -> (f64, f64) {
         let cfg = &self.config;
         grads.set_zero();
@@ -373,70 +592,54 @@ impl TcssTrainer {
                 grads,
             ),
         };
-        let l1 = self.epoch_tail_into(model, epoch, ws, tail, &mut l2);
+        let l1 = self.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
+        for &term in loss_terms.iter() {
+            l2 += term;
+        }
         if self.tail_active(epoch) {
             grads.add_scaled(1.0, tail);
         }
         (l2, l1)
     }
 
+    /// Does the loss carry the whole-data Gram term (Eq 15)? Negative
+    /// sampling does not.
+    fn gram_tail(&self) -> bool {
+        matches!(
+            self.config.loss,
+            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
+        )
+    }
+
+    /// Is the Hausdorff head due at `epoch`? It runs every
+    /// `hausdorff_every`-th epoch when it exists and `λ > 0`.
+    fn head_due(&self, epoch: usize) -> bool {
+        self.head.is_some()
+            && self.config.lambda > 0.0
+            && epoch.is_multiple_of(self.config.hausdorff_every)
+    }
+
     /// Does epoch `epoch` have an active gradient tail? True when the loss
     /// carries the whole-data Gram term and/or the Hausdorff head is due.
-    /// When false, [`TcssTrainer::epoch_tail_into`] leaves `tail` zeroed
-    /// and the caller must skip the tail add entirely — `x + 0.0` is not
-    /// always a bitwise no-op (`-0.0 + 0.0 = +0.0`), so "inactive" has to
-    /// mean *no add*, identically in-process and distributed.
+    /// When false, [`TcssTrainer::epoch_tail_deferred`] leaves `tail`
+    /// zeroed and the caller must skip the tail add entirely — `x + 0.0`
+    /// is not always a bitwise no-op (`-0.0 + 0.0 = +0.0`), so "inactive"
+    /// has to mean *no add*, identically in-process and distributed.
     pub(crate) fn tail_active(&self, epoch: usize) -> bool {
-        let cfg = &self.config;
-        matches!(
-            cfg.loss,
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
-        ) || (self.head.is_some() && cfg.lambda > 0.0 && epoch.is_multiple_of(cfg.hausdorff_every))
+        self.gram_tail() || self.head_due(epoch)
     }
 
     /// The epoch's gradient tail — whole-data Gram term (Eq 15; skipped
     /// for negative sampling, exactly as in the in-process losses) and the
-    /// Hausdorff head — accumulated into the zeroed `tail` buffer, with
-    /// the Gram loss added into `l2`. Returns `L₁`.
+    /// Hausdorff head — accumulated into the zeroed `tail` buffer. Returns
+    /// `L₁`.
     ///
-    /// The in-process path ([`TcssTrainer::epoch_grads`]) adds `tail`
-    /// into its merged gradient whole; the distributed coordinator runs
-    /// the same calls in the same order through
-    /// [`TcssTrainer::epoch_tail_deferred`] and ships each worker its
-    /// owned row ranges of `tail` instead, so the distributed epoch is
-    /// bit-identical by construction.
-    pub(crate) fn epoch_tail_into(
-        &self,
-        model: &TcssModel,
-        epoch: usize,
-        ws: &TrainWorkspace,
-        tail: &mut Grads,
-        l2: &mut f64,
-    ) -> f64 {
-        let cfg = &self.config;
-        tail.set_zero();
-        if matches!(
-            cfg.loss,
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
-        ) {
-            crate::loss::whole_data_term(model, cfg.w_minus, l2, tail);
-        }
-        let mut l1 = 0.0;
-        if let Some(head) = &self.head {
-            if cfg.lambda > 0.0 && epoch.is_multiple_of(cfg.hausdorff_every) {
-                l1 = head.loss_and_grad_ws(model, tail, cfg.lambda, ws);
-            }
-        }
-        l1
-    }
-
-    /// [`TcssTrainer::epoch_tail_into`] with the Gram loss contributions
-    /// *recorded* into `loss_terms` instead of added into `l2` — the
-    /// tail-sharded coordinator computes the tail concurrently with worker
-    /// chunk evaluation, before the chunk-loss fold exists, then replays
-    /// `l2 += term` in order afterwards. The add sequence on the loss
-    /// accumulator is identical either way (the gradient side is the same
-    /// code), so overlap cannot change a bit.
+    /// The Gram loss contributions are *recorded* into `loss_terms`, not
+    /// added into a loss: the tail-sharded coordinator computes the tail
+    /// concurrently with worker chunk evaluation, before the chunk-loss
+    /// fold exists. Every caller then replays `l2 += term` in order, the
+    /// add sequence of [`crate::loss::whole_data_term`], so the in-process
+    /// and distributed losses cannot differ by a bit.
     pub(crate) fn epoch_tail_deferred(
         &self,
         model: &TcssModel,
@@ -448,10 +651,7 @@ impl TcssTrainer {
         let cfg = &self.config;
         tail.set_zero();
         loss_terms.clear();
-        if matches!(
-            cfg.loss,
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
-        ) {
+        if self.gram_tail() {
             crate::loss::whole_data_term_sink(
                 model,
                 cfg.w_minus,
@@ -459,13 +659,12 @@ impl TcssTrainer {
                 tail,
             );
         }
-        let mut l1 = 0.0;
-        if let Some(head) = &self.head {
-            if cfg.lambda > 0.0 && epoch.is_multiple_of(cfg.hausdorff_every) {
-                l1 = head.loss_and_grad_ws(model, tail, cfg.lambda, ws);
+        match &self.head {
+            Some(head) if self.head_due(epoch) => {
+                head.loss_and_grad_ws(model, tail, cfg.lambda, ws)
             }
+            _ => 0.0,
         }
-        l1
     }
 
     /// Is epoch `epoch`'s tail the whole-data Gram term *alone* — no
@@ -475,11 +674,7 @@ impl TcssTrainer {
     /// instead of dense owned tail rows. Head epochs fall back to the
     /// dense-row ship: the Hausdorff gradient has no such factorization.
     pub(crate) fn tail_gram_only(&self, epoch: usize) -> bool {
-        let cfg = &self.config;
-        matches!(
-            cfg.loss,
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
-        ) && !(self.head.is_some() && cfg.lambda > 0.0 && epoch.is_multiple_of(cfg.hausdorff_every))
+        self.gram_tail() && !self.head_due(epoch)
     }
 
     /// Gram-mode deferred tail ([`TcssTrainer::tail_gram_only`] epochs):
@@ -506,77 +701,15 @@ impl TcssTrainer {
         )
     }
 
-    /// Fresh-start-or-resume initialization shared by the in-process and
-    /// distributed checkpointed loops: returns
-    /// `(model, adam, start_epoch, lr_scale, retries)`.
-    pub(crate) fn init_run_state(
-        &self,
-        fingerprint: u64,
-    ) -> Result<(TcssModel, AdamState, usize, f64, u32), TrainError> {
-        match &self.config.resume_from {
-            Some(path) => {
-                let ck = load_checkpoint(path)?;
-                if ck.fingerprint != fingerprint {
-                    return Err(TrainError::InvalidConfig(format!(
-                        "checkpoint {} was written under a different \
-                             training configuration (fingerprint {:016x}, \
-                             expected {fingerprint:016x}); refusing to mix \
-                             trajectories",
-                        path.display(),
-                        ck.fingerprint
-                    )));
-                }
-                if ck.model.dims() != self.tensor.dims() {
-                    return Err(TrainError::InvalidConfig(format!(
-                        "checkpoint model dims {:?} do not match the \
-                             training tensor {:?}",
-                        ck.model.dims(),
-                        self.tensor.dims()
-                    )));
-                }
-                let adam = AdamState {
-                    m: ck.m,
-                    v: ck.v,
-                    t: ck.adam_t,
-                };
-                Ok((ck.model, adam, ck.epoch, ck.lr_scale, ck.retries))
-            }
-            None => {
-                let model = self.try_init_model()?;
-                let adam = AdamState::new(&model);
-                Ok((model, adam, 0, 1.0, 0))
-            }
-        }
-    }
-
-    /// Train an externally-initialized model in place (used by the Fig 9
-    /// convergence study to compare initializations under identical loops).
-    pub fn train_model(&self, model: &mut TcssModel, on_epoch: &mut impl FnMut(TrainContext)) {
-        let cfg = &self.config;
-        if cfg.num_threads.is_some() {
-            // Pin the worker count for the loss/Hausdorff/linalg kernels.
-            // Deterministic reduction means this is purely a speed knob.
-            tcss_linalg::set_num_threads(cfg.num_threads);
-        }
-        let mut adam = AdamState::new(model);
-        let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(model);
-        let mut tail = Grads::zeros(model);
-        for epoch in 0..cfg.epochs {
-            let (l2, l1) = self.epoch_grads(model, epoch, &ws, &mut grads, &mut tail);
-            adam.step(model, &grads, cfg.learning_rate, cfg.weight_decay);
-            on_epoch(TrainContext::local(epoch, l2, l1));
-        }
-    }
-
     /// Fault-tolerant training: checkpoints, resume, and the divergence
     /// watchdog. See [`TcssTrainer::train_with_faults`]; this entry point
     /// simply injects no faults.
     ///
     /// Guarantees, verified by `tests/fault_injection.rs`:
     ///
-    /// * With no faults and no resume, the returned model is bit-for-bit
-    ///   identical to [`TcssTrainer::train`]'s.
+    /// * Checkpointing never perturbs training: the model is bit-for-bit
+    ///   the same with or without `checkpoint_dir`, at any
+    ///   `checkpoint_every`.
     /// * A run killed at any epoch and resumed from its last checkpoint
     ///   produces a model bit-for-bit identical to an uninterrupted run,
     ///   at any thread count.
@@ -604,98 +737,51 @@ impl TcssTrainer {
         faults: &FaultPlan,
         mut on_epoch: impl FnMut(TrainContext),
     ) -> Result<TrainReport, TrainError> {
+        let run = RunState::start(self, None)?;
+        self.drive(run, faults, &mut on_epoch)
+    }
+
+    /// The in-process epoch loop over a started run.
+    fn drive(
+        &self,
+        mut run: RunState<'_>,
+        faults: &FaultPlan,
+        on_epoch: &mut impl FnMut(TrainContext),
+    ) -> Result<TrainReport, TrainError> {
         let cfg = &self.config;
-        self.validate()?;
-        if cfg.num_threads.is_some() {
-            tcss_linalg::set_num_threads(cfg.num_threads);
-        }
-        let fingerprint = config_fingerprint(cfg);
-
-        // --- Fresh start or resume ---------------------------------------
-        let (mut model, mut adam, start_epoch, mut lr_scale, mut retries) =
-            self.init_run_state(fingerprint)?;
-
-        // Last state known to be healthy; the rollback target. Starts at
-        // the initial (or resumed) state and is refreshed on the
-        // checkpoint cadence, after the watchdog has accepted the epochs
-        // leading up to it.
-        let mut last_good = (model.clone(), adam.clone(), start_epoch);
-        let checkpoint_path = cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(CHECKPOINT_FILE));
-        if let Some(dir) = &cfg.checkpoint_dir {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| TrainError::Checkpoint(ModelIoError::Fs(e)))?;
-        }
-
         let ws = TrainWorkspace::new();
-        let mut grads = Grads::zeros(&model);
-        let mut tail = Grads::zeros(&model);
-        let mut epoch = start_epoch;
-        while epoch < cfg.epochs {
+        let mut grads = Grads::zeros(&run.model);
+        let mut tail = Grads::zeros(&run.model);
+        let mut loss_terms = Vec::new();
+        while run.epoch < cfg.epochs {
+            let epoch = run.epoch;
             if faults.take_crash(epoch) {
                 return Err(TrainError::InjectedCrash { epoch });
             }
-            let (l2, l1) = self.epoch_grads(&model, epoch, &ws, &mut grads, &mut tail);
+            let (l2, l1) = self.epoch_grads(
+                &run.model,
+                epoch,
+                &ws,
+                &mut grads,
+                &mut tail,
+                &mut loss_terms,
+            );
             if faults.take_poison(epoch) {
                 poison(&mut grads);
             }
-
-            // --- Divergence watchdog -------------------------------------
             if let Some(detail) = divergence_trouble(cfg, l2, l1, grads.norm()) {
-                retries += 1;
-                if retries > cfg.max_retries {
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        retries,
-                        detail,
-                    });
-                }
-                lr_scale *= cfg.lr_backoff;
-                let (m, a, e) = &last_good;
-                model = m.clone();
-                adam = a.clone();
-                epoch = *e;
+                run.reject(detail)?;
                 continue;
             }
-
-            adam.step(
-                &mut model,
-                &grads,
-                cfg.learning_rate * lr_scale,
-                cfg.weight_decay,
-            );
+            let lr = run.lr();
+            run.adam.step(&mut run.model, &grads, lr, cfg.weight_decay);
             on_epoch(TrainContext::local(epoch, l2, l1));
-            epoch += 1;
-
-            // --- Checkpoint / snapshot cadence ----------------------------
-            let due = epoch.is_multiple_of(cfg.checkpoint_every) || epoch == cfg.epochs;
-            if due && model_is_finite(&model) {
-                last_good = (model.clone(), adam.clone(), epoch);
-                if let Some(path) = &checkpoint_path {
-                    let ck = Checkpoint {
-                        epoch,
-                        adam_t: adam.t,
-                        lr_scale,
-                        retries,
-                        seed: cfg.seed,
-                        fingerprint,
-                        model: model.clone(),
-                        m: adam.m.clone(),
-                        v: adam.v.clone(),
-                    };
-                    save_checkpoint(&ck, path)?;
-                }
+            run.epoch += 1;
+            if run.due() {
+                run.commit()?;
             }
         }
-
-        Ok(TrainReport {
-            model,
-            start_epoch,
-            rollbacks: retries,
-            lr_scale,
-        })
+        Ok(run.finish())
     }
 
     /// Score function for ranking, applying the ZeroOut mask when that
@@ -747,7 +833,7 @@ pub(crate) fn divergence_trouble(cfg: &TcssConfig, l2: f64, l1: f64, gnorm: f64)
 /// Every parameter finite? Guards the rollback target: a state that
 /// already went non-finite (finite-but-huge gradients can overflow the
 /// Adam update) must never become a snapshot or a checkpoint.
-pub(crate) fn model_is_finite(model: &TcssModel) -> bool {
+fn model_is_finite(model: &TcssModel) -> bool {
     model.u1.as_slice().iter().all(|v| v.is_finite())
         && model.u2.as_slice().iter().all(|v| v.is_finite())
         && model.u3.as_slice().iter().all(|v| v.is_finite())
@@ -917,6 +1003,50 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(a, b, "fault-tolerant path must not perturb training");
+    }
+
+    #[test]
+    #[should_panic(expected = "training diverged")]
+    fn train_panics_with_the_typed_divergence_error() {
+        let cfg = TcssConfig {
+            epochs: 3,
+            max_grad_norm: 1e-300,
+            ..TcssConfig::default()
+        };
+        let (_, _, trainer) = small_setup(cfg);
+        trainer.train(|_, _| {});
+    }
+
+    #[test]
+    fn train_writes_the_checkpoint_it_is_asked_for() {
+        let dir = std::env::temp_dir().join(format!("tcss_train_ckpt_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = TcssConfig {
+            epochs: 2,
+            rank: 4,
+            checkpoint_dir: Some(dir.clone()),
+            ..TcssConfig::default()
+        };
+        let (_, _, trainer) = small_setup(cfg);
+        let model = trainer.train(|_, _| {});
+        let ck = load_checkpoint(&dir.join(CHECKPOINT_FILE)).expect("train wrote a checkpoint");
+        assert_eq!(ck.epoch, 2);
+        assert_eq!(ck.model.u1, model.u1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "resume_from")]
+    fn train_model_refuses_resume_from() {
+        let cfg = TcssConfig {
+            epochs: 1,
+            rank: 4,
+            resume_from: Some(std::path::PathBuf::from("unused.tcssck")),
+            ..TcssConfig::default()
+        };
+        let (_, _, trainer) = small_setup(cfg);
+        let mut model = trainer.init_model();
+        trainer.train_model(&mut model, &mut |_| {});
     }
 
     #[test]

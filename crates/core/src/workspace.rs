@@ -12,9 +12,11 @@
 //!
 //! # Ownership rules
 //!
-//! * The workspace is created once per training run (in `train_model` /
-//!   `train_with_faults`) and threaded **by shared reference** through the
-//!   loss heads; pools hand buffers out via interior mutability.
+//! * The workspace is created once per training run — by the one
+//!   in-process epoch loop behind every `TcssTrainer::train*` entry
+//!   point, by the distributed coordinator, and by each worker — and
+//!   threaded **by shared reference** through the loss heads; pools hand
+//!   buffers out via interior mutability.
 //! * Worker-local buffers ([`GradScratch`], `UserScratch`) are checked out
 //!   through RAII guards for the lifetime of one parallel region's worker.
 //! * Per-chunk deltas ([`SparseGrads`]) travel by value with the chunk

@@ -1,6 +1,8 @@
 //! Worker-loss recovery: the coordinator survives the death of any single
-//! worker, resumes from its last checkpoint, and converges to the exact
-//! same bits as an uninterrupted run.
+//! worker, rolls the run back to its last good state (the in-memory copy
+//! of what its last checkpoint holds), and converges to the exact same
+//! bits as an uninterrupted run. Also the distributed divergence watchdog:
+//! a poisoned epoch rolls back exactly as in-process.
 //!
 //! Companion to `tests/dist_parity.rs` (the no-failure contract) and
 //! `tests/fault_injection.rs` (in-process crash/corruption faults).
@@ -9,6 +11,7 @@ use tcss_core::dist::DistConfig;
 use tcss_core::{
     DistError, FaultPlan, InitMethod, LossStrategy, TcssConfig, TcssModel, TcssTrainer, TrainError,
 };
+use tcss_data::{Granularity, SynthConfig, SynthPreset};
 use tcss_sparse::SparseTensor3;
 
 fn worker_program() -> &'static str {
@@ -70,9 +73,9 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 
 /// Kill each worker of a 2-worker fleet in turn, between epochs (before
 /// the epoch-4 StepOwned broadcast): the coordinator must detect the
-/// loss, respawn, resume from the on-disk checkpoint, and land on bits
-/// identical to both the uninterrupted distributed run and the
-/// in-process run.
+/// loss, respawn, roll back to the epoch-2 state it checkpointed, and
+/// land on bits identical to both the uninterrupted distributed run and
+/// the in-process run.
 #[test]
 fn losing_any_single_worker_is_survivable_and_bit_exact() {
     let want = model_bits(
@@ -90,7 +93,7 @@ fn losing_any_single_worker_is_survivable_and_bit_exact() {
         let dir = tempdir(&format!("dist_kill_w{victim}"));
         let trainer = fixture(Some(2), Some(dir.clone()));
         // Epoch 4: past the epoch-2 checkpoint, so recovery must actually
-        // rewind through the on-disk state, not just restart.
+        // rewind to the epoch-2 state, not just restart.
         let plan = FaultPlan::kill_worker_at(4, victim);
         let report = trainer
             .train_distributed_with_faults(&dist_cfg(2), &plan, |_| {})
@@ -108,10 +111,10 @@ fn losing_any_single_worker_is_survivable_and_bit_exact() {
     }
 }
 
-/// Without a checkpoint dir the coordinator still recovers, from its
-/// in-memory rollback snapshot, which carries the gathered Adam moments;
-/// Adopt redistributes the owned ranges to the respawned fleet. Covers
-/// both kill points: between epochs and mid-exchange.
+/// Without a checkpoint dir the coordinator recovers the same way, from
+/// its in-memory last good state, which carries the gathered Adam
+/// moments; Adopt redistributes the owned ranges to the respawned fleet.
+/// Covers both kill points: between epochs and mid-exchange.
 #[test]
 fn recovery_works_without_on_disk_checkpoints() {
     let want = model_bits(
@@ -138,8 +141,8 @@ fn recovery_works_without_on_disk_checkpoints() {
 /// deltas are in flight to their owners (and buffered on peers) when it
 /// goes down. Recovery must discard the whole half-finished epoch on
 /// every worker (Adopt resets resident state), restore the Adam moments
-/// for every owned range from the on-disk checkpoint, and still land on
-/// the uninterrupted run's exact bits.
+/// for every owned range from the last good state, and still land on the
+/// uninterrupted run's exact bits.
 ///
 /// The final-checkpoint byte comparison is the explicit Adam-state check:
 /// the checkpoint serializes the gathered `m`/`v` moments, so identical
@@ -166,7 +169,7 @@ fn mid_exchange_kill_is_survivable_and_bit_exact() {
         let dir = tempdir(&format!("dist_xkill_w{victim}"));
         let trainer = fixture(Some(2), Some(dir.clone()));
         // Epoch 4: past the epoch-2 checkpoint, so the rollback rewinds
-        // through on-disk state — including every worker's owned slice of
+        // to the epoch-2 state — including every worker's owned slice of
         // the Adam moments, re-adopted over the wire.
         let plan = FaultPlan::kill_worker_mid_exchange_at(4, victim);
         let report = trainer
@@ -215,4 +218,105 @@ fn respawn_budget_exhaustion_is_typed() {
         }
         other => panic!("expected RespawnBudgetExhausted, got: {other}"),
     }
+}
+
+/// Recovery rolls back to the run's own in-memory last good state, never
+/// to whatever `checkpoint.tcssck` sits in the checkpoint directory. Here
+/// the directory holds the final checkpoint of an earlier run (seed 99,
+/// so a different fingerprint), and worker 1 dies at epoch 1, before the
+/// fresh run's first cadence point has overwritten that file. Reloading it
+/// would finish the fresh run with the earlier run's model.
+#[test]
+fn stale_checkpoint_in_dir_is_never_adopted_on_worker_loss() {
+    let want = model_bits(
+        &fixture(None, None)
+            .train_with_checkpoints(|_| {})
+            .expect("in-process run trains")
+            .model,
+    );
+    let dir = tempdir("dist_stale_ckpt");
+    let mut earlier = fixture(None, Some(dir.clone()));
+    earlier.config.seed = 99;
+    earlier
+        .train_with_checkpoints(|_| {})
+        .expect("earlier run trains");
+    assert!(dir.join(tcss_core::CHECKPOINT_FILE).exists());
+
+    let report = fixture(Some(2), Some(dir.clone()))
+        .train_distributed_with_faults(&dist_cfg(2), &FaultPlan::kill_worker_at(1, 1), |_| {})
+        .expect("fresh run with a killed worker trains");
+    assert!(report.respawns >= 1);
+    assert_eq!(
+        model_bits(&report.report.model),
+        want,
+        "recovery adopted the earlier run's checkpoint"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The distributed divergence watchdog: a NaN-poisoned epoch 3 is
+/// rejected, the run rolls back to the epoch-2 state with the learning
+/// rate halved, and the model is bitwise the in-process run's under the
+/// same fault.
+#[test]
+fn poisoned_epoch_rolls_back_bit_exact() {
+    let in_process = fixture(None, None)
+        .train_with_faults(&FaultPlan::poison_gradients_at(3), |_| {})
+        .expect("in-process run recovers");
+    assert_eq!(in_process.rollbacks, 1);
+    let report = fixture(Some(2), None)
+        .train_distributed_with_faults(&dist_cfg(2), &FaultPlan::poison_gradients_at(3), |_| {})
+        .expect("distributed run recovers");
+    assert_eq!(report.report.rollbacks, 1);
+    assert_eq!(report.report.lr_scale, 0.5);
+    assert_eq!(report.respawns, 0);
+    assert_eq!(
+        model_bits(&report.report.model),
+        model_bits(&in_process.model)
+    );
+}
+
+/// A worker lost on a head epoch: with the social-Hausdorff head on
+/// (λ = 240, every third epoch), killing worker 0 before epoch 3 rolls
+/// back to epoch 2 and replays the head epoch, landing on the in-process
+/// bits.
+#[test]
+fn worker_kill_on_a_head_epoch_is_bit_exact() {
+    let data = tcss_data::synth::generate(&SynthConfig {
+        n_users: 24,
+        n_pois: 30,
+        n_clusters: 3,
+        n_communities: 3,
+        avg_checkins_per_user: 10,
+        avg_friends: 3,
+        ..SynthPreset::Gowalla.config()
+    });
+    let trainer = |workers: Option<usize>| {
+        let cfg = TcssConfig {
+            rank: 3,
+            lambda: 240.0,
+            hausdorff_every: 3,
+            init: InitMethod::Random,
+            epochs: 4,
+            checkpoint_every: 2,
+            num_threads: Some(1),
+            workers,
+            ..TcssConfig::default()
+        };
+        TcssTrainer::new(&data, &data.checkins, Granularity::Month, cfg)
+    };
+    let mut l1_at_3 = 0.0;
+    let want = trainer(None)
+        .train_with_checkpoints(|ctx| {
+            if ctx.epoch == 3 {
+                l1_at_3 = ctx.l1;
+            }
+        })
+        .expect("in-process run trains");
+    assert!(l1_at_3 > 0.0, "epoch 3 must be a head epoch");
+    let report = trainer(Some(2))
+        .train_distributed_with_faults(&dist_cfg(2), &FaultPlan::kill_worker_at(3, 0), |_| {})
+        .expect("run with worker 0 killed trains");
+    assert!(report.respawns >= 1);
+    assert_eq!(model_bits(&report.report.model), model_bits(&want.model));
 }

@@ -69,8 +69,8 @@
 //!
 //! ## Integrity
 //!
-//! Writes are atomic (temp + fsync + rename, the PR 2 checkpoint
-//! contract); the header and payload carry independent FNV-1a 64 digests.
+//! Writes are atomic (temp + fsync + rename, through the one writer
+//! `tcss_core::checkpoint::atomic_write`); the header and payload carry independent FNV-1a 64 digests.
 //! [`SnapshotModel::open`] verifies both — any truncation or bit flip is a
 //! typed [`SnapError`], never a garbage model. [`SnapshotModel::open_fast`]
 //! verifies the header and the *file size* only (every truncation is still
@@ -79,9 +79,10 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::Path;
 
+use tcss_core::checkpoint::atomic_write;
 use tcss_core::TcssModel;
 use tcss_linalg::kernels;
 
@@ -252,31 +253,6 @@ impl From<std::io::Error> for SnapError {
 
 use tcss_core::digest::fnv1a64;
 
-/// Atomic byte write: temp file in the same directory, fsync, rename over
-/// the target, fsync the directory. A crash leaves the old file or the new
-/// file — never a mix.
-fn atomic_write_bytes(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        std::path::PathBuf::from(os)
-    };
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Layout: section offsets derived from (mode, dims), never stored.
 // ---------------------------------------------------------------------
@@ -434,7 +410,7 @@ pub fn snapshot_bytes(model: &TcssModel, mode: QuantMode) -> Vec<u8> {
 /// Convert `model` and write it atomically to `path`.
 pub fn write_snapshot(model: &TcssModel, mode: QuantMode, path: &Path) -> Result<(), SnapError> {
     let bytes = snapshot_bytes(model, mode);
-    atomic_write_bytes(path, &bytes)?;
+    atomic_write(path, &bytes)?;
     Ok(())
 }
 
