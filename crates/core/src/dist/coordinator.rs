@@ -4,8 +4,8 @@
 //! [`TcssTrainer::train_distributed_with_faults`] validates the fleet
 //! request and hands the run to the tail-sharded epoch loop in
 //! [`super::sharded`], which starts the run state the in-process loop
-//! uses (config checks, resume, checkpoints) and owns the per-epoch
-//! protocol and worker-loss recovery. This file holds what that loop builds on:
+//! uses (config checks, resume, checkpoints) and owns the two-round-trip
+//! epoch protocol and worker-loss recovery. This file holds what that loop builds on:
 //! [`DistConfig`] and [`DistReport`], the socket (`bind_socket`), the
 //! Hello/Setup handshake (`TcssTrainer::spawn_worker`), and fleet
 //! teardown. See the module docs of [`crate::dist`] for the parity

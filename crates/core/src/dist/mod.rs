@@ -20,15 +20,17 @@
 //!   the divergence watchdog, and the checkpoints. It spawns N workers,
 //!   assigns each a **contiguous block** of the global entry-chunk grid,
 //!   broadcasts each worker the model rows it reads, relays the row
-//!   deltas between workers, and splices the updated rows the workers
-//!   return.
+//!   deltas between workers, and, once its watchdog accepts the epoch,
+//!   splices the updated rows (and, on checkpoint cadence epochs, the
+//!   Adam moments) the workers return.
 //! * **Workers** ([`worker::run_worker`], the hidden `dist-worker` CLI
 //!   subcommand / the `tcss-dist-worker` test binary) — hold the tensor
 //!   (shipped once in Setup) plus the model rows and Adam moments of the
 //!   factor rows they own. Each epoch a worker evaluates exactly the
 //!   per-chunk kernels the in-process path runs, routes each chunk's
 //!   delta rows to their owners, merges the deltas bound for its own
-//!   rows, and steps those rows with the in-process Adam kernel.
+//!   rows, and steps those rows with the in-process Adam kernel straight
+//!   away — an epoch is two coordinator round trips.
 //! * **Transport** ([`wire`]) — Unix sockets carrying the workspace's
 //!   one frame format ([`crate::frame`]: length prefix, payload, CRC32C
 //!   trailer; no async runtime), capped at [`wire::MAX_FRAME_LEN`].
@@ -65,8 +67,9 @@
 //! in-memory last good state (with checkpointing on, bitwise what the
 //! last cadence point saved; the checkpoint directory is never re-read),
 //! and re-installs every worker's owned rows and Adam moments from it
-//! with an Adopt frame;
-//! `max_respawns` bounds the budget. Epoch replay is bit-exact for the
+//! with an Adopt frame; `max_respawns` bounds the budget. A watchdog
+//! rejection rolls back and re-Adopts the same way, overwriting the rows
+//! the workers already stepped. Epoch replay is bit-exact for the
 //! same reason resume is: epochs are pure functions of
 //! `(model, adam, epoch)`. The kill-worker faults in
 //! [`crate::fault::FaultPlan`] drive this path in `tests/dist_fault.rs`.

@@ -14,12 +14,17 @@
 //!
 //! # Per-epoch protocol (all frames per `[super::wire]`)
 //!
+//! An epoch is two coordinator round trips; cadence points add none.
+//!
 //! 1. **StepOwned** broadcast (each worker's `U¹` read window, with its
 //!    own resident rows punched out — the worker splices those back from
-//!    its resident state, so rows it just updated never travel twice).
-//!    The coordinator then computes its Gram + head tail right here,
-//!    concurrently with worker chunk evaluation — the tail depends only
-//!    on the broadcast model, so the overlap cannot change any bits.
+//!    its resident state, so rows it just updated never travel twice),
+//!    carrying the effective learning rate (`RunState::lr`, fixed for the
+//!    whole attempt) and whether this epoch ends on a checkpoint cadence
+//!    point (`RunState::due`). The coordinator then computes its Gram +
+//!    head tail right here, concurrently with worker chunk evaluation —
+//!    the tail depends only on the broadcast model, so the overlap
+//!    cannot change any bits.
 //! 2. Each worker evaluates its chunk block, splits every chunk's
 //!    touched rows by owner (`sparse_grads::OwnerSplit`), sends
 //!    **ChunkStats** (per-chunk losses + dense `h` deltas) to the
@@ -42,53 +47,55 @@
 //!    blocks and each frame replays its rows in ascending-chunk
 //!    first-touch order, so every gradient *element* sees its adds in
 //!    ascending global chunk order: the exact in-process sequence — adds
-//!    the tail, and returns per-row squared norms (**NormPartial**).
-//! 5. The coordinator folds the loss (chunk losses in chunk order, then
-//!    the recorded Gram terms in emission order), the `h` gradient, and
-//!    the norm (factor-major, worker-ascending — the contiguous-run
-//!    decomposition of [`crate::loss::Grads::norm`]), runs the watchdog,
-//!    and broadcasts the **Verdict** with the effective learning rate
-//!    (scaled once, so every peer steps with identical bits).
-//! 6. Workers advance their resident Adam state and ship **UpdatedRows**;
-//!    the coordinator splices them into the authoritative model while
-//!    stepping `h` itself.
+//!    the tail, steps its owned rows with Adam straight away, and sends
+//!    one **UpdatedRows**: the per-row gradient self-dots, the stepped
+//!    rows, and on cadence epochs its `m`/`v` moments. The coordinator
+//!    folds the loss (chunk losses in chunk order, then the recorded Gram
+//!    terms in emission order), the `h` gradient, and the norm
+//!    (factor-major, worker-ascending — the contiguous-run decomposition
+//!    of [`crate::loss::Grads::norm`]) and runs the watchdog. Only if it
+//!    passes does the coordinator step `h` and splice the rows (and
+//!    moments) into the authoritative model.
 //!
 //! # Determinism and failure model
 //!
+//! The workers step before the watchdog has ruled, and that is safe:
+//! a rejected epoch rolls the run back and re-installs every worker's
+//! state with an **Adopt** frame (model rows + moments + step counter for
+//! the owned ranges), overwriting whatever the workers stepped, exactly
+//! as worker-loss recovery does. A worker accepts Adopt at *any* receive
+//! point as a clean reset — the single-writer FIFO from the coordinator
+//! makes it an unambiguous barrier between attempts. An accepted epoch
+//! runs the same kernels on the same inputs in the same order as before.
+//!
 //! Every worker→coordinator message of an epoch is a pure function of
-//! `(restored model, adam, epoch)`, so replayed frames are **bitwise
-//! identical** to their originals: the coordinator keeps one accept-slot
-//! per (message, worker) per attempt and takes whichever copy arrives
-//! first. Rollback/respawn re-installs worker state with an **Adopt**
-//! frame (model rows + moments + step counter for the owned ranges),
-//! which a worker accepts at *any* receive point as a clean reset — the
-//! single-writer FIFO from the coordinator makes it an unambiguous
-//! barrier between attempts. Checkpoints stay worker-count-independent:
-//! at every checkpoint cadence point the coordinator gathers the resident
-//! moments (**SnapReq**/**SnapRows**) and saves the same full-model
-//! checkpoint the in-process trainer would, so distributed runs at any
-//! worker count and single-process runs can resume each other's
-//! checkpoints bit-for-bit. See DESIGN.md §5j for the full argument.
+//! `(restored model, adam, epoch, lr_scale)`, so replayed frames are
+//! **bitwise identical** to their originals: the coordinator keeps one
+//! accept-slot per (message, worker) per attempt and takes whichever copy
+//! arrives first. (A rejection changes `lr_scale`, but the coordinator
+//! has gathered every frame of the rejected attempt by then.)
+//! Checkpoints stay worker-count-independent: the moments ride the
+//! UpdatedRows of every cadence epoch, so the coordinator commits the
+//! same full-model checkpoint the in-process trainer would, and
+//! distributed runs at any worker count and single-process runs can
+//! resume each other's checkpoints bit-for-bit. See DESIGN.md §5j for the
+//! full argument.
 
 use super::coordinator::{bind_socket, DistConfig, DistReport, SocketGuard, WorkerSlot};
 use super::wire::{
-    apply_exch, apply_snap_rows, apply_upd_rows, decode_chunk_stats, decode_norm_part,
-    decode_snap_req, decode_step_owned, decode_tail_rows, decode_verdict, encode_adopt_into,
-    encode_chunk_stats_into, encode_exch_into, encode_norm_part_into, encode_snap_req_into,
-    encode_snap_rows_into, encode_step_owned_into, encode_tail_gram_into,
-    encode_tail_inactive_into, encode_tail_rows_into, encode_upd_rows_into, encode_verdict_into,
-    exch_header, msg_epoch, msg_epoch_src, tag_of, Setup, TailMsg, MAX_FRAME_LEN, TAG_ADOPT,
-    TAG_CHUNK_STATS, TAG_EXCH, TAG_NORM_PART, TAG_SHUTDOWN, TAG_SNAP_REQ, TAG_SNAP_ROWS,
-    TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS, TAG_VERDICT, UPD_ROWS_BUSY_OFFSET,
+    apply_exch, copy_f64s, decode_chunk_stats, decode_step_owned, decode_tail_rows,
+    decode_upd_rows, encode_adopt_into, encode_chunk_stats_into, encode_exch_into,
+    encode_step_owned_into, encode_tail_gram_into, encode_tail_inactive_into,
+    encode_tail_rows_into, encode_upd_rows_into, exch_header, msg_epoch, msg_epoch_src, tag_of,
+    Setup, TailMsg, MAX_FRAME_LEN, TAG_ADOPT, TAG_CHUNK_STATS, TAG_EXCH, TAG_SHUTDOWN,
+    TAG_STEP_OWNED, TAG_TAIL_ROWS, TAG_UPD_ROWS, UPD_ROWS_BUSY_OFFSET,
 };
 use super::{busy_now_ns, DistError};
 use crate::fault::FaultPlan;
 use crate::frame::{raw_payload, read_frame, FrameBuf, FrameDecoder};
 use crate::loss::{Grads, ENTRIES_PER_CHUNK};
 use crate::sparse_grads::{owned_range, OwnerSplit};
-use crate::train::{
-    divergence_trouble, AdamState, RunState, TcssTrainer, TrainContext, TrainError,
-};
+use crate::train::{divergence_trouble, RunState, TcssTrainer, TrainContext, TrainError};
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -101,7 +108,7 @@ use tcss_sparse::SparseTensor3;
 // ---------------------------------------------------------------------
 
 /// Resident owned-range state, installed by Adopt and advanced by every
-/// Verdict. The model rows must be resident too: an `L2Entries`
+/// epoch. The model rows must be resident too: an `L2Entries`
 /// StepOwned ships only the worker's `U¹` read window, which need not
 /// cover the rows it *owns*.
 struct Resident {
@@ -206,7 +213,6 @@ pub(super) fn run_sharded_worker(
         };
         match tag_of(&frame)? {
             TAG_ADOPT => wk.install(&frame)?,
-            TAG_SNAP_REQ => wk.snap_reply(&frame)?,
             TAG_STEP_OWNED => {
                 if let Flow::Exit = wk.serve_epoch(&frame, t0)? {
                     return Ok(());
@@ -248,23 +254,6 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// Answer a SnapReq from the resident moments.
-    fn snap_reply(&mut self, frame: &[u8]) -> Result<(), DistError> {
-        let label = decode_snap_req(frame)?;
-        let res = self
-            .res
-            .as_ref()
-            .ok_or_else(|| DistError::Protocol("snapshot requested before any Adopt".into()))?;
-        encode_snap_rows_into(
-            self.out.payload(),
-            label,
-            self.id as u32,
-            [&res.m[0], &res.m[1], &res.m[2]],
-            [&res.v[0], &res.v[1], &res.v[2]],
-        );
-        self.flush()
-    }
-
     /// Merge this worker's own owner-split share into the gradient slabs
     /// (the `src == self.id` slot of the ascending-source merge).
     fn merge_own(&mut self) {
@@ -293,7 +282,8 @@ impl ShardWorker {
             Some(res) => res.w[0].as_slice(),
             None => return Err(DistError::Protocol("step before any Adopt".into())),
         };
-        let (epoch, model) = decode_step_owned(step, res_u1, self.ranges[0])?;
+        let step = decode_step_owned(step, res_u1, self.ranges[0])?;
+        let (epoch, model) = (step.epoch, step.model);
         if model.dims() != self.setup.dims || model.rank() != self.setup.rank {
             return Err(DistError::Protocol(format!(
                 "step model {:?}/r{} does not match setup {:?}/r{}",
@@ -403,7 +393,6 @@ impl ShardWorker {
                     self.install(&frame)?;
                     return Ok(Flow::Idle);
                 }
-                TAG_SNAP_REQ => self.snap_reply(&frame)?,
                 TAG_SHUTDOWN => return Ok(Flow::Exit),
                 other => {
                     return Err(DistError::Protocol(format!(
@@ -460,50 +449,12 @@ impl ShardWorker {
                 self.dots[f].push(kernels::dot(row, row));
             }
         }
-        encode_norm_part_into(
-            self.out.payload(),
-            epoch,
-            self.id as u32,
-            [&self.dots[0], &self.dots[1], &self.dots[2]],
-        );
-        self.flush()?;
 
-        // --- Verdict: advance the resident optimizer --------------------
-        let lr_eff = loop {
-            let frame = self.recv()?.ok_or_else(|| {
-                DistError::Protocol("coordinator disconnected awaiting verdict".into())
-            })?;
-            match tag_of(&frame)? {
-                TAG_VERDICT => {
-                    if msg_epoch(&frame)? != epoch {
-                        continue;
-                    }
-                    break decode_verdict(&frame, epoch)?;
-                }
-                TAG_ADOPT => {
-                    self.install(&frame)?;
-                    return Ok(Flow::Idle);
-                }
-                TAG_SNAP_REQ => self.snap_reply(&frame)?,
-                TAG_SHUTDOWN => return Ok(Flow::Exit),
-                // Stale relays from an abandoned attempt can trail in.
-                TAG_EXCH | TAG_TAIL_ROWS => {
-                    if msg_epoch(&frame)? == epoch {
-                        return Err(DistError::Protocol(
-                            "duplicate exchange after the barrier".into(),
-                        ));
-                    }
-                }
-                other => {
-                    return Err(DistError::Protocol(format!(
-                        "unexpected tag {other} awaiting verdict"
-                    )))
-                }
-            }
-        };
+        // --- Step the owned rows straight away; the coordinator splices
+        // them only if its watchdog passes, and re-Adopts otherwise ------
         let res = self.res.as_mut().expect("checked at step entry");
         res.t += 1;
-        let p = kernels::AdamParams::for_step(lr_eff, self.setup.weight_decay, res.t);
+        let p = kernels::AdamParams::for_step(step.lr_eff, self.setup.weight_decay, res.t);
         for f in 0..3 {
             kernels::adam_update(
                 &mut res.w[f],
@@ -518,7 +469,14 @@ impl ShardWorker {
             epoch,
             self.id as u32,
             0,
-            [&res.w[0], &res.w[1], &res.w[2]],
+            self.dots.each_ref().map(Vec::as_slice),
+            res.w.each_ref().map(Vec::as_slice),
+            step.ship_moments.then(|| {
+                (
+                    res.m.each_ref().map(Vec::as_slice),
+                    res.v.each_ref().map(Vec::as_slice),
+                )
+            }),
         );
         // One whole-epoch CPU span: `busy_now_ns` is process CPU time, so
         // the blocking recv waits above contribute ~nothing, while the
@@ -535,6 +493,32 @@ impl ShardWorker {
 // ---------------------------------------------------------------------
 // Coordinator side
 // ---------------------------------------------------------------------
+
+/// Worker `rg`'s owned rows (rank `r`) of the three factors of a model,
+/// a tail or an Adam moment, as slices (`mut`: mutable slices).
+macro_rules! owned_rows {
+    ($x:expr, $rg:expr, $r:expr) => {
+        [
+            &$x.u1.as_slice()[$rg[0].0 * $r..$rg[0].1 * $r],
+            &$x.u2.as_slice()[$rg[1].0 * $r..$rg[1].1 * $r],
+            &$x.u3.as_slice()[$rg[2].0 * $r..$rg[2].1 * $r],
+        ]
+    };
+    (mut $x:expr, $rg:expr, $r:expr) => {
+        [
+            &mut $x.u1.as_mut_slice()[$rg[0].0 * $r..$rg[0].1 * $r],
+            &mut $x.u2.as_mut_slice()[$rg[1].0 * $r..$rg[1].1 * $r],
+            &mut $x.u3.as_mut_slice()[$rg[2].0 * $r..$rg[2].1 * $r],
+        ]
+    };
+}
+
+/// Copy one decoded UpdatedRows block per factor into `dests`.
+fn splice(blocks: [&[u8]; 3], dests: [&mut [f64]; 3]) {
+    for (bytes, dest) in blocks.into_iter().zip(dests) {
+        copy_f64s(bytes, dest);
+    }
+}
 
 /// One reader thread's report: a burst of verified raw frames, or the
 /// stream's end. `gen` invalidates events from a replaced worker's old
@@ -605,22 +589,20 @@ fn spawn_reader(
 
 /// Per-attempt accept slots. Every worker→coordinator message is a pure
 /// function of the restored epoch state, so replays are bitwise identical
-/// and first-wins is always safe; model/Adam mutations (UpdatedRows) are
-/// buffered so early replicas cannot corrupt state read later in the
-/// attempt.
+/// and first-wins is always safe; UpdatedRows stay raw until the
+/// watchdog has ruled on the attempt.
 #[derive(Default)]
 struct Gather {
     stats: Vec<Option<(Vec<f64>, Vec<f64>)>>,
     /// `src · w + dest`: has this exchange been relayed this attempt?
     relayed: Vec<bool>,
-    norm: Vec<Option<[Vec<f64>; 3]>>,
     upd: Vec<Option<Vec<u8>>>,
 }
 
-/// What the attempt pump is waiting to complete.
+/// What the attempt pump is waiting to complete: the epoch's two round
+/// trips.
 enum Wait {
     StatsAndRelays,
-    Norm,
     Upd,
 }
 
@@ -674,7 +656,6 @@ impl Fleet<'_> {
         self.gather.stats = vec![None; w];
         // A worker never exchanges with itself: pre-mark the diagonal.
         self.gather.relayed = (0..w * w).map(|i| i / w == i % w).collect();
-        self.gather.norm = vec![None; w];
         self.gather.upd = vec![None; w];
         self.relay_buf.resize(w, Vec::new());
         for buf in &mut self.relay_buf {
@@ -729,7 +710,6 @@ impl Fleet<'_> {
                 self.gather.stats.iter().all(Option::is_some)
                     && self.gather.relayed.iter().all(|&r| r)
             }
-            Wait::Norm => self.gather.norm.iter().all(Option::is_some),
             Wait::Upd => self.gather.upd.iter().all(Option::is_some),
         }
     }
@@ -783,7 +763,7 @@ impl Fleet<'_> {
                 }
                 Ok(())
             }
-            TAG_CHUNK_STATS | TAG_NORM_PART | TAG_UPD_ROWS => {
+            TAG_CHUNK_STATS | TAG_UPD_ROWS => {
                 let (ep, s) = msg_epoch_src(payload)
                     .map_err(|e| (src, format!("corrupt message header: {e}")))?;
                 if ep != epoch {
@@ -805,23 +785,13 @@ impl Fleet<'_> {
                         }
                         self.gather.stats[src] = Some((losses, h));
                     }
-                    TAG_NORM_PART if self.gather.norm[src].is_none() => {
-                        let (_, dots) = decode_norm_part(payload, epoch, self.row_counts[src])
-                            .map_err(|e| (src, format!("corrupt norm partial: {e}")))?;
-                        self.gather.norm[src] = Some(dots);
-                    }
                     TAG_UPD_ROWS if self.gather.upd[src].is_none() => {
-                        // Buffered, not applied: an early replica must not
-                        // touch the model the tail still reads.
                         self.gather.upd[src] = Some(raw);
                     }
                     _ => {} // duplicate replica of a filled slot
                 }
                 Ok(())
             }
-            // A snapshot reply trailing in from an aborted cadence point;
-            // the snap gather below re-requests what it needs.
-            TAG_SNAP_ROWS => Ok(()),
             other => Err((src, format!("unexpected tag {other} from worker"))),
         }
     }
@@ -830,28 +800,16 @@ impl Fleet<'_> {
     /// rollback, respawn). The FIFO stream makes this a clean reset at
     /// any worker receive point.
     fn adopt_all(&mut self, run: &RunState<'_>) -> SendResult {
-        let (model, adam) = (&run.model, &run.adam);
-        let r = self.rank;
+        let (model, adam, r) = (&run.model, &run.adam, self.rank);
         for dest in 0..self.w() {
             let rg = self.ranges[dest];
-            let parts = [
-                (
-                    &model.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
-                    &adam.m.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
-                    &adam.v.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
-                ),
-                (
-                    &model.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
-                    &adam.m.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
-                    &adam.v.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
-                ),
-                (
-                    &model.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
-                    &adam.m.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
-                    &adam.v.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
-                ),
-            ];
-            encode_adopt_into(self.fbuf.payload(), run.epoch as u64, adam.t, parts);
+            encode_adopt_into(
+                self.fbuf.payload(),
+                adam.t,
+                owned_rows!(model, rg, r),
+                owned_rows!(adam.m, rg, r),
+                owned_rows!(adam.v, rg, r),
+            );
             self.send_built(dest)?;
         }
         Ok(())
@@ -874,6 +832,7 @@ impl Fleet<'_> {
         let epoch = run.epoch;
         let ep = epoch as u64;
         let w = self.w();
+        let (lr_eff, ship) = (run.lr(), run.due());
         self.gather_reset();
 
         // 1. Step broadcast — each worker's U¹ read window, minus its
@@ -883,6 +842,8 @@ impl Fleet<'_> {
             encode_step_owned_into(
                 self.fbuf.payload(),
                 ep,
+                lr_eff,
+                ship,
                 &run.model,
                 u1_lo,
                 u1_hi,
@@ -929,15 +890,7 @@ impl Fleet<'_> {
             } else if let Some(d) = &dmats {
                 encode_tail_gram_into(p, ep, d);
             } else {
-                encode_tail_rows_into(
-                    p,
-                    ep,
-                    [
-                        &tail.u1.as_slice()[rg[0].0 * r..rg[0].1 * r],
-                        &tail.u2.as_slice()[rg[1].0 * r..rg[1].1 * r],
-                        &tail.u3.as_slice()[rg[2].0 * r..rg[2].1 * r],
-                    ],
-                );
+                encode_tail_rows_into(p, ep, owned_rows!(tail, rg, r));
             }
             self.relay_buf[dest].extend_from_slice(self.fbuf.finish());
             if let Err((worker, detail)) = self.send_pending(dest) {
@@ -972,15 +925,33 @@ impl Fleet<'_> {
             kernels::axpy(1.0, &tail.h, h_grad);
         }
 
-        // 6. Norm fold + watchdog.
-        if let Err((worker, detail)) = self.pump(ep, faults, Wait::Norm) {
+        // 6. UpdatedRows, then the norm fold + watchdog. The rows and
+        // moments stay in their frames until the watchdog passes.
+        if let Err((worker, detail)) = self.pump(ep, faults, Wait::Upd) {
             return Attempt::Lost { worker, detail };
+        }
+        let raws: Vec<Vec<u8>> = (self.gather.upd.iter_mut())
+            .map(|slot| slot.take().expect("pump completed"))
+            .collect();
+        let mut upds = Vec::with_capacity(w);
+        for (src, raw) in raws.iter().enumerate() {
+            match decode_upd_rows(raw_payload(raw), ep, self.row_counts[src], r, ship) {
+                Ok(u) => {
+                    self.worker_busy_ns[src] += u.busy_ns;
+                    upds.push(u);
+                }
+                Err(e) => {
+                    return Attempt::Lost {
+                        worker: src,
+                        detail: format!("corrupt updated rows: {e}"),
+                    }
+                }
+            }
         }
         let mut acc = 0.0;
         for f in 0..3 {
-            for src in 0..w {
-                let dots = &self.gather.norm[src].as_ref().expect("pump completed")[f];
-                Grads::norm_fold_rows(&mut acc, dots);
+            for u in &upds {
+                Grads::norm_fold_rows(&mut acc, &u.dots[f]);
             }
         }
         acc += kernels::dot(h_grad, h_grad);
@@ -997,93 +968,21 @@ impl Fleet<'_> {
             return Attempt::Diverged { detail };
         }
 
-        // 7. Verdict + the coordinator's own h step.
-        let lr_eff = run.lr();
-        for dest in 0..w {
-            encode_verdict_into(self.fbuf.payload(), ep, lr_eff);
-            if let Err((worker, detail)) = self.send_built(dest) {
-                return Attempt::Lost { worker, detail };
-            }
-        }
+        // 7. Accepted: the coordinator's own h step, then splice the
+        // worker-stepped rows (and, on cadence epochs, the moments) into
+        // the authoritative state.
         let adam = &mut run.adam;
         adam.t += 1;
         let p = kernels::AdamParams::for_step(lr_eff, cfg.weight_decay, adam.t);
         kernels::adam_update(&mut run.model.h, h_grad, &mut adam.m.h, &mut adam.v.h, &p);
-
-        // 8. Splice the worker-stepped rows into the authoritative model.
-        if let Err((worker, detail)) = self.pump(ep, faults, Wait::Upd) {
-            return Attempt::Lost { worker, detail };
-        }
-        for src in 0..w {
-            let raw = self.gather.upd[src].take().expect("pump completed");
-            let rg = self.ranges[src];
-            let model = &mut run.model;
-            let dests = [
-                &mut model.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
-                &mut model.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
-                &mut model.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
-            ];
-            match apply_upd_rows(raw_payload(&raw), ep, dests) {
-                Ok(busy_ns) => self.worker_busy_ns[src] += busy_ns,
-                Err(e) => {
-                    return Attempt::Lost {
-                        worker: src,
-                        detail: format!("corrupt updated rows: {e}"),
-                    }
-                }
+        for (u, &rg) in upds.iter().zip(&self.ranges) {
+            splice(u.rows, owned_rows!(mut run.model, rg, r));
+            if let Some((m, v)) = u.moments {
+                splice(m, owned_rows!(mut run.adam.m, rg, r));
+                splice(v, owned_rows!(mut run.adam.v, rg, r));
             }
         }
         Attempt::Stepped { l2, l1 }
-    }
-
-    /// Gather the resident moments into `adam` so checkpoints stay
-    /// worker-count-independent. `label` is the completed-epoch count,
-    /// matching [`Checkpoint::epoch`].
-    fn snap(&mut self, label: u64, adam: &mut AdamState) -> SendResult {
-        let w = self.w();
-        for dest in 0..w {
-            encode_snap_req_into(self.fbuf.payload(), label);
-            self.send_built(dest)?;
-        }
-        let r = self.rank;
-        let mut done = vec![false; w];
-        while !done.iter().all(|&d| d) {
-            let (src, batch) = match self.next_event() {
-                Event::Lost { src, detail, .. } => return Err((src, detail)),
-                Event::Frames { src, batch, .. } => (src, batch),
-            };
-            for raw in batch {
-                self.bytes_received += raw.len() as u64;
-                let payload = raw_payload(&raw);
-                let tag = tag_of(payload).map_err(|e| (src, format!("corrupt frame: {e}")))?;
-                if tag != TAG_SNAP_ROWS {
-                    continue; // stale attempt leftovers; all consumed slots
-                }
-                let (ep, s) = msg_epoch_src(payload)
-                    .map_err(|e| (src, format!("corrupt snap header: {e}")))?;
-                if ep != label || done[src] {
-                    continue;
-                }
-                if s as usize != src {
-                    return Err((src, format!("snapshot claims source {s}")));
-                }
-                let rg = self.ranges[src];
-                let m_dests = [
-                    &mut adam.m.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
-                    &mut adam.m.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
-                    &mut adam.m.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
-                ];
-                let v_dests = [
-                    &mut adam.v.u1.as_mut_slice()[rg[0].0 * r..rg[0].1 * r],
-                    &mut adam.v.u2.as_mut_slice()[rg[1].0 * r..rg[1].1 * r],
-                    &mut adam.v.u3.as_mut_slice()[rg[2].0 * r..rg[2].1 * r],
-                ];
-                apply_snap_rows(payload, label, m_dests, v_dests)
-                    .map_err(|e| (src, format!("corrupt snap rows: {e}")))?;
-                done[src] = true;
-            }
-        }
-        Ok(())
     }
 
     fn shutdown(&mut self) {
@@ -1259,16 +1158,7 @@ pub(super) fn train_tail_sharded(
                     bytes_sent: fleet.bytes_sent - epoch_sent0,
                     bytes_received: fleet.bytes_received - epoch_recv0,
                 });
-                run.epoch += 1;
-                if run.due() {
-                    // Gather the resident moments, so the committed state
-                    // is the whole run's.
-                    if let Err(lost) = fleet.snap(run.epoch as u64, &mut run.adam) {
-                        recover(&mut fleet, &mut run, lost)?;
-                        continue;
-                    }
-                    run.commit()?;
-                }
+                run.advance()?;
             }
         }
     }

@@ -25,12 +25,13 @@ use tcss_sparse::TensorEntry;
 /// prefix, not a real message.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
-/// Message tags (first payload byte).
+/// Message tags (first payload byte). One epoch is StepOwned → ChunkStats
+/// + Exch → TailRows → UpdatedRows; see [`super::sharded`].
 pub(crate) const TAG_HELLO: u8 = 1;
 pub(crate) const TAG_SETUP: u8 = 2;
 pub(crate) const TAG_SHUTDOWN: u8 = 5;
 /// Coordinator → worker resident-state install (initial, respawn,
-/// rollback); see [`super::sharded`] for the epoch protocol.
+/// rollback).
 pub(crate) const TAG_ADOPT: u8 = 6;
 /// Worker → owner (relayed verbatim): un-merged per-chunk row deltas for
 /// rows the destination owns.
@@ -41,23 +42,15 @@ pub(crate) const TAG_CHUNK_STATS: u8 = 8;
 /// Coordinator → worker: Gram + Hausdorff tail gradients for the rows the
 /// worker owns (absent when the tail is inactive this epoch).
 pub(crate) const TAG_TAIL_ROWS: u8 = 9;
-/// Worker → coordinator: per-owned-row gradient self-dots for the global
-/// norm fold.
-pub(crate) const TAG_NORM_PART: u8 = 10;
-/// Coordinator → worker: the watchdog passed; apply Adam with this
-/// effective learning rate.
-pub(crate) const TAG_VERDICT: u8 = 11;
-/// Worker → coordinator: Adam-updated factor rows for the owned ranges.
+/// Worker → coordinator: per-owned-row gradient self-dots for the norm
+/// fold, the Adam-stepped owned rows, and on cadence epochs the `m`/`v`
+/// moments.
 pub(crate) const TAG_UPD_ROWS: u8 = 12;
-/// Coordinator → worker: ship your resident Adam moments (checkpoint
-/// assembly).
-pub(crate) const TAG_SNAP_REQ: u8 = 13;
-/// Worker → coordinator: resident `m`/`v` rows for the owned ranges.
-pub(crate) const TAG_SNAP_ROWS: u8 = 14;
-/// Coordinator → worker: one epoch's model, with the worker's owned
-/// `U¹` rows punched out of its read window — the receiver holds those
-/// rows resident (bitwise equal to the coordinator's copy by the
-/// UpdatedRows splice invariant) and fills them back in during decode.
+/// Coordinator → worker: one epoch's model, effective learning rate and
+/// ship-moments flag, with the worker's owned `U¹` rows punched out of
+/// its read window — the receiver holds those rows resident (bitwise
+/// equal to the coordinator's copy by the UpdatedRows splice invariant)
+/// and fills them back in during decode.
 pub(crate) const TAG_STEP_OWNED: u8 = 15;
 
 /// Typed decode failures. Every malformed input maps to exactly one of
@@ -325,7 +318,12 @@ pub(crate) fn u1_hole(own: (usize, usize), lo: usize, hi: usize) -> (usize, usiz
     (h_lo, h_hi)
 }
 
-/// Coordinator → worker: one epoch's model. `U²`/`U³`/`h` ship whole;
+/// Coordinator → worker: one epoch's step. `lr_eff` is the effective
+/// learning rate (`lr · lr_scale`, multiplied once on the coordinator so
+/// every peer steps with the same bits) and `ship_moments` asks for the
+/// resident `m`/`v` in this epoch's UpdatedRows (cadence epochs).
+///
+/// The model: `U²`/`U³`/`h` ship whole;
 /// `U¹` ships only the receiver's read window `[u1_lo, u1_hi)` — a worker
 /// only ever reads the `U¹` rows its contiguous (sorted COO) chunk block
 /// touches (negative sampling reads arbitrary rows, so there the
@@ -334,9 +332,12 @@ pub(crate) fn u1_hole(own: (usize, usize), lo: usize, hi: usize) -> (usize, usiz
 /// resident. At steady state a worker's read window is mostly its own
 /// chunk block's rows, so the per-epoch broadcast drops to the boundary
 /// slivers owned by its neighbors.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_step_owned_into(
     p: &mut Vec<u8>,
     epoch: u64,
+    lr_eff: f64,
+    ship_moments: bool,
     model: &TcssModel,
     u1_lo: usize,
     u1_hi: usize,
@@ -347,9 +348,11 @@ pub(crate) fn encode_step_owned_into(
     debug_assert!(u1_lo <= u1_hi && u1_hi <= i);
     let (h_lo, h_hi) = u1_hole(own, u1_lo, u1_hi);
     let sent = (u1_hi - u1_lo) - (h_hi - h_lo);
-    p.reserve(1 + 8 + 24 + (sent + j + k + 1) * r * 8);
+    p.reserve(1 + 8 + 9 + 24 + (sent + j + k + 1) * r * 8);
     p.push(TAG_STEP_OWNED);
     put_u64(p, epoch);
+    put_f64(p, lr_eff);
+    p.push(ship_moments as u8);
     put_u32(p, i as u32);
     put_u32(p, j as u32);
     put_u32(p, k as u32);
@@ -363,6 +366,14 @@ pub(crate) fn encode_step_owned_into(
     put_f64s(p, &model.h);
 }
 
+/// Decoded [`TAG_STEP_OWNED`].
+pub(crate) struct Step {
+    pub epoch: u64,
+    pub lr_eff: f64,
+    pub ship_moments: bool,
+    pub model: TcssModel,
+}
+
 /// Decode [`TAG_STEP_OWNED`], splicing the receiver's resident owned
 /// `U¹` rows (`res_u1`, the full `own` range slab) into the hole. The
 /// resident bytes are the same bits the coordinator's model holds for
@@ -373,10 +384,12 @@ pub(crate) fn decode_step_owned(
     payload: &[u8],
     res_u1: &[f64],
     own: (usize, usize),
-) -> Result<(u64, TcssModel), WireError> {
+) -> Result<Step, WireError> {
     let mut r = Reader::new(payload);
     expect_tag(&mut r, TAG_STEP_OWNED, "StepOwned")?;
     let epoch = r.u64("epoch")?;
+    let lr_eff = r.f64("effective lr")?;
+    let ship_moments = r.flag("ship-moments flag")?;
     let i = r.u32("dim I")? as usize;
     let j = r.u32("dim J")? as usize;
     let k = r.u32("dim K")? as usize;
@@ -429,7 +442,12 @@ pub(crate) fn decode_step_owned(
     let mut model = TcssModel::try_new(u1, u2, u3)
         .map_err(|e| WireError::Malformed(format!("inconsistent model: {e}")))?;
     model.h = h;
-    Ok((epoch, model))
+    Ok(Step {
+        epoch,
+        lr_eff,
+        ship_moments,
+        model,
+    })
 }
 
 /// Coordinator → worker: clean exit.
@@ -449,22 +467,61 @@ fn put_counted_f64s(p: &mut Vec<u8>, vs: &[f64]) {
     put_f64s(p, vs);
 }
 
-impl Reader<'_> {
-    /// A `u32` count followed by that many `f64`s, validated against an
-    /// expected element count.
-    fn counted_f64s(
-        &mut self,
-        expect: usize,
-        out: &mut Vec<f64>,
-        what: &str,
-    ) -> Result<(), WireError> {
+impl<'a> Reader<'a> {
+    /// A `u32` count, validated against an expected element count, then
+    /// that many `f64`s as raw little-endian bytes.
+    fn counted_bytes(&mut self, expect: usize, what: &str) -> Result<&'a [u8], WireError> {
         let n = self.u32(what)? as usize;
         if n != expect {
             return Err(WireError::Malformed(format!(
                 "{what}: expected {expect} elements, got {n}"
             )));
         }
-        self.f64s_into(n, out, what)
+        self.take(n * 8, what)
+    }
+
+    /// One [`Reader::counted_bytes`] block per factor.
+    fn factor_blocks(
+        &mut self,
+        expect: [usize; 3],
+        what: &str,
+    ) -> Result<[&'a [u8]; 3], WireError> {
+        Ok([
+            self.counted_bytes(expect[0], what)?,
+            self.counted_bytes(expect[1], what)?,
+            self.counted_bytes(expect[2], what)?,
+        ])
+    }
+
+    /// [`Reader::counted_bytes`], decoded onto `out`.
+    fn counted_f64s(
+        &mut self,
+        expect: usize,
+        out: &mut Vec<f64>,
+        what: &str,
+    ) -> Result<(), WireError> {
+        let bytes = self.counted_bytes(expect, what)?;
+        let start = out.len();
+        out.resize(start + expect, 0.0);
+        copy_f64s(bytes, &mut out[start..]);
+        Ok(())
+    }
+
+    /// A `0`/`1` byte.
+    fn flag(&mut self, what: &str) -> Result<bool, WireError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::Malformed(format!("{what}: bad value {other}"))),
+        }
+    }
+}
+
+/// Copy raw little-endian `f64`s (validated by a decoder) into `dest`.
+pub(crate) fn copy_f64s(bytes: &[u8], dest: &mut [f64]) {
+    debug_assert_eq!(bytes.len(), dest.len() * 8);
+    for (d, s) in dest.iter_mut().zip(bytes.chunks_exact(8)) {
+        *d = f64::from_le_bytes(s.try_into().unwrap());
     }
 }
 
@@ -491,27 +548,23 @@ pub(crate) fn msg_epoch_src(payload: &[u8]) -> Result<(u64, u32), WireError> {
 /// accepts it at **any** receive point and resets its epoch state.
 pub(crate) fn encode_adopt_into(
     p: &mut Vec<u8>,
-    epoch: u64,
     t: u64,
-    parts: [(&[f64], &[f64], &[f64]); 3],
+    w: [&[f64]; 3],
+    m: [&[f64]; 3],
+    v: [&[f64]; 3],
 ) {
     p.push(TAG_ADOPT);
-    put_u64(p, epoch);
     put_u64(p, t);
-    for (w, m, v) in parts {
-        debug_assert!(w.len() == m.len() && m.len() == v.len());
-        put_counted_f64s(p, w);
-        put_counted_f64s(p, m);
-        put_counted_f64s(p, v);
+    for f in 0..3 {
+        debug_assert!(w[f].len() == m[f].len() && m[f].len() == v[f].len());
+        put_counted_f64s(p, w[f]);
+        put_counted_f64s(p, m[f]);
+        put_counted_f64s(p, v[f]);
     }
 }
 
-/// Decoded [`TAG_ADOPT`]: `(epoch, t, per-factor (w, m, v))`.
+/// Decoded [`TAG_ADOPT`]: the step counter and per-factor `(w, m, v)`.
 pub(crate) struct Adopt {
-    /// Epoch label for diagnostics; a worker's reset does not depend on
-    /// it (the FIFO stream already orders Adopt against Steps).
-    #[allow(dead_code)]
-    pub epoch: u64,
     pub t: u64,
     pub w: [Vec<f64>; 3],
     pub m: [Vec<f64>; 3],
@@ -521,7 +574,6 @@ pub(crate) struct Adopt {
 pub(crate) fn decode_adopt(payload: &[u8], expect: [usize; 3]) -> Result<Adopt, WireError> {
     let mut r = Reader::new(payload);
     expect_tag(&mut r, TAG_ADOPT, "Adopt")?;
-    let epoch = r.u64("epoch")?;
     let t = r.u64("adam t")?;
     let mut w: [Vec<f64>; 3] = Default::default();
     let mut m: [Vec<f64>; 3] = Default::default();
@@ -532,7 +584,7 @@ pub(crate) fn decode_adopt(payload: &[u8], expect: [usize; 3]) -> Result<Adopt, 
         r.counted_f64s(expect[f], &mut v[f], "adopted v")?;
     }
     r.done()?;
-    Ok(Adopt { epoch, t, w, m, v })
+    Ok(Adopt { t, w, m, v })
 }
 
 /// Worker → owner: un-merged row deltas for rows `dest` owns, in global
@@ -768,93 +820,64 @@ pub(crate) fn decode_tail_rows(
     }
 }
 
-/// Worker → coordinator: per-owned-row gradient self-dots, row-ascending
-/// per factor — the coordinator folds these into the global gradient norm
-/// in factor-major, worker-ascending order.
-pub(crate) fn encode_norm_part_into(p: &mut Vec<u8>, epoch: u64, src: u32, dots: [&[f64]; 3]) {
-    p.push(TAG_NORM_PART);
-    put_u64(p, epoch);
-    put_u32(p, src);
-    for d in dots {
-        put_counted_f64s(p, d);
-    }
-}
-
-pub(crate) fn decode_norm_part(
-    payload: &[u8],
-    expect_epoch: u64,
-    expect: [usize; 3],
-) -> Result<(u32, [Vec<f64>; 3]), WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_NORM_PART, "NormPartial")?;
-    let epoch = r.u64("epoch")?;
-    if epoch != expect_epoch {
-        return Err(WireError::Malformed(format!(
-            "norm partial for epoch {epoch}, expected {expect_epoch}"
-        )));
-    }
-    let src = r.u32("src worker")?;
-    let mut dots: [Vec<f64>; 3] = Default::default();
-    for f in 0..3 {
-        r.counted_f64s(expect[f], &mut dots[f], "row dots")?;
-    }
-    r.done()?;
-    Ok((src, dots))
-}
-
-/// Coordinator → worker: the divergence watchdog passed; apply Adam to
-/// your owned rows with this effective learning rate (`lr · lr_scale`,
-/// multiplied once on the coordinator so every peer uses the same bits).
-pub(crate) fn encode_verdict_into(p: &mut Vec<u8>, epoch: u64, lr_eff: f64) {
-    p.push(TAG_VERDICT);
-    put_u64(p, epoch);
-    put_f64(p, lr_eff);
-}
-
-pub(crate) fn decode_verdict(payload: &[u8], expect_epoch: u64) -> Result<f64, WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_VERDICT, "Verdict")?;
-    let epoch = r.u64("epoch")?;
-    if epoch != expect_epoch {
-        return Err(WireError::Malformed(format!(
-            "verdict for epoch {epoch}, expected {expect_epoch}"
-        )));
-    }
-    let lr_eff = r.f64("effective lr")?;
-    r.done()?;
-    Ok(lr_eff)
-}
-
 /// `busy_ns` lives at this payload offset in an UpdatedRows message
 /// (tag + epoch + src); the worker patches the real figure over the
 /// placeholder after encoding, before framing.
 pub(crate) const UPD_ROWS_BUSY_OFFSET: usize = 13;
 
-/// Worker → coordinator: Adam-updated factor rows for the owned ranges —
-/// the coordinator splices them into the authoritative model.
+/// Per-factor `(m, v)` Adam moment blocks.
+pub(crate) type Moments<T> = ([T; 3], [T; 3]);
+
+/// Worker → coordinator, the epoch's one reply after the exchange: the
+/// per-owned-row gradient self-dots (row-ascending per factor; the
+/// coordinator folds them into the global norm factor-major,
+/// worker-ascending), the Adam-stepped owned rows, and — when the
+/// StepOwned asked for them — the resident `m`/`v` moments.
 pub(crate) fn encode_upd_rows_into(
     p: &mut Vec<u8>,
     epoch: u64,
     src: u32,
     busy_ns: u64,
-    parts: [&[f64]; 3],
+    dots: [&[f64]; 3],
+    rows: [&[f64]; 3],
+    moments: Option<Moments<&[f64]>>,
 ) {
     p.push(TAG_UPD_ROWS);
     put_u64(p, epoch);
     put_u32(p, src);
     put_u64(p, busy_ns);
-    for part in parts {
+    p.push(moments.is_some() as u8);
+    for part in dots.into_iter().chain(rows) {
         put_counted_f64s(p, part);
+    }
+    if let Some((m, v)) = moments {
+        for part in m.into_iter().chain(v) {
+            put_counted_f64s(p, part);
+        }
     }
 }
 
-/// Decode [`TAG_UPD_ROWS`], copying the updated rows straight into the
-/// caller's model slices (no intermediate buffer). Returns `busy_ns`.
-pub(crate) fn apply_upd_rows(
+/// Decoded [`TAG_UPD_ROWS`]. The rows and moments stay raw little-endian
+/// bytes borrowed from the payload, for [`copy_f64s`] straight into the
+/// coordinator's model once the watchdog has passed.
+pub(crate) struct UpdRows<'a> {
+    pub busy_ns: u64,
+    pub dots: [Vec<f64>; 3],
+    pub rows: [&'a [u8]; 3],
+    /// `(m, v)` per factor, on cadence epochs.
+    pub moments: Option<Moments<&'a [u8]>>,
+}
+
+/// Decode [`TAG_UPD_ROWS`] from a worker owning `counts` rows per factor.
+/// `moments` is what the epoch's StepOwned asked for; a reply that
+/// disagrees is malformed.
+pub(crate) fn decode_upd_rows(
     payload: &[u8],
     expect_epoch: u64,
-    dests: [&mut [f64]; 3],
-) -> Result<u64, WireError> {
+    counts: [usize; 3],
+    rank: usize,
+    moments: bool,
+) -> Result<UpdRows<'_>, WireError> {
     let mut r = Reader::new(payload);
     expect_tag(&mut r, TAG_UPD_ROWS, "UpdatedRows")?;
     let epoch = r.u64("epoch")?;
@@ -865,89 +888,33 @@ pub(crate) fn apply_upd_rows(
     }
     let _src = r.u32("src worker")?;
     let busy_ns = r.u64("busy_ns")?;
-    for dest in dests {
-        let n = r.u32("updated row count")? as usize;
-        if n != dest.len() {
-            return Err(WireError::Malformed(format!(
-                "updated rows: expected {} elements, got {n}",
-                dest.len()
-            )));
-        }
-        let bytes = r.take(n * 8, "updated row data")?;
-        for (d, s) in dest.iter_mut().zip(bytes.chunks_exact(8)) {
-            *d = f64::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-    r.done()?;
-    Ok(busy_ns)
-}
-
-/// Coordinator → worker: ship your resident Adam moments so the
-/// coordinator can assemble a worker-count-independent checkpoint.
-pub(crate) fn encode_snap_req_into(p: &mut Vec<u8>, epoch: u64) {
-    p.push(TAG_SNAP_REQ);
-    put_u64(p, epoch);
-}
-
-pub(crate) fn decode_snap_req(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_SNAP_REQ, "SnapReq")?;
-    let epoch = r.u64("epoch")?;
-    r.done()?;
-    Ok(epoch)
-}
-
-/// Worker → coordinator: resident `m`/`v` moments for the owned ranges.
-pub(crate) fn encode_snap_rows_into(
-    p: &mut Vec<u8>,
-    epoch: u64,
-    src: u32,
-    m: [&[f64]; 3],
-    v: [&[f64]; 3],
-) {
-    p.push(TAG_SNAP_ROWS);
-    put_u64(p, epoch);
-    put_u32(p, src);
-    for part in m {
-        put_counted_f64s(p, part);
-    }
-    for part in v {
-        put_counted_f64s(p, part);
-    }
-}
-
-/// Decode [`TAG_SNAP_ROWS`], splicing the moments into the caller's
-/// full-model Adam slices.
-pub(crate) fn apply_snap_rows(
-    payload: &[u8],
-    expect_epoch: u64,
-    m_dests: [&mut [f64]; 3],
-    v_dests: [&mut [f64]; 3],
-) -> Result<(), WireError> {
-    let mut r = Reader::new(payload);
-    expect_tag(&mut r, TAG_SNAP_ROWS, "SnapRows")?;
-    let epoch = r.u64("epoch")?;
-    if epoch != expect_epoch {
+    let shipped = r.flag("moments flag")?;
+    if shipped != moments {
         return Err(WireError::Malformed(format!(
-            "snap rows for epoch {epoch}, expected {expect_epoch}"
+            "updated rows carry moments: {shipped}, requested: {moments}"
         )));
     }
-    let _src = r.u32("src worker")?;
-    for dest in m_dests.into_iter().chain(v_dests) {
-        let n = r.u32("moment count")? as usize;
-        if n != dest.len() {
-            return Err(WireError::Malformed(format!(
-                "snap rows: expected {} elements, got {n}",
-                dest.len()
-            )));
-        }
-        let bytes = r.take(n * 8, "moment data")?;
-        for (d, s) in dest.iter_mut().zip(bytes.chunks_exact(8)) {
-            *d = f64::from_le_bytes(s.try_into().unwrap());
-        }
+    let mut dots: [Vec<f64>; 3] = Default::default();
+    for f in 0..3 {
+        r.counted_f64s(counts[f], &mut dots[f], "row dots")?;
     }
+    let elems = counts.map(|n| n * rank);
+    let rows = r.factor_blocks(elems, "updated rows")?;
+    let moments = if moments {
+        Some((
+            r.factor_blocks(elems, "moment m")?,
+            r.factor_blocks(elems, "moment v")?,
+        ))
+    } else {
+        None
+    };
     r.done()?;
-    Ok(())
+    Ok(UpdRows {
+        busy_ns,
+        dots,
+        rows,
+        moments,
+    })
 }
 
 /// The tag of a decoded payload (empty payloads are malformed).
@@ -1148,6 +1115,8 @@ mod tests {
     /// position in the window (interior, flush with either edge, covering
     /// it entirely, and disjoint from it) and for values (`1e-300`,
     /// `MIN_POSITIVE`, `-0.0`) whose bits a lossy codec would change.
+    /// The effective learning rate keeps its bits and the ship-moments
+    /// byte its value; any other byte there is malformed.
     #[test]
     fn step_owned_roundtrips_the_source_rows_bitwise() {
         let r = 2usize;
@@ -1160,7 +1129,8 @@ mod tests {
         let mut model = TcssModel::new(u1, u2, u3);
         model.h = vec![0.5, -0.0];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (lo, hi, own) in [
+        let lrs = [0.001 * 0.5, 1e-300, f64::MIN_POSITIVE, 0.00125];
+        for (case, (lo, hi, own)) in [
             (1, 5, (2, 4)), // interior hole
             (1, 5, (0, 3)), // hole flush with the window start
             (1, 5, (4, 6)), // hole flush with the window end
@@ -1168,12 +1138,19 @@ mod tests {
             (0, 2, (4, 6)), // owned range disjoint from the window
             (0, 6, (0, 6)), // everything resident, nothing shipped
             (0, 6, (3, 3)), // nothing resident, everything shipped
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (lr, ship) = (lrs[case % lrs.len()], case % 2 == 1);
             let mut p = Vec::new();
-            encode_step_owned_into(&mut p, 17, &model, lo, hi, own);
+            encode_step_owned_into(&mut p, 17, lr, ship, &model, lo, hi, own);
             let res: Vec<f64> = model.u1.as_slice()[own.0 * r..own.1 * r].to_vec();
-            let (epoch, got) = decode_step_owned(&p, &res, own).unwrap();
-            assert_eq!(epoch, 17);
+            let step = decode_step_owned(&p, &res, own).unwrap();
+            assert_eq!(step.epoch, 17);
+            assert_eq!(step.lr_eff.to_bits(), lr.to_bits());
+            assert_eq!(step.ship_moments, ship);
+            let got = step.model;
             for row in 0..6 {
                 let want: &[f64] = if (lo..hi).contains(&row) {
                     model.u1.row(row)
@@ -1189,6 +1166,10 @@ mod tests {
             assert_eq!(bits(got.u2.as_slice()), bits(model.u2.as_slice()));
             assert_eq!(bits(got.u3.as_slice()), bits(model.u3.as_slice()));
             assert_eq!(bits(&got.h), bits(&model.h));
+            // The ship-moments byte follows tag, epoch and lr.
+            p[17] = 2;
+            let err = decode_step_owned(&p, &res, own).err().expect("bad flag");
+            assert!(matches!(err, WireError::Malformed(_)), "{err}");
         }
     }
 
@@ -1200,16 +1181,13 @@ mod tests {
         let v = [vec![9.0, 8.0], vec![7.0], vec![6.0, 5.0, 4.0]];
         encode_adopt_into(
             &mut p,
-            11,
             42,
-            [
-                (&w[0][..], &m[0][..], &v[0][..]),
-                (&w[1][..], &m[1][..], &v[1][..]),
-                (&w[2][..], &m[2][..], &v[2][..]),
-            ],
+            w.each_ref().map(Vec::as_slice),
+            m.each_ref().map(Vec::as_slice),
+            v.each_ref().map(Vec::as_slice),
         );
         let a = decode_adopt(&p, [2, 1, 3]).unwrap();
-        assert_eq!((a.epoch, a.t), (11, 42));
+        assert_eq!(a.t, 42);
         assert_eq!(a.w[0][1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(a.w, w);
         assert_eq!(a.m, m);
@@ -1312,56 +1290,67 @@ mod tests {
         assert!(decode_tail_rows(&p, 3, [2, 1, 0], 2).is_err());
     }
 
-    #[test]
-    fn norm_part_verdict_and_snap_roundtrip() {
-        let mut p = Vec::new();
-        encode_norm_part_into(&mut p, 6, 1, [&[1.0, 2.0], &[3.0], &[]]);
-        let (src, dots) = decode_norm_part(&p, 6, [2, 1, 0]).unwrap();
-        assert_eq!(src, 1);
-        assert_eq!(dots[0], vec![1.0, 2.0]);
-
-        p.clear();
-        encode_verdict_into(&mut p, 6, 0.00125);
-        assert_eq!(
-            decode_verdict(&p, 6).unwrap().to_bits(),
-            0.00125f64.to_bits()
-        );
-        assert!(decode_verdict(&p, 7).is_err());
-
-        p.clear();
-        let m = [vec![0.25, 0.5], vec![0.75], vec![]];
-        let v = [vec![1.25, 1.5], vec![1.75], vec![]];
-        encode_snap_rows_into(&mut p, 6, 1, [&m[0], &m[1], &m[2]], [&v[0], &v[1], &v[2]]);
-        let mut m_out = [vec![0.0; 2], vec![0.0], vec![]];
-        let mut v_out = [vec![0.0; 2], vec![0.0], vec![]];
-        {
-            let [m0, m1, m2] = &mut m_out;
-            let [v0, v1, v2] = &mut v_out;
-            apply_snap_rows(&p, 6, [m0, m1, m2], [v0, v1, v2]).unwrap();
-        }
-        assert_eq!(m_out, m);
-        assert_eq!(v_out, v);
-
-        p.clear();
-        encode_snap_req_into(&mut p, 9);
-        assert_eq!(decode_snap_req(&p).unwrap(), 9);
-    }
-
+    /// UpdatedRows round-trips its dots, rows and (on cadence epochs)
+    /// moments bit for bit, carries the busy figure patched in after
+    /// encoding, and is malformed when it disagrees with what the
+    /// StepOwned asked for — moments missing or unasked for — or with
+    /// the owned row counts.
     #[test]
     fn upd_rows_splice_and_busy_patch() {
-        let mut p = Vec::new();
-        let parts = [vec![1.0, 2.0], vec![3.0], vec![]];
-        encode_upd_rows_into(&mut p, 5, 2, 0, [&parts[0], &parts[1], &parts[2]]);
-        p[UPD_ROWS_BUSY_OFFSET..UPD_ROWS_BUSY_OFFSET + 8]
-            .copy_from_slice(&0xFEED_FACEu64.to_le_bytes());
-        let mut d0 = vec![0.0; 2];
-        let mut d1 = vec![0.0];
-        let mut d2: Vec<f64> = vec![];
-        let busy = apply_upd_rows(&p, 5, [&mut d0, &mut d1, &mut d2]).unwrap();
-        assert_eq!(busy, 0xFEED_FACE);
-        assert_eq!(d0, parts[0]);
-        assert_eq!(d1, parts[1]);
-        assert_eq!(msg_epoch_src(&p).unwrap(), (5, 2));
-        assert!(apply_upd_rows(&p, 6, [&mut d0, &mut d1, &mut d2]).is_err());
+        // Rank 2; the sender owns 2, 1 and 0 rows of the three factors.
+        let (counts, rank) = ([2, 1, 0], 2);
+        let dots = [vec![1.0, 2.0], vec![3.0], vec![]];
+        let rows = [vec![0.5, -0.0, 1e-300, 4.0], vec![5.0, 6.0], vec![]];
+        let m = [vec![0.1, 0.2, 0.3, 0.4], vec![0.5, 0.6], vec![]];
+        let v = [vec![1.1, 1.2, 1.3, 1.4], vec![1.5, 1.6], vec![]];
+        // Each decoded block copies out to exactly the encoded bits.
+        let same = |blocks: [&[u8]; 3], want: &[Vec<f64>; 3]| {
+            for (b, w) in blocks.into_iter().zip(want) {
+                let mut out = vec![0.0; w.len()];
+                copy_f64s(b, &mut out);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(w));
+            }
+        };
+        for ship in [false, true] {
+            let mut p = Vec::new();
+            let moments = ship.then(|| {
+                (
+                    m.each_ref().map(Vec::as_slice),
+                    v.each_ref().map(Vec::as_slice),
+                )
+            });
+            encode_upd_rows_into(
+                &mut p,
+                5,
+                2,
+                0,
+                dots.each_ref().map(Vec::as_slice),
+                rows.each_ref().map(Vec::as_slice),
+                moments,
+            );
+            p[UPD_ROWS_BUSY_OFFSET..UPD_ROWS_BUSY_OFFSET + 8]
+                .copy_from_slice(&0xFEED_FACEu64.to_le_bytes());
+            assert_eq!(msg_epoch_src(&p).unwrap(), (5, 2));
+            let u = decode_upd_rows(&p, 5, counts, rank, ship).unwrap();
+            assert_eq!(u.busy_ns, 0xFEED_FACE);
+            assert_eq!(u.dots, dots);
+            same(u.rows, &rows);
+            match u.moments {
+                Some((um, uv)) => {
+                    assert!(ship);
+                    same(um, &m);
+                    same(uv, &v);
+                }
+                None => assert!(!ship),
+            }
+            let malformed = |r: Result<UpdRows<'_>, WireError>| {
+                assert!(matches!(r.err(), Some(WireError::Malformed(_))));
+            };
+            malformed(decode_upd_rows(&p, 5, counts, rank, !ship));
+            malformed(decode_upd_rows(&p, 6, counts, rank, ship));
+            malformed(decode_upd_rows(&p, 5, [2, 2, 0], rank, ship));
+            malformed(decode_upd_rows(&p[..p.len() - 1], 5, counts, rank, ship));
+        }
     }
 }

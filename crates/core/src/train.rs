@@ -289,10 +289,22 @@ impl<'a> RunState<'a> {
         self.cfg.learning_rate * self.lr_scale
     }
 
-    /// Is the epoch cursor on a cadence point — every `checkpoint_every`
-    /// epochs, and the last one?
+    /// Does the epoch at the cursor end on a cadence point — every
+    /// `checkpoint_every` epochs, and the last one?
     pub(crate) fn due(&self) -> bool {
-        self.epoch.is_multiple_of(self.cfg.checkpoint_every) || self.epoch == self.cfg.epochs
+        let done = self.epoch + 1;
+        done.is_multiple_of(self.cfg.checkpoint_every) || done == self.cfg.epochs
+    }
+
+    /// The epoch at the cursor was accepted: move the cursor past it and,
+    /// on a cadence point, [`RunState::commit`].
+    pub(crate) fn advance(&mut self) -> Result<(), TrainError> {
+        let due = self.due();
+        self.epoch += 1;
+        if due {
+            self.commit()?;
+        }
+        Ok(())
     }
 
     /// The watchdog rejected the epoch at the cursor: spend one retry
@@ -327,7 +339,7 @@ impl<'a> RunState<'a> {
     /// Cadence point: if every parameter is finite (finite-but-huge
     /// gradients can overflow the Adam update), make the current state
     /// `last_good` and, when checkpointing, save it.
-    pub(crate) fn commit(&mut self) -> Result<(), TrainError> {
+    fn commit(&mut self) -> Result<(), TrainError> {
         if !model_is_finite(&self.model) {
             return Ok(());
         }
@@ -776,10 +788,7 @@ impl TcssTrainer {
             let lr = run.lr();
             run.adam.step(&mut run.model, &grads, lr, cfg.weight_decay);
             on_epoch(TrainContext::local(epoch, l2, l1));
-            run.epoch += 1;
-            if run.due() {
-                run.commit()?;
-            }
+            run.advance()?;
         }
         Ok(run.finish())
     }

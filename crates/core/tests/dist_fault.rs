@@ -142,7 +142,9 @@ fn recovery_works_without_on_disk_checkpoints() {
 /// goes down. Recovery must discard the whole half-finished epoch on
 /// every worker (Adopt resets resident state), restore the Adam moments
 /// for every owned range from the last good state, and still land on the
-/// uninterrupted run's exact bits.
+/// in-process run's exact bits. The kill lands on epoch 4 and on epoch 3,
+/// which ends on the epoch-4 cadence point, so its UpdatedRows would
+/// have carried the moments.
 ///
 /// The final-checkpoint byte comparison is the explicit Adam-state check:
 /// the checkpoint serializes the gathered `m`/`v` moments, so identical
@@ -150,46 +152,43 @@ fn recovery_works_without_on_disk_checkpoints() {
 /// exact.
 #[test]
 fn mid_exchange_kill_is_survivable_and_bit_exact() {
+    let clean_dir = tempdir("dist_xkill_in_process");
     let want = model_bits(
-        &fixture(None, None)
+        &fixture(None, Some(clean_dir.clone()))
             .train_with_checkpoints(|_| {})
             .expect("in-process run trains")
             .model,
     );
-    // Uninterrupted run, checkpointing, as the byte oracle.
-    let clean_dir = tempdir("dist_clean");
-    let undisturbed = fixture(Some(2), Some(clean_dir.clone()))
-        .train_distributed(&dist_cfg(2), |_| {})
-        .expect("uninterrupted distributed run trains");
-    assert_eq!(model_bits(&undisturbed.report.model), want);
     let want_ckpt = std::fs::read(clean_dir.join(tcss_core::CHECKPOINT_FILE))
-        .expect("uninterrupted run wrote a checkpoint");
+        .expect("in-process run wrote a checkpoint");
 
-    for victim in 0..2usize {
-        let dir = tempdir(&format!("dist_xkill_w{victim}"));
+    for (epoch, victim) in [(4, 0), (4, 1), (3, 0), (3, 1)] {
+        let dir = tempdir(&format!("dist_xkill_e{epoch}_w{victim}"));
         let trainer = fixture(Some(2), Some(dir.clone()));
-        // Epoch 4: past the epoch-2 checkpoint, so the rollback rewinds
-        // to the epoch-2 state — including every worker's owned slice of
-        // the Adam moments, re-adopted over the wire.
-        let plan = FaultPlan::kill_worker_mid_exchange_at(4, victim);
+        // Past the epoch-2 checkpoint, so the rollback rewinds to the
+        // epoch-2 state — including every worker's owned slice of the
+        // Adam moments, re-adopted over the wire.
+        let plan = FaultPlan::kill_worker_mid_exchange_at(epoch, victim);
         let report = trainer
             .train_distributed_with_faults(&dist_cfg(2), &plan, |_| {})
-            .unwrap_or_else(|e| panic!("run with worker {victim} killed mid-exchange failed: {e}"));
+            .unwrap_or_else(|e| {
+                panic!("run with worker {victim} killed mid-exchange at {epoch} failed: {e}")
+            });
         assert!(
             report.respawns >= 1,
-            "mid-exchange kill of worker {victim} must cost at least one respawn"
+            "mid-exchange kill of worker {victim} at epoch {epoch} must cost a respawn"
         );
         assert_eq!(
             model_bits(&report.report.model),
             want,
-            "recovery after losing worker {victim} mid-exchange diverged"
+            "recovery after losing worker {victim} mid-exchange at epoch {epoch} diverged"
         );
         let got_ckpt = std::fs::read(dir.join(tcss_core::CHECKPOINT_FILE))
             .expect("recovered run wrote a checkpoint");
         assert_eq!(
             got_ckpt, want_ckpt,
             "final checkpoint (model + Adam moments) after recovering worker {victim} \
-             differs from the uninterrupted run's"
+             at epoch {epoch} differs from the in-process run's"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -254,26 +253,48 @@ fn stale_checkpoint_in_dir_is_never_adopted_on_worker_loss() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The distributed divergence watchdog: a NaN-poisoned epoch 3 is
+/// The distributed divergence watchdog: a NaN-poisoned epoch is
 /// rejected, the run rolls back to the epoch-2 state with the learning
-/// rate halved, and the model is bitwise the in-process run's under the
-/// same fault.
+/// rate halved, and the model and the saved checkpoint are bitwise the
+/// in-process run's under the same fault. Workers step before the
+/// watchdog rules, so the rejected attempt's rows and moments must be
+/// overwritten by the re-Adopt: epoch 3 ends on the epoch-4 cadence
+/// point, so its rejected UpdatedRows carried the moments; epoch 2 is the
+/// first after a cadence point, so its retry replays the same epoch.
 #[test]
 fn poisoned_epoch_rolls_back_bit_exact() {
-    let in_process = fixture(None, None)
-        .train_with_faults(&FaultPlan::poison_gradients_at(3), |_| {})
-        .expect("in-process run recovers");
-    assert_eq!(in_process.rollbacks, 1);
-    let report = fixture(Some(2), None)
-        .train_distributed_with_faults(&dist_cfg(2), &FaultPlan::poison_gradients_at(3), |_| {})
-        .expect("distributed run recovers");
-    assert_eq!(report.report.rollbacks, 1);
-    assert_eq!(report.report.lr_scale, 0.5);
-    assert_eq!(report.respawns, 0);
-    assert_eq!(
-        model_bits(&report.report.model),
-        model_bits(&in_process.model)
-    );
+    for epoch in [3, 2] {
+        let dir = tempdir(&format!("dist_poison_e{epoch}"));
+        let (in_dir, dist_dir) = (dir.join("in_process"), dir.join("dist"));
+        let in_process = fixture(None, Some(in_dir.clone()))
+            .train_with_faults(&FaultPlan::poison_gradients_at(epoch), |_| {})
+            .expect("in-process run recovers");
+        assert_eq!(in_process.rollbacks, 1);
+        let report = fixture(Some(2), Some(dist_dir.clone()))
+            .train_distributed_with_faults(
+                &dist_cfg(2),
+                &FaultPlan::poison_gradients_at(epoch),
+                |_| {},
+            )
+            .expect("distributed run recovers");
+        assert_eq!(report.report.rollbacks, 1);
+        assert_eq!(report.report.lr_scale, 0.5);
+        assert_eq!(report.respawns, 0);
+        assert_eq!(
+            model_bits(&report.report.model),
+            model_bits(&in_process.model),
+            "poisoned epoch {epoch}"
+        );
+        let ckpt = |d: &std::path::Path| {
+            std::fs::read(d.join(tcss_core::CHECKPOINT_FILE)).expect("run wrote a checkpoint")
+        };
+        assert_eq!(
+            ckpt(&dist_dir),
+            ckpt(&in_dir),
+            "final checkpoint after rejecting epoch {epoch} differs from the in-process run's"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A worker lost on a head epoch: with the social-Hausdorff head on

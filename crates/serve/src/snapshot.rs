@@ -72,10 +72,7 @@
 //! Writes are atomic (temp + fsync + rename, through the one writer
 //! `tcss_core::checkpoint::atomic_write`); the header and payload carry independent FNV-1a 64 digests.
 //! [`SnapshotModel::open`] verifies both — any truncation or bit flip is a
-//! typed [`SnapError`], never a garbage model. [`SnapshotModel::open_fast`]
-//! verifies the header and the *file size* only (every truncation is still
-//! caught; payload bit flips are not), keeping the cold-start path O(1) for
-//! operators who trust their disk and want instant process start.
+//! typed [`SnapError`], never a garbage model.
 
 use std::fmt;
 use std::fs::File;
@@ -569,19 +566,6 @@ impl SnapshotModel {
     /// length, dims consistency, payload checksum. Any corruption is a
     /// typed [`SnapError`]; this is the default the CLI uses.
     pub fn open(path: &Path) -> Result<Self, SnapError> {
-        Self::open_impl(path, true)
-    }
-
-    /// Open with **O(1) verification**: header checksum and exact file
-    /// length only — the payload is never scanned, so cold start does no
-    /// work proportional to model size. Every truncation is still caught
-    /// (the header pins the exact byte length); a bit flip inside factor
-    /// data is not. Use where startup latency beats flip paranoia.
-    pub fn open_fast(path: &Path) -> Result<Self, SnapError> {
-        Self::open_impl(path, false)
-    }
-
-    fn open_impl(path: &Path, verify_payload: bool) -> Result<Self, SnapError> {
         let mut file = File::open(path)?;
         let actual_len = file.metadata()?.len();
         if actual_len < HEADER_LEN as u64 {
@@ -664,14 +648,12 @@ impl SnapshotModel {
             read_owned(&mut file, total)?
         };
 
-        if verify_payload {
-            let computed = fnv1a64(&buf.bytes()[HEADER_LEN..]);
-            if computed != payload_sum {
-                return Err(SnapError::ChecksumMismatch {
-                    stored: payload_sum,
-                    computed,
-                });
-            }
+        let computed = fnv1a64(&buf.bytes()[HEADER_LEN..]);
+        if computed != payload_sum {
+            return Err(SnapError::ChecksumMismatch {
+                stored: payload_sum,
+                computed,
+            });
         }
 
         Ok(SnapshotModel {
@@ -917,20 +899,6 @@ mod tests {
                 assert!((g - w).abs() <= tol * (1.0 + w.abs()), "{mode}: {g} vs {w}");
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_fast_catches_truncation() {
-        let dir = tmpdir("fast");
-        let m = model(4);
-        let path = write_to(&dir, "m.tcsssnap", &m, QuantMode::F32);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        assert!(matches!(
-            SnapshotModel::open_fast(&path),
-            Err(SnapError::Truncated { .. })
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,14 +6,10 @@
 //! contract the way PR 2 pinned the checkpoint format:
 //!
 //! * **every truncation point** (header, payload, mid-field, last byte)
-//!   refuses to load, under the full-verify `open` *and* the O(1)
-//!   `open_fast` (the header pins the exact file length, so `open_fast`
-//!   catches truncation without scanning the payload);
-//! * **every single-bit flip** refuses the full-verify `open` — header
-//!   flips (fields *and* padding, both covered by the whole-page header
-//!   digest) are also caught by `open_fast`, while payload flips are
-//!   documented as `open_fast`'s blind spot and asserted to be exactly
-//!   that — caught by `open`, admitted by `open_fast`;
+//!   refuses to load (the header pins the exact file length);
+//! * **every single-bit flip** refuses to load — header flips (fields
+//!   *and* padding, both covered by the whole-page header digest) and
+//!   payload flips (the payload digest) alike;
 //! * targeted field corruption (version skew, unknown quant mode,
 //!   inconsistent dims) maps to its specific typed variant even when the
 //!   header digest is recomputed to match — the reader cross-validates,
@@ -78,8 +74,7 @@ fn mode_of(flag: bool) -> QuantMode {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any proper-prefix truncation is a typed `Truncated` under both
-    /// open paths.
+    /// Any proper-prefix truncation is a typed `Truncated`.
     #[test]
     fn every_truncation_point_is_rejected(
         (mode_sel, frac) in (0usize..2, 0.0f64..1.0)
@@ -92,17 +87,11 @@ proptest! {
             SnapshotModel::open(&path),
             Err(SnapError::Truncated { .. })
         ));
-        prop_assert!(matches!(
-            SnapshotModel::open_fast(&path),
-            Err(SnapError::Truncated { .. })
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Any single-bit flip anywhere in the file fails the full-verify
-    /// open with a typed error; header flips also fail `open_fast`, and
-    /// payload flips are `open_fast`'s *documented* blind spot — pinned
-    /// here so the contract can't silently drift.
+    /// open with a typed error.
     #[test]
     fn every_bit_flip_is_rejected_by_full_open(
         (mode_sel, frac, bit) in (0usize..2, 0.0f64..1.0, 0usize..8)
@@ -113,17 +102,6 @@ proptest! {
         bytes[idx] ^= 1 << bit;
         let path = write_raw(&dir, &bytes);
         prop_assert!(SnapshotModel::open(&path).is_err(), "flip at byte {idx} bit {bit}");
-        if idx < HEADER_LEN {
-            prop_assert!(
-                SnapshotModel::open_fast(&path).is_err(),
-                "header flip at byte {idx} must fail open_fast"
-            );
-        } else {
-            prop_assert!(
-                SnapshotModel::open_fast(&path).is_ok(),
-                "payload flip at byte {idx} is open_fast's documented blind spot"
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -151,20 +129,16 @@ fn f32_payload_fits_55_percent_of_f64_bytes() {
 }
 
 #[test]
-fn clean_roundtrip_loads_under_both_opens() {
+fn clean_roundtrip_loads() {
     let dir = tmpdir("clean");
     let m = model(5);
     for (tag, mode) in [("f", QuantMode::F32), ("q", QuantMode::I16)] {
         let path = dir.join(format!("{tag}.tcsssnap"));
         write_snapshot(&m, mode, &path).expect("write");
-        for snap in [
-            SnapshotModel::open(&path).expect("open"),
-            SnapshotModel::open_fast(&path).expect("open_fast"),
-        ] {
-            assert_eq!(snap.dims(), m.dims());
-            assert_eq!(snap.rank(), m.rank());
-            assert_eq!(snap.mode(), mode);
-        }
+        let snap = SnapshotModel::open(&path).expect("open");
+        assert_eq!(snap.dims(), m.dims());
+        assert_eq!(snap.rank(), m.rank());
+        assert_eq!(snap.mode(), mode);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -177,10 +151,6 @@ fn appended_garbage_is_rejected() {
     let path = write_raw(&dir, &bytes);
     assert!(matches!(
         SnapshotModel::open(&path),
-        Err(SnapError::Truncated { .. })
-    ));
-    assert!(matches!(
-        SnapshotModel::open_fast(&path),
         Err(SnapError::Truncated { .. })
     ));
     std::fs::remove_dir_all(&dir).ok();
