@@ -1,9 +1,9 @@
-//! Sharded, version-keyed caches.
+//! A sharded, version-keyed cache.
 //!
-//! The serving caches (per-`(user, time)` weight vectors, per-request
-//! top-`n` results) share one invalidation scheme: every entry is tagged
-//! with the model version that produced it, and an entry is served only
-//! while its tag equals the *current* version ([`crate::ModelHandle`]).
+//! The serving engine's top-`n` cache invalidates by version: every
+//! entry is tagged with the model version that produced it, and an entry
+//! is served only while its tag equals the *current* version
+//! ([`crate::ModelHandle`]).
 //! A model swap therefore invalidates every cached value wholesale with a
 //! single version bump — no per-entry work, no stop-the-world sweep on the
 //! swap path. Stale entries are evicted lazily (overwritten on the next
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
-/// Default shard count for the serving caches.
+/// Default shard count for the serving engine's top-`n` cache.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// One shard: a locked map from key to `(version_tag, value)`.

@@ -1,5 +1,5 @@
 //! The recommendation-serving engine: batched scoring over a swappable
-//! model with version-keyed caches.
+//! model with a version-keyed top-`n` cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,25 +29,9 @@ pub struct ScoredBatch {
 /// cache — a hit clones the `Arc`, never the list.
 pub type Ranking = Arc<Vec<(usize, f64)>>;
 
-/// One cached per-`(user, time)` weight vector, in the precision of the
-/// model that produced it. A version's entries are all one variant (the
-/// installed model is either f64 or compact), and version keying means a
-/// swap between precisions can never serve a stale-precision vector — but
-/// lookups still match on variant defensively and treat a mismatch as a
-/// miss.
-#[derive(Debug)]
-enum WeightVec {
-    F64(Vec<f64>),
-    F32(Vec<f32>),
-}
-
 /// Cache occupancy view (diagnostics/tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries in the weight-vector cache (live + stale).
-    pub weight_entries: usize,
-    /// Weight entries tagged with a superseded version (unreachable).
-    pub weight_stale: usize,
     /// Entries in the top-`n` cache (live + stale).
     pub topn_entries: usize,
     /// Top-`n` entries tagged with a superseded version (unreachable).
@@ -60,12 +44,12 @@ pub struct CacheStats {
 ///
 /// 1. **The model handle** — epoch-style snapshot swap with a monotone
 ///    version ([`ModelHandle`]). Every batch pins exactly one snapshot.
-/// 2. **Version-keyed caches** — per-`(user, time)` weight vectors
-///    (`h ⊙ U¹ᵢ ⊙ U³ₖ`, the `r`-long vector every request's `J` POI dots
-///    share) and per-`(user, time, n)` top-`n` results. A model swap
-///    invalidates both wholesale via the version bump.
-/// 3. **Batched scoring** — the weight vectors of a batch are packed into
-///    a `B × r` matrix `W` and all `B · J` scores come from one
+/// 2. **A version-keyed top-`n` cache** — per-`(user, time, n)` rankings,
+///    with `n` clamped to `J` so every `n ≥ J` shares one entry. A model
+///    swap invalidates it wholesale via the version bump.
+/// 3. **Batched scoring** — each scored request's weight vector
+///    (`h ⊙ U¹ᵢ ⊙ U³ₖ`, `r` multiplies) is built into one row of a
+///    `B × r` matrix `W`, and all `B · J` scores come from one
 ///    `W · U²ᵀ` pass through [`Matrix::matmul_nt`], whose per-element
 ///    contract (`kernels::dot(w_row, u2_row)`) makes every batch row
 ///    **bit-for-bit** equal to [`tcss_core::TcssModel::scores_for`] on
@@ -76,7 +60,6 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ServingEngine {
     handle: ModelHandle,
-    weights: VersionedCache<(usize, usize), WeightVec>,
     topn: VersionedCache<(usize, usize, usize), Vec<(usize, f64)>>,
     metrics: MetricsInner,
     /// Monotone count of requests entered into `recommend_batch_pinned`
@@ -91,20 +74,11 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Engine over `model` (f64 training model or compact snapshot) with
-    /// the default cache shard count.
+    /// Engine over `model` (f64 training model or compact snapshot).
     pub fn new(model: impl Into<ServingModel>) -> Self {
-        Self::with_shards(model, DEFAULT_SHARDS)
-    }
-
-    /// Engine over `model` with `shards` cache shards (rounded up to a
-    /// power of two; higher counts reduce shard contention under many
-    /// serving threads).
-    pub fn with_shards(model: impl Into<ServingModel>, shards: usize) -> Self {
         ServingEngine {
             handle: ModelHandle::new(model),
-            weights: VersionedCache::with_shards(shards),
-            topn: VersionedCache::with_shards(shards),
+            topn: VersionedCache::with_shards(DEFAULT_SHARDS),
             metrics: MetricsInner::default(),
             request_seq: AtomicU64::new(0),
             fault_panic_at: AtomicU64::new(u64::MAX),
@@ -151,18 +125,14 @@ impl ServingEngine {
         version
     }
 
-    /// Eagerly reclaim cache entries from superseded versions, returning
-    /// `(weight_entries, topn_entries)` removed. Reclaimed counts
-    /// accumulate into [`ServingMetrics::reaped_stale`] — the server's
-    /// periodic maintenance tick calls this, so operators see reaping in
-    /// the exit summary without a manual call.
-    pub fn purge_stale(&self) -> (usize, usize) {
-        let version = self.handle.version();
-        let reaped = (
-            self.weights.purge_stale(version),
-            self.topn.purge_stale(version),
-        );
-        MetricsInner::add(&self.metrics.reaped_stale, (reaped.0 + reaped.1) as u64);
+    /// Eagerly reclaim top-`n` entries from superseded versions, returning
+    /// how many were removed. Reclaimed counts accumulate into
+    /// [`ServingMetrics::reaped_stale`] — the server's periodic maintenance
+    /// tick calls this, so operators see reaping in the exit summary
+    /// without a manual call.
+    pub fn purge_stale(&self) -> usize {
+        let reaped = self.topn.purge_stale(self.handle.version());
+        MetricsInner::add(&self.metrics.reaped_stale, reaped as u64);
         reaped
     }
 
@@ -179,18 +149,10 @@ impl ServingEngine {
         self.metrics.take()
     }
 
-    /// Per-stage latency histograms (p50/p99/p999 via
-    /// [`crate::hist::HistogramSnapshot`]); recorders keep going.
-    pub fn stage_histograms(&self) -> StageHistograms {
-        self.metrics.stage_histograms()
-    }
-
     /// Cache occupancy (diagnostics/tests).
     pub fn cache_stats(&self) -> CacheStats {
         let version = self.handle.version();
         CacheStats {
-            weight_entries: self.weights.len(),
-            weight_stale: self.weights.stale_len(version),
             topn_entries: self.topn.len(),
             topn_stale: self.topn.stale_len(version),
         }
@@ -213,11 +175,11 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// Pack the batch's weight vectors into `W` (`B × r`, weight cache
-    /// consulted per request) and score everything with one `W · U²ᵀ` —
-    /// the f64 tiled matmul for a full-precision model, the low-precision
-    /// [`lowp`] path (f32 weights against f32 or per-row-scaled i16
-    /// factors, widened to f64 afterwards) for a compact snapshot.
+    /// Build the batch's weight vectors into `W` (`B × r`) and score
+    /// everything with one `W · U²ᵀ` — the f64 tiled matmul for a
+    /// full-precision model, the low-precision [`lowp`] path (f32 weights
+    /// against f32 or per-row-scaled i16 factors, widened to f64
+    /// afterwards) for a compact snapshot.
     fn score_on(
         &self,
         snap: &ModelSnapshot,
@@ -238,28 +200,13 @@ impl ServingEngine {
         let r = model.rank();
         let t0 = Instant::now();
         let mut w = Matrix::zeros(requests.len(), r);
-        let mut hits = 0u64;
         let mut scratch = Vec::with_capacity(r);
         for (b, req) in requests.iter().enumerate() {
             Self::check_bounds(snap, req)?;
-            let key = (req.user, req.time);
-            let mut hit = false;
-            if let Some(cached) = self.weights.get(&key, snap.version) {
-                if let WeightVec::F64(v) = &*cached {
-                    w.row_mut(b).copy_from_slice(v);
-                    hits += 1;
-                    hit = true;
-                }
-            }
-            if !hit {
-                model.weight_vector_into(req.user, req.time, &mut scratch);
-                w.row_mut(b).copy_from_slice(&scratch);
-                self.weights
-                    .insert(key, snap.version, Arc::new(WeightVec::F64(scratch.clone())));
-            }
+            model.weight_vector_into(req.user, req.time, &mut scratch);
+            w.row_mut(b).copy_from_slice(&scratch);
         }
-        MetricsInner::add(&self.metrics.weight_hits, hits);
-        MetricsInner::add(&self.metrics.weight_misses, requests.len() as u64 - hits);
+        MetricsInner::add(&self.metrics.weight_misses, requests.len() as u64);
         self.metrics.weight_build.record(elapsed_ns(t0));
 
         let t1 = Instant::now();
@@ -280,29 +227,14 @@ impl ServingEngine {
         let j = compact.dims().1;
         let t0 = Instant::now();
         let mut w = vec![0.0f32; requests.len() * r];
-        let mut hits = 0u64;
         let mut scratch = (Vec::new(), Vec::new());
         let mut wbuf: Vec<f32> = Vec::with_capacity(r);
         for (b, req) in requests.iter().enumerate() {
             Self::check_bounds(snap, req)?;
-            let key = (req.user, req.time);
-            let mut hit = false;
-            if let Some(cached) = self.weights.get(&key, snap.version) {
-                if let WeightVec::F32(v) = &*cached {
-                    w[b * r..(b + 1) * r].copy_from_slice(v);
-                    hits += 1;
-                    hit = true;
-                }
-            }
-            if !hit {
-                compact.weight_vector_into(req.user, req.time, &mut scratch, &mut wbuf);
-                w[b * r..(b + 1) * r].copy_from_slice(&wbuf);
-                self.weights
-                    .insert(key, snap.version, Arc::new(WeightVec::F32(wbuf.clone())));
-            }
+            compact.weight_vector_into(req.user, req.time, &mut scratch, &mut wbuf);
+            w[b * r..(b + 1) * r].copy_from_slice(&wbuf);
         }
-        MetricsInner::add(&self.metrics.weight_hits, hits);
-        MetricsInner::add(&self.metrics.weight_misses, requests.len() as u64 - hits);
+        MetricsInner::add(&self.metrics.weight_misses, requests.len() as u64);
         self.metrics.weight_build.record(elapsed_ns(t0));
 
         let t1 = Instant::now();
@@ -344,7 +276,7 @@ impl ServingEngine {
 
     /// Top-`n` recommendations for a whole batch, in request order.
     ///
-    /// Cached `(user, time, n)` results are returned without scoring;
+    /// Cached `(user, time, min(n, J))` results are returned without scoring;
     /// the remaining requests are scored as one packed batch and selected
     /// with the deterministic ranking order of [`tcss_core::topn`]
     /// (descending score, ascending POI on ties) — so results are
@@ -396,6 +328,9 @@ impl ServingEngine {
             panic!("injected panic at request {armed} (serving fault harness)");
         }
 
+        // `top_n` clamps `n` to `J`, so every `n ≥ J` is one ranking and
+        // one cache entry; an unclamped wire `n` would grow the cache.
+        let n = n.min(snap.model.dims().1);
         let mut out: Vec<Option<Result<Ranking, ServeError>>> = vec![None; requests.len()];
         let mut missed: Vec<usize> = Vec::new();
         let mut misses: Vec<ScoreRequest> = Vec::new();
@@ -477,10 +412,7 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "request {b}");
             }
         }
-        let m = e.metrics();
-        assert_eq!(m.requests, 3);
-        assert_eq!(m.weight_hits, 1, "duplicate request reuses the weights");
-        assert_eq!(m.weight_misses, 2);
+        assert_eq!(e.metrics().requests, 3);
     }
 
     #[test]
@@ -511,7 +443,18 @@ mod tests {
         let m = e.metrics();
         assert_eq!(m.topn_misses, 2);
         assert_eq!(m.topn_hits, 2);
-        // Warm lookups never touched the weight path again.
-        assert_eq!(m.weight_misses, 2);
+    }
+
+    #[test]
+    fn topn_key_clamps_n_to_poi_count() {
+        let e = engine(31);
+        let j = e.snapshot().model.dims().1;
+        let exact = e.recommend(2, 1, j).unwrap();
+        let over = e.recommend(2, 1, j + 7).unwrap();
+        assert_eq!(exact, over);
+        // Every `n ≥ J` shares one entry: the second call is a hit.
+        let m = e.metrics();
+        assert_eq!((m.topn_misses, m.topn_hits), (1, 1));
+        assert_eq!(e.cache_stats().topn_entries, 1);
     }
 }

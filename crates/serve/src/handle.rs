@@ -164,7 +164,7 @@ impl ModelHandle {
             version,
         });
         // Publish the version only after the snapshot is installed (see
-        // the type docs for why this order keeps caches consistent).
+        // the type docs for why this order keeps the cache consistent).
         self.version.store(version, Ordering::Release);
         version
     }

@@ -13,12 +13,13 @@
 //!   every request row, instead of once per request as in per-request
 //!   `scores_for` scans. Each batch row is **bit-for-bit** equal to
 //!   `scores_for` on the same snapshot, at any thread count.
-//! * **Version-keyed caches** ([`VersionedCache`]) — per-`(user, time)`
-//!   weight vectors and per-`(user, time, n)` top-`n` results, sharded
-//!   `RwLock` maps with `Arc` hand-out on the read path (no per-entry
-//!   locks). A model swap invalidates everything wholesale by bumping the
-//!   version — stale entries are unreachable immediately and reclaimed
-//!   lazily or via [`ServingEngine::purge_stale`].
+//! * **A version-keyed top-`n` cache** ([`VersionedCache`]) — per-`(user,
+//!   time, min(n, J))` rankings in a sharded `RwLock` map with `Arc`
+//!   hand-out on the read path (no per-entry locks). Weight vectors are
+//!   not cached: one is `r` multiplies, cheaper than a lookup. A model
+//!   swap invalidates the cache wholesale by bumping the version — stale
+//!   entries are unreachable immediately and reclaimed lazily or via
+//!   [`ServingEngine::purge_stale`].
 //! * **Epoch-style model swap** ([`ModelHandle`]) — readers pin an
 //!   `Arc` snapshot (the lock is held only for the pointer clone);
 //!   [`ServingEngine::swap_model`] publishes a new snapshot and bumps the
@@ -60,7 +61,7 @@
 //!     }
 //! }
 //! let retrained = model();
-//! engine.swap_model(retrained); // caches invalidate wholesale
+//! engine.swap_model(retrained); // the cache invalidates wholesale
 //! ```
 //!
 //! See `DESIGN.md` §5e for the serving performance model; the serving

@@ -6,8 +6,8 @@
 //! taken while traffic is in flight is a consistent-enough view for
 //! dashboards and the bench harness. Per-stage latencies are recorded
 //! into [`LatencyHistogram`]s (one sample per batch per stage), so
-//! snapshots expose real p50/p99/p999 tails, not just means; the legacy
-//! `*_ns` sum fields are preserved as the histogram sums.
+//! snapshots expose real p50/p99/p999 tails, not just means; a stage's
+//! total time is its histogram's `sum`.
 //!
 //! `MetricsInner::take` resets counters and histograms with per-cell
 //! atomic swaps: under concurrent recorders every increment lands in
@@ -51,9 +51,6 @@ impl MetricsInner {
             topn_misses: get(&self.topn_misses),
             model_swaps: get(&self.model_swaps),
             reaped_stale: get(&self.reaped_stale),
-            weight_build_ns: self.weight_build.snapshot().sum,
-            score_matmul_ns: self.score_matmul.snapshot().sum,
-            select_ns: self.select.snapshot().sum,
         }
     }
 
@@ -76,19 +73,8 @@ impl MetricsInner {
             topn_misses: take(&self.topn_misses),
             model_swaps: take(&self.model_swaps),
             reaped_stale: take(&self.reaped_stale),
-            weight_build_ns: stages.weight_build.sum,
-            score_matmul_ns: stages.score_matmul.sum,
-            select_ns: stages.select.sum,
         };
         (metrics, stages)
-    }
-
-    pub fn stage_histograms(&self) -> StageHistograms {
-        StageHistograms {
-            weight_build: self.weight_build.snapshot(),
-            score_matmul: self.score_matmul.snapshot(),
-            select: self.select.snapshot(),
-        }
     }
 }
 
@@ -100,9 +86,13 @@ pub struct ServingMetrics {
     pub requests: u64,
     /// Batch calls served (single-request convenience calls count 1).
     pub batches: u64,
-    /// Weight-vector cache hits.
+    /// Always 0: weight vectors are not cached. Kept only because
+    /// `bench_e2e` reads it; ROADMAP's "Finish one benchmark" item
+    /// deletes it.
     pub weight_hits: u64,
-    /// Weight-vector cache misses (vector recomputed and cached).
+    /// Weight vectors built, one per scored request. Kept only because
+    /// `bench_e2e` reads it; ROADMAP's "Finish one benchmark" item
+    /// deletes it.
     pub weight_misses: u64,
     /// Top-`n` result cache hits.
     pub topn_hits: u64,
@@ -111,23 +101,17 @@ pub struct ServingMetrics {
     /// Models published via swap (the initial model counts 0).
     pub model_swaps: u64,
     /// Stale cache entries reclaimed by [`purge_stale`] calls (manual or
-    /// the server's periodic maintenance tick), weight + top-`n` combined.
+    /// the server's periodic maintenance tick).
     ///
     /// [`purge_stale`]: crate::ServingEngine::purge_stale
     pub reaped_stale: u64,
-    /// Total nanoseconds building / fetching weight vectors.
-    pub weight_build_ns: u64,
-    /// Total nanoseconds in the batched `W · U²ᵀ` score matmul.
-    pub score_matmul_ns: u64,
-    /// Total nanoseconds in top-`n` selection.
-    pub select_ns: u64,
 }
 
 /// Per-stage latency histograms (one sample per batch per stage); see
 /// [`HistogramSnapshot`] for p50/p99/p999 reads.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageHistograms {
-    /// Weight-vector build/fetch stage.
+    /// Weight-vector build stage.
     pub weight_build: HistogramSnapshot,
     /// Batched `W · U²ᵀ` score matmul stage.
     pub score_matmul: HistogramSnapshot,
@@ -136,23 +120,14 @@ pub struct StageHistograms {
 }
 
 impl ServingMetrics {
-    /// Weight-cache hit rate in `[0, 1]` (0 when no lookups happened).
-    pub fn weight_hit_rate(&self) -> f64 {
-        hit_rate(self.weight_hits, self.weight_misses)
-    }
-
     /// Top-`n` cache hit rate in `[0, 1]` (0 when no lookups happened).
     pub fn topn_hit_rate(&self) -> f64 {
-        hit_rate(self.topn_hits, self.topn_misses)
-    }
-}
-
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
+        let total = self.topn_hits + self.topn_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.topn_hits as f64 / total as f64
+        }
     }
 }
 
@@ -163,10 +138,7 @@ mod tests {
     #[test]
     fn hit_rates_handle_empty_and_mixed() {
         let mut m = ServingMetrics::default();
-        assert_eq!(m.weight_hit_rate(), 0.0);
-        m.weight_hits = 3;
-        m.weight_misses = 1;
-        assert!((m.weight_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(m.topn_hit_rate(), 0.0);
         m.topn_hits = 1;
         m.topn_misses = 3;
         assert!((m.topn_hit_rate() - 0.25).abs() < 1e-12);
@@ -180,7 +152,7 @@ mod tests {
         inner.weight_build.record(40);
         let (m, stages) = inner.take();
         assert_eq!(m.requests, 5);
-        assert_eq!(m.weight_build_ns, 160);
+        assert_eq!(stages.weight_build.sum, 160);
         assert_eq!(stages.weight_build.count, 2);
         let (m2, stages2) = inner.take();
         assert_eq!(m2.requests, 0);

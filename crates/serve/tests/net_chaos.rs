@@ -15,7 +15,7 @@
 //! 2. **No stale cache service after a swap.** Once the final swap is
 //!    known to have been observed, re-querying every key the load used
 //!    (now cache-resident from older versions) must yield the final
-//!    version's answers exactly — version-keyed caches cannot serve a
+//!    version's answers exactly — the version-keyed cache cannot serve a
 //!    superseded entry.
 //! 3. **The soak is lossless.** Every request gets exactly one response
 //!    (no drops, no duplicates, no `Overloaded` with the deep queue used
@@ -182,7 +182,5 @@ fn soak_under_concurrent_swaps_is_torn_free_and_stale_free() {
     // Engine-level cross-check: after a purge, no stale entries remain.
     let engine = handle.engine();
     engine.purge_stale();
-    let stats = engine.cache_stats();
-    assert_eq!(stats.weight_stale, 0);
-    assert_eq!(stats.topn_stale, 0);
+    assert_eq!(engine.cache_stats().topn_stale, 0);
 }

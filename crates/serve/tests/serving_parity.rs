@@ -5,8 +5,8 @@
 //! 1. **Batched ≡ per-request, bitwise.** Every row of a batched
 //!    `score_batch` equals `TcssModel::scores_for` for that request by
 //!    `f64::to_bits`, property-tested over random dims/rank/batch shapes
-//!    at 1, 2 and 4 threads, on cold and warm caches.
-//! 2. **Caches are invisible.** Warm-cache answers equal cold-cache
+//!    at 1, 2 and 4 threads, on a cold and a warm cache.
+//! 2. **The cache is invisible.** Warm-cache answers equal cold-cache
 //!    answers exactly, for both score vectors and top-`n` results.
 //! 3. **Swap invalidates wholesale.** A model swap bumps the version,
 //!    post-swap answers equal a fresh engine on the new model bitwise,
@@ -143,13 +143,12 @@ fn model_swap_invalidates_every_cache_entry() {
 
     let engine = ServingEngine::new(old);
     assert_eq!(engine.version(), 1);
-    // Warm both caches under version 1.
+    // Warm the cache under version 1.
     engine.recommend_batch(&requests, 10).unwrap();
     engine.recommend_batch(&requests, 10).unwrap();
     let warm = engine.cache_stats();
-    assert_eq!(warm.weight_entries, requests.len());
     assert_eq!(warm.topn_entries, requests.len());
-    assert_eq!(warm.weight_stale + warm.topn_stale, 0);
+    assert_eq!(warm.topn_stale, 0);
     assert_eq!(engine.metrics().topn_hits, requests.len() as u64);
 
     // Swap: version bumps, every warm entry is now stale (unreachable).
@@ -157,15 +156,12 @@ fn model_swap_invalidates_every_cache_entry() {
     assert_eq!(engine.version(), 2);
     assert_eq!(engine.metrics().model_swaps, 1);
     let stats = engine.cache_stats();
-    assert_eq!(stats.weight_stale, requests.len());
     assert_eq!(stats.topn_stale, requests.len());
 
     // Eager purge reclaims exactly the stale population.
-    let (w_purged, t_purged) = engine.purge_stale();
-    assert_eq!(w_purged, requests.len());
-    assert_eq!(t_purged, requests.len());
-    let purged = engine.cache_stats();
-    assert_eq!(purged.weight_entries + purged.topn_entries, 0);
+    assert_eq!(engine.purge_stale(), requests.len());
+    assert_eq!(engine.metrics().reaped_stale, requests.len() as u64);
+    assert_eq!(engine.cache_stats().topn_entries, 0);
 
     // Post-swap answers are the new model's, bitwise — identical to a
     // fresh engine that never held a stale entry.
@@ -197,7 +193,7 @@ fn model_swap_invalidates_every_cache_entry() {
         "lookups after the second swap must all miss"
     );
     let relived = engine.cache_stats();
-    assert_eq!(relived.weight_stale + relived.topn_stale, 0);
+    assert_eq!(relived.topn_stale, 0);
     assert_eq!(relived.topn_entries, requests.len());
 }
 

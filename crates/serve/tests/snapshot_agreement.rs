@@ -346,10 +346,10 @@ fn swap_f64_to_compact_invalidates_caches_and_keeps_serving() {
     let v1 = engine.swap_model(SnapshotModel::open(&path).expect("open"));
     assert!(v1 > v0, "swap must bump the version");
 
-    let (weights, topn_entries) = engine.purge_stale();
-    assert!(
-        weights + topn_entries > 0,
-        "stale f64-era cache entries should be reaped after the swap"
+    assert_eq!(
+        engine.purge_stale(),
+        1,
+        "the stale f64-era top-n entry should be reaped after the swap"
     );
 
     let after = engine.recommend(2, 1, TOP_N).expect("compact recommend");
@@ -357,6 +357,6 @@ fn swap_f64_to_compact_invalidates_caches_and_keeps_serving() {
     let got: Vec<usize> = after.iter().map(|&(p, _)| p).collect();
     assert_eq!(want, got, "top-{TOP_N} diverged across an f32 swap");
     let stats = engine.cache_stats();
-    assert_eq!(stats.weight_entries + stats.topn_entries, 2);
+    assert_eq!((stats.topn_entries, stats.topn_stale), (1, 0));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -560,23 +560,28 @@ fn cmd_recommend_batch(args: &Args) -> Result<(), String> {
         }
     }
     let m = engine.metrics();
-    let stats = engine.cache_stats();
     println!(
         "served {} request(s) in {} batch(es) under model version {}",
         m.requests,
         m.batches,
         engine.version()
     );
-    println!(
-        "caches: {} weight / {} top-n entries; weight hits {} misses {}, top-n hits {} misses {}",
-        stats.weight_entries,
-        stats.topn_entries,
-        m.weight_hits,
-        m.weight_misses,
-        m.topn_hits,
-        m.topn_misses
-    );
+    print_topn_cache(&engine);
     Ok(())
+}
+
+/// One summary line for the engine's top-`n` cache: hits, misses, hit
+/// rate, live entries and what `purge_stale` reclaimed.
+fn print_topn_cache(engine: &ServingEngine) {
+    let m = engine.metrics();
+    println!(
+        "top-n cache: hits {} misses {} ({:.1}% hit), {} entries live, {} stale entries reaped",
+        m.topn_hits,
+        m.topn_misses,
+        100.0 * m.topn_hit_rate(),
+        engine.cache_stats().topn_entries,
+        m.reaped_stale
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -727,23 +732,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         m.panics,
         m.reaped_idle
     );
-    // Warm-path health next to the resilience block: cache hit rates and
-    // what the maintenance tick reclaimed, without needing a bench run.
-    let sm = engine.metrics();
-    let stats = engine.cache_stats();
-    println!(
-        "caches: weight hits {} misses {} ({:.1}% hit), top-n hits {} misses {} ({:.1}% hit); \
-         {} weight / {} top-n entries live, {} stale entries reaped",
-        sm.weight_hits,
-        sm.weight_misses,
-        100.0 * sm.weight_hit_rate(),
-        sm.topn_hits,
-        sm.topn_misses,
-        100.0 * sm.topn_hit_rate(),
-        stats.weight_entries,
-        stats.topn_entries,
-        sm.reaped_stale
-    );
+    // Warm-path health next to the resilience block: the cache hit rate
+    // and what the maintenance tick reclaimed, without needing a bench run.
+    print_topn_cache(&engine);
     Ok(())
 }
 

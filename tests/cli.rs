@@ -80,8 +80,9 @@ fn full_cli_roundtrip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.matches("poi ").count(), 3, "{stdout}");
 
-    // recommend-batch: three requests, one a duplicate — the duplicate's
-    // weight vector must come from the serving cache.
+    // recommend-batch: three requests, one a duplicate. All three are
+    // looked up before the batch is scored, so all miss the top-n cache
+    // and the duplicate's ranking overwrites its twin's entry.
     let out = bin()
         .args([
             "recommend-batch",
@@ -109,7 +110,10 @@ fn full_cli_roundtrip() {
         stdout.contains("served 3 request(s) in 1 batch(es) under model version 1"),
         "{stdout}"
     );
-    assert!(stdout.contains("weight hits 1 misses 2"), "{stdout}");
+    assert!(
+        stdout.contains("top-n cache: hits 0 misses 3 (0.0% hit), 2 entries live"),
+        "{stdout}"
+    );
 
     // recommend-batch must match per-request recommend for the same query.
     let single = bin()
