@@ -180,7 +180,7 @@ fn digest_model(m: &tcss_core::TcssModel) -> u64 {
     {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    tcss_core::digest::fnv1a64(&bytes)
+    tcss_core::frame::checksum(&bytes)
 }
 
 fn run_bench(smoke: bool) {

@@ -9,39 +9,30 @@
 //! every future random draw), and a fingerprint of the training-relevant
 //! configuration.
 //!
-//! The on-disk format follows `model_io`'s self-describing text layout —
-//! floats at 17 significant digits, which round-trips `f64` losslessly:
-//!
-//! ```text
-//! tcss-checkpoint v1 I J K r
-//! epoch: <next epoch to run>
-//! adam-t: <step count>
-//! lr-scale: <watchdog LR multiplier>
-//! retries: <watchdog rollbacks so far>
-//! seed: <RNG base seed>
-//! config: <16-hex-digit fingerprint>
-//! h: <r floats>            (then u1/u2/u3 rows as in model files)
-//! m-h: …  m-u1 …           (Adam first moment, same shape as the model)
-//! v-h: …  v-u1 …           (Adam second moment)
-//! checksum: <16-hex-digit FNV-1a over every preceding byte>
-//! ```
+//! The on-disk format is `model_io`'s binary layout under the
+//! `TCSSCKPT` magic: the header, six `u64` scalars (epoch, Adam `t`,
+//! `lr_scale` bits, retries, seed, config fingerprint), the model's
+//! `h`/U¹/U²/U³ sections, then `m` and `v` in the same order, and the
+//! trailing `tcss_core::frame::checksum` over every byte before it.
 //!
 //! Writes are atomic: the payload goes to a sibling `*.tmp`, is fsynced,
 //! and is renamed over the target (the directory is fsynced too), so a
 //! crash mid-write can never leave a half-written checkpoint under the
 //! canonical name. Loads verify the checksum over the raw bytes *before*
-//! parsing, so any truncation or bit flip is reported as corruption —
+//! decoding, so any truncation or bit flip is reported as corruption —
 //! never loaded as a silently wrong state.
 
 use crate::config::{HausdorffVariant, InitMethod, LossStrategy, TcssConfig};
-use crate::digest::fnv1a64;
+use crate::frame::{checksum, put_u64, Reader};
 use crate::loss::Grads;
 use crate::model::TcssModel;
-use crate::model_io::ModelIoError;
+use crate::model_io::{
+    begin, body, put_sections, read_verified, seal_and_write, sections, ModelIoError,
+    CHECKPOINT_MAGIC,
+};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use tcss_linalg::Matrix;
 
 /// File name of the rolling checkpoint inside `TcssConfig::checkpoint_dir`.
 pub const CHECKPOINT_FILE: &str = "checkpoint.tcssck";
@@ -67,58 +58,6 @@ pub struct Checkpoint {
     pub m: Grads,
     /// Adam second moment, model-shaped.
     pub v: Grads,
-}
-
-// ---------------------------------------------------------------------
-// Integrity primitives (shared with model_io; the digest itself is the
-// canonical [`crate::digest::fnv1a64`])
-// ---------------------------------------------------------------------
-
-/// Append a `checksum: <hex>` trailer covering everything written so far.
-pub(crate) fn append_checksum(out: &mut String) {
-    let digest = fnv1a64(out.as_bytes());
-    let _ = writeln!(out, "checksum: {digest:016x}");
-}
-
-/// Verify the `checksum:` trailer and return the payload it covers.
-///
-/// Corruption is reported as [`ModelIoError::Parse`] with byte-offset
-/// context so an operator can see *where* the file went bad.
-pub(crate) fn verify_checksum(text: &str) -> Result<&str, ModelIoError> {
-    // Strict framing: a checksummed file always ends "checksum: <hex>\n".
-    // Requiring the final newline means *every* proper-prefix truncation
-    // is detectable, including one that only eats the last byte.
-    let trimmed = text.strip_suffix('\n').ok_or_else(|| {
-        ModelIoError::Parse(format!(
-            "missing final newline at byte {} (file truncated?)",
-            text.len()
-        ))
-    })?;
-    let start = match trimmed.rfind('\n') {
-        Some(pos) => pos + 1,
-        None => 0,
-    };
-    let last_line = &trimmed[start..];
-    let stored_hex = last_line.strip_prefix("checksum: ").ok_or_else(|| {
-        ModelIoError::Parse(format!(
-            "missing checksum trailer: expected a final 'checksum: <hex>' \
-             line at byte {start}, found {last_line:?} (file truncated?)"
-        ))
-    })?;
-    let stored = u64::from_str_radix(stored_hex.trim(), 16).map_err(|_| {
-        ModelIoError::Parse(format!(
-            "unreadable checksum {stored_hex:?} at byte {start}"
-        ))
-    })?;
-    let payload = &text[..start];
-    let computed = fnv1a64(payload.as_bytes());
-    if computed != stored {
-        return Err(ModelIoError::Parse(format!(
-            "checksum mismatch over payload bytes 0..{start}: stored \
-             {stored:016x}, computed {computed:016x} — the file is corrupt"
-        )));
-    }
-    Ok(payload)
 }
 
 /// Write `contents` to `path` atomically: temp file in the same directory,
@@ -198,213 +137,67 @@ pub fn config_fingerprint(cfg: &TcssConfig) -> u64 {
         cfg.seed,
         cfg.hausdorff_every,
     );
-    fnv1a64(s.as_bytes())
+    checksum(s.as_bytes())
 }
 
 // ---------------------------------------------------------------------
-// Save / load. The text float codec below is shared with `model_io`.
+// Save / load, in `model_io`'s binary codec
 // ---------------------------------------------------------------------
 
-/// One `{tag} {row}: <floats>` line per row of `m`.
-pub(crate) fn write_matrix(out: &mut String, tag: &str, m: &Matrix) {
-    for i in 0..m.rows() {
-        let _ = write!(out, "{tag} {i}:");
-        for v in m.row(i) {
-            // 17 significant digits: lossless f64 round-trip.
-            let _ = write!(out, " {v:.17e}");
-        }
-        out.push('\n');
-    }
-}
-
-/// One `{tag}: <floats>` line.
-pub(crate) fn write_vector(out: &mut String, tag: &str, v: &[f64]) {
-    let _ = write!(out, "{tag}:");
-    for x in v {
-        let _ = write!(out, " {x:.17e}");
-    }
-    out.push('\n');
-}
-
-fn write_grads_shaped(out: &mut String, prefix: &str, g: &Grads) {
-    write_vector(out, &format!("{prefix}-h"), &g.h);
-    write_matrix(out, &format!("{prefix}-u1"), &g.u1);
-    write_matrix(out, &format!("{prefix}-u2"), &g.u2);
-    write_matrix(out, &format!("{prefix}-u3"), &g.u3);
-}
+/// Bytes of the six `u64` scalars after the header.
+const SCALARS: usize = 6 * 8;
 
 /// Serialize and atomically persist a checkpoint.
 pub fn save_checkpoint(ck: &Checkpoint, path: &Path) -> Result<(), ModelIoError> {
-    let (i, j, k) = ck.model.dims();
-    let r = ck.model.rank();
-    let mut out = format!("tcss-checkpoint v1 {i} {j} {k} {r}\n");
-    let _ = writeln!(out, "epoch: {}", ck.epoch);
-    let _ = writeln!(out, "adam-t: {}", ck.adam_t);
-    let _ = writeln!(out, "lr-scale: {:.17e}", ck.lr_scale);
-    let _ = writeln!(out, "retries: {}", ck.retries);
-    let _ = writeln!(out, "seed: {}", ck.seed);
-    let _ = writeln!(out, "config: {:016x}", ck.fingerprint);
-    write_vector(&mut out, "h", &ck.model.h);
-    write_matrix(&mut out, "u1", &ck.model.u1);
-    write_matrix(&mut out, "u2", &ck.model.u2);
-    write_matrix(&mut out, "u3", &ck.model.u3);
-    write_grads_shaped(&mut out, "m", &ck.m);
-    write_grads_shaped(&mut out, "v", &ck.v);
-    append_checksum(&mut out);
-    atomic_write(path, out.as_bytes())?;
-    Ok(())
-}
-
-/// Exactly `expect` whitespace-separated floats, or a parse error naming
-/// `what`.
-fn parse_floats(rest: &str, expect: usize, what: &str) -> Result<Vec<f64>, ModelIoError> {
-    let vals: Result<Vec<f64>, _> = rest.split_whitespace().map(str::parse).collect();
-    let vals = vals.map_err(|_| ModelIoError::Parse(format!("bad float in {what}")))?;
-    if vals.len() != expect {
-        return Err(ModelIoError::Parse(format!(
-            "{what}: expected {expect} values, got {}",
-            vals.len()
-        )));
+    let mut out = begin(CHECKPOINT_MAGIC, &ck.model, SCALARS, 3);
+    for x in [
+        ck.epoch as u64,
+        ck.adam_t,
+        ck.lr_scale.to_bits(),
+        u64::from(ck.retries),
+        ck.seed,
+        ck.fingerprint,
+    ] {
+        put_u64(&mut out, x);
     }
-    Ok(vals)
-}
-
-/// The `I J K r` of a six-field `<magic> <version> I J K r` header.
-pub(crate) fn header_dims(fields: &[&str]) -> Result<[usize; 4], ModelIoError> {
-    let mut dims = [0; 4];
-    for (d, f) in dims.iter_mut().zip(&fields[2..]) {
-        *d = f
-            .parse()
-            .map_err(|_| ModelIoError::Parse("bad dimensions in header".into()))?;
+    let model = &ck.model;
+    put_sections(&mut out, &model.h, [&model.u1, &model.u2, &model.u3]);
+    for g in [&ck.m, &ck.v] {
+        put_sections(&mut out, &g.h, [&g.u1, &g.u2, &g.u3]);
     }
-    Ok(dims)
-}
-
-/// Reads the tagged lines [`write_vector`] and [`write_matrix`] write.
-pub(crate) struct LineReader<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> LineReader<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        LineReader {
-            lines: text.lines(),
-        }
-    }
-
-    pub(crate) fn next(&mut self, what: &str) -> Result<&'a str, ModelIoError> {
-        self.lines
-            .next()
-            .ok_or_else(|| ModelIoError::Parse(format!("missing {what}")))
-    }
-
-    pub(crate) fn tagged(&mut self, tag: &str, expect: usize) -> Result<Vec<f64>, ModelIoError> {
-        let line = self.next(tag)?;
-        let prefix = format!("{tag}:");
-        let rest = line
-            .strip_prefix(&prefix)
-            .ok_or_else(|| ModelIoError::Parse(format!("expected {prefix:?}, got {line:?}")))?;
-        parse_floats(rest, expect, tag)
-    }
-
-    fn tagged_u64(&mut self, tag: &str) -> Result<u64, ModelIoError> {
-        let line = self.next(tag)?;
-        let prefix = format!("{tag}: ");
-        let rest = line
-            .strip_prefix(&prefix)
-            .ok_or_else(|| ModelIoError::Parse(format!("expected {prefix:?}, got {line:?}")))?;
-        rest.trim()
-            .parse()
-            .map_err(|_| ModelIoError::Parse(format!("bad integer in {tag}: {rest:?}")))
-    }
-
-    pub(crate) fn matrix(
-        &mut self,
-        tag: &str,
-        rows: usize,
-        cols: usize,
-    ) -> Result<Matrix, ModelIoError> {
-        let mut m = Matrix::zeros(rows, cols);
-        for row in 0..rows {
-            let line = self.next(&format!("{tag} row {row}"))?;
-            let prefix = format!("{tag} {row}:");
-            let rest = line
-                .strip_prefix(&prefix)
-                .ok_or_else(|| ModelIoError::Parse(format!("expected {prefix:?}, got {line:?}")))?;
-            let vals = parse_floats(rest, cols, tag)?;
-            m.row_mut(row).copy_from_slice(&vals);
-        }
-        Ok(m)
-    }
-
-    fn grads_shaped(
-        &mut self,
-        prefix: &str,
-        dims: (usize, usize, usize),
-        r: usize,
-    ) -> Result<Grads, ModelIoError> {
-        let h = self.tagged(&format!("{prefix}-h"), r)?;
-        let u1 = self.matrix(&format!("{prefix}-u1"), dims.0, r)?;
-        let u2 = self.matrix(&format!("{prefix}-u2"), dims.1, r)?;
-        let u3 = self.matrix(&format!("{prefix}-u3"), dims.2, r)?;
-        Ok(Grads { u1, u2, u3, h })
-    }
-
-    /// Nothing but blank lines may follow the last block.
-    pub(crate) fn finish(mut self) -> Result<(), ModelIoError> {
-        match self.lines.find(|l| !l.trim().is_empty()) {
-            Some(extra) => Err(ModelIoError::Parse(format!(
-                "unexpected trailing content: {extra:?}"
-            ))),
-            None => Ok(()),
-        }
-    }
+    seal_and_write(out, path)
 }
 
 /// Load and checksum-verify a checkpoint written by [`save_checkpoint`].
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ModelIoError> {
-    let text = std::fs::read_to_string(path)?;
-    let payload = verify_checksum(&text)?;
-    let mut rd = LineReader::new(payload);
-    let header = rd.next("header")?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != "tcss-checkpoint" || fields[1] != "v1" {
-        return Err(ModelIoError::Parse(format!("bad header {header:?}")));
-    }
-    let [i, j, k, r] = header_dims(&fields)?;
+    let (bytes, dims) = read_verified(path, CHECKPOINT_MAGIC, SCALARS, 3)?;
+    let [i, j, k, r] = dims;
     if r == 0 || r > i.min(j).min(k) {
         return Err(ModelIoError::Parse(format!(
             "rank {r} inconsistent with dims {i}×{j}×{k}"
         )));
     }
-
-    let epoch = rd.tagged_u64("epoch")? as usize;
-    let adam_t = rd.tagged_u64("adam-t")?;
-    let lr_scale = rd.tagged("lr-scale", 1)?[0];
-    let retries = rd.tagged_u64("retries")? as u32;
-    let seed = rd.tagged_u64("seed")?;
-    let fp_line = rd.next("config fingerprint")?;
-    let fp_hex = fp_line
-        .strip_prefix("config: ")
-        .ok_or_else(|| ModelIoError::Parse(format!("expected 'config: ', got {fp_line:?}")))?;
-    let fingerprint = u64::from_str_radix(fp_hex.trim(), 16)
-        .map_err(|_| ModelIoError::Parse(format!("bad config fingerprint {fp_hex:?}")))?;
-
-    let h = rd.tagged("h", r)?;
-    let u1 = rd.matrix("u1", i, r)?;
-    let u2 = rd.matrix("u2", j, r)?;
-    let u3 = rd.matrix("u3", k, r)?;
-    let m = rd.grads_shaped("m", (i, j, k), r)?;
-    let v = rd.grads_shaped("v", (i, j, k), r)?;
-    rd.finish()?;
+    let mut rd = Reader::new(body(&bytes));
+    let overflow = |what: &str| ModelIoError::Parse(format!("{what} out of range"));
+    let epoch = usize::try_from(rd.u64("epoch")?).map_err(|_| overflow("epoch"))?;
+    let adam_t = rd.u64("adam-t")?;
+    let lr_scale = rd.f64("lr-scale")?;
+    let retries = u32::try_from(rd.u64("retries")?).map_err(|_| overflow("retries"))?;
+    let seed = rd.u64("seed")?;
+    let fingerprint = rd.u64("config fingerprint")?;
+    let (h, [u1, u2, u3]) = sections(&mut rd, dims)?;
+    let model = TcssModel { u1, u2, u3, h };
+    let mut grads = || -> Result<Grads, ModelIoError> {
+        let (h, [u1, u2, u3]) = sections(&mut rd, dims)?;
+        Ok(Grads { u1, u2, u3, h })
+    };
+    let (m, v) = (grads()?, grads()?);
+    rd.done()?;
     if !lr_scale.is_finite() || lr_scale <= 0.0 || lr_scale > 1.0 {
         return Err(ModelIoError::Parse(format!(
             "lr-scale {lr_scale} outside (0, 1]"
         )));
     }
-
-    let mut model = TcssModel::try_new(u1, u2, u3).map_err(ModelIoError::Parse)?;
-    model.h = h;
     Ok(Checkpoint {
         epoch,
         adam_t,
@@ -490,6 +283,51 @@ mod tests {
         assert_eq!(loaded.seed, ck.seed);
         assert_eq!(loaded.fingerprint, ck.fingerprint);
         assert_eq!(bits(&loaded), bits(&ck));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_f64_bit_pattern_class_roundtrips() {
+        let mut ck = sample_checkpoint();
+        let specials = [
+            -0.0,
+            f64::MIN_POSITIVE / 8.0, // subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff4_0000_0bad_f00d), // NaN with a payload
+        ];
+        for block in [
+            ck.model.u1.as_mut_slice(),
+            ck.m.u3.as_mut_slice(),
+            ck.v.u2.as_mut_slice(),
+        ] {
+            block[..specials.len()].copy_from_slice(&specials);
+        }
+        ck.model.h[1] = -0.0;
+        ck.v.h[0] = f64::from_bits(1);
+        let path = tmp("specials.tcssck");
+        save_checkpoint(&ck, &path).unwrap();
+        assert_eq!(bits(&load_checkpoint(&path).unwrap()), bits(&ck));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn legacy_text_checkpoint_is_a_typed_error() {
+        let path = tmp("legacy.tcssck");
+        std::fs::write(&path, "tcss-checkpoint v1 5 7 4 3\nepoch: 17\n").unwrap();
+        match load_checkpoint(&path) {
+            Err(ModelIoError::LegacyText(format)) => assert_eq!(format, "tcss-checkpoint v1"),
+            other => panic!("expected LegacyText, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn model_file_is_not_a_checkpoint() {
+        let path = tmp("kind.tcssck");
+        crate::model_io::save_model(&sample_checkpoint().model, &path).unwrap();
+        let err = load_checkpoint(&path).unwrap_err().to_string();
+        assert!(err.contains("found a model file"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,39 +1,16 @@
-//! Canonical FNV-1a digest used by every integrity check in the workspace.
+//! FNV-1a 64, kept for one caller: the model digest of the end-to-end
+//! benchmark (`bench_e2e/src/train.rs::model_digest`).
 //!
-//! One implementation, three consumers: checkpoint files
-//! ([`crate::checkpoint`]), compact serving snapshots
-//! (`tcss_serve::snapshot`), and the per-frame checksums of the
-//! distributed-training transport ([`crate::dist::wire`]). Not
-//! cryptographic — it guards against truncation and accidental corruption,
-//! which is exactly the failure model of a killed process, a bad disk or a
-//! torn socket write, and any single-byte change provably alters the
-//! digest (each round `h ← (h ⊕ b)·p` is a bijection of `h` for fixed
-//! `b`).
-//!
-//! (`tcss_serve`'s `snapshot_format.rs` test suite keeps a deliberately
-//! independent restatement of the function, so a regression here cannot
-//! silently re-verify itself.)
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x100000001b3;
+//! Every integrity check in the workspace — wire frames, model files,
+//! checkpoints, serving snapshots — and the config fingerprint use
+//! [`crate::frame::checksum`]. This module goes once the benchmark's
+//! digest moves to that checksum too.
 
 /// 64-bit FNV-1a over raw bytes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_continue(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a digest from a prior state (streaming form: hashing
-/// `a` then continuing over `b` equals hashing `a ++ b` in one call).
-pub fn fnv1a64_continue(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
 }
 
 #[cfg(test)]
@@ -46,19 +23,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in 0..=data.len() {
-            let partial = fnv1a64(&data[..split]);
-            assert_eq!(
-                fnv1a64_continue(partial, &data[split..]),
-                fnv1a64(data),
-                "split at {split}"
-            );
-        }
     }
 
     #[test]

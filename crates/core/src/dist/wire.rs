@@ -13,7 +13,7 @@
 //! never panics: every malformed payload is a typed
 //! [`WireError::Malformed`].
 
-use crate::frame::FrameError;
+use crate::frame::{put_f64, put_f64s, put_u32, put_u64, FrameError, Malformed, Reader};
 use crate::model::TcssModel;
 use crate::sparse_grads::SparseGrads;
 use tcss_linalg::Matrix;
@@ -76,91 +76,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------
-// Primitive readers
-// ---------------------------------------------------------------------
-
-/// Bounds-checked cursor over a message payload.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Malformed(format!(
-                "payload truncated reading {what}: need {n} bytes, have {}",
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// `n` contiguous `f64`s appended onto `out`.
-    pub(crate) fn f64s_into(
-        &mut self,
-        n: usize,
-        out: &mut Vec<f64>,
-        what: &str,
-    ) -> Result<(), WireError> {
-        let bytes = self.take(n * 8, what)?;
-        out.reserve(n);
-        for c in bytes.chunks_exact(8) {
-            out.push(f64::from_le_bytes(c.try_into().unwrap()));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after message end",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    out.reserve(vs.len() * 8);
-    for &v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+impl From<Malformed> for WireError {
+    fn from(e: Malformed) -> Self {
+        WireError::Malformed(e.0)
     }
 }
 
@@ -477,7 +395,7 @@ impl<'a> Reader<'a> {
                 "{what}: expected {expect} elements, got {n}"
             )));
         }
-        self.take(n * 8, what)
+        Ok(self.take(n * 8, what)?)
     }
 
     /// One [`Reader::counted_bytes`] block per factor.
@@ -530,7 +448,7 @@ pub(crate) fn copy_f64s(bytes: &[u8], dest: &mut [f64]) {
 pub(crate) fn msg_epoch(payload: &[u8]) -> Result<u64, WireError> {
     let mut r = Reader::new(payload);
     r.u8("message tag")?;
-    r.u64("epoch")
+    Ok(r.u64("epoch")?)
 }
 
 /// Peek `(epoch, src)` of any worker → coordinator sharded message.

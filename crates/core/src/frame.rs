@@ -29,6 +29,11 @@
 //! * an error poisons the decoder: framing has no resync point, so every
 //!   later [`FrameDecoder::next_frame`] and [`FrameDecoder::finish`]
 //!   reports the same error and the caller closes the stream.
+//!
+//! The frame trailer's [`checksum`] is also the workspace's one file
+//! checksum (model files, checkpoints, serving snapshots), and the
+//! little-endian field codec here (`Reader`, `put_*`) is shared by the
+//! distributed messages and the model/checkpoint files.
 
 use std::io::{self, Read};
 
@@ -126,10 +131,12 @@ const CRC32C_TABLE: [u32; 256] = {
 /// throughput on the megabyte delta frames of training. A single
 /// flipped byte lands in exactly one stream and always changes it.
 ///
-/// The value is part of the wire format, so it is the same on every
-/// host: the SSE4.2 `crc32` instruction where the CPU has it, and a
-/// table-driven software CRC32C computing identical bits elsewhere.
-fn checksum(data: &[u8]) -> u64 {
+/// The value is part of the wire and file formats, so it is the same on
+/// every host: the SSE4.2 `crc32` instruction where the CPU has it, and a
+/// table-driven software CRC32C computing identical bits elsewhere. Model
+/// files, checkpoints and serving snapshots carry it too, and the config
+/// fingerprint is this checksum of the fingerprint string.
+pub fn checksum(data: &[u8]) -> u64 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse4.2") {
@@ -182,6 +189,99 @@ fn checksum_soft(data: &[u8]) -> u64 {
     }
     a = crc(a, pairs.remainder());
     (u64::from(a) << 32) | u64::from(b)
+}
+
+// ---------------------------------------------------------------------
+// Field codec: little-endian integers and `f64` bit patterns, shared by
+// the distributed message payloads and the model/checkpoint files.
+// ---------------------------------------------------------------------
+
+/// A payload that ended inside a field or ran past its last one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Malformed(pub(crate) String);
+
+/// Bounds-checked cursor over a payload.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], Malformed> {
+        if self.buf.len() - self.pos < n {
+            return Err(Malformed(format!(
+                "payload truncated reading {what}: need {n} bytes, have {}",
+                self.buf.len() - self.pos
+            )));
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, Malformed> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, Malformed> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, Malformed> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, Malformed> {
+        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    /// `n` contiguous `f64`s appended onto `out`.
+    pub(crate) fn f64s_into(
+        &mut self,
+        n: usize,
+        out: &mut Vec<f64>,
+        what: &str,
+    ) -> Result<(), Malformed> {
+        let bytes = self.take(n * 8, what)?;
+        out.reserve(n);
+        for c in bytes.chunks_exact(8) {
+            out.push(f64::from_le_bytes(c.try_into().unwrap()));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn done(&self) -> Result<(), Malformed> {
+        if self.pos != self.buf.len() {
+            return Err(Malformed(format!(
+                "{} trailing bytes after message end",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(())
+    }
+}
+
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    out.reserve(vs.len() * 8);
+    for &v in vs {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 // ---------------------------------------------------------------------

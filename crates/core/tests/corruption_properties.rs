@@ -2,12 +2,12 @@
 //! single-byte flip of a saved model or checkpoint file must be detected
 //! at load time — never parsed into silently wrong state.
 //!
-//! The guarantee rests on two design choices in `tcss_core::checkpoint`:
-//! the FNV-1a trailer covers every preceding byte (each round of
-//! `h ← (h ⊕ b)·p` is a bijection in `h` for fixed `b`, so changing one
-//! byte always changes the digest), and verification requires the exact
-//! `checksum: <hex>\n` framing, so losing even the final newline reads as
-//! truncation.
+//! The guarantee rests on two design choices in `tcss_core::model_io`'s
+//! binary codec: the trailing `tcss_core::frame::checksum` covers every
+//! preceding byte (a changed byte lands in one of its two CRC32C streams
+//! and always changes it), and the header's dims fix the exact file
+//! length, so a prefix is refused even in the rare case its last eight
+//! bytes happened to checksum the rest.
 
 use proptest::prelude::*;
 use std::path::PathBuf;

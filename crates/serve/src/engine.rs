@@ -1,6 +1,7 @@
 //! The recommendation-serving engine: batched scoring over a swappable
 //! model with a version-keyed top-`n` cache.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -277,7 +278,8 @@ impl ServingEngine {
     /// Top-`n` recommendations for a whole batch, in request order.
     ///
     /// Cached `(user, time, min(n, J))` results are returned without scoring;
-    /// the remaining requests are scored as one packed batch and selected
+    /// the remaining distinct keys are scored once each, as one packed
+    /// batch, and selected
     /// with the deterministic ranking order of [`tcss_core::topn`]
     /// (descending score, ascending POI on ties) — so results are
     /// identical whether they came from the cache, a batch, or
@@ -332,7 +334,12 @@ impl ServingEngine {
         // one cache entry; an unclamped wire `n` would grow the cache.
         let n = n.min(snap.model.dims().1);
         let mut out: Vec<Option<Result<Ranking, ServeError>>> = vec![None; requests.len()];
-        let mut missed: Vec<usize> = Vec::new();
+        // Each distinct missed key is scored once: `misses` holds one
+        // request per key, `missed` maps every request that missed to its
+        // score row. A repeat of a key missed earlier in the batch counts
+        // as a hit — it is answered from that scoring.
+        let mut rows: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut missed: Vec<(usize, usize)> = Vec::new();
         let mut misses: Vec<ScoreRequest> = Vec::new();
         let mut hits = 0u64;
         for (b, req) in requests.iter().enumerate() {
@@ -344,25 +351,40 @@ impl ServingEngine {
             if let Some(cached) = self.topn.get(&key, snap.version) {
                 out[b] = Some(Ok(cached));
                 hits += 1;
-            } else {
-                missed.push(b);
-                misses.push(*req);
+                continue;
             }
+            let row = match rows.entry((req.user, req.time)) {
+                Entry::Occupied(seen) => {
+                    hits += 1;
+                    *seen.get()
+                }
+                Entry::Vacant(new) => {
+                    misses.push(*req);
+                    *new.insert(misses.len() - 1)
+                }
+            };
+            missed.push((b, row));
         }
         MetricsInner::add(&self.metrics.topn_hits, hits);
-        MetricsInner::add(&self.metrics.topn_misses, missed.len() as u64);
+        MetricsInner::add(&self.metrics.topn_misses, misses.len() as u64);
 
-        if !missed.is_empty() {
+        if !misses.is_empty() {
             let scores = self
                 .score_on(&snap, &misses)
                 .expect("bounds were checked before batching");
             let t0 = Instant::now();
-            for (row, &b) in missed.iter().enumerate() {
-                let top = Arc::new(topn::top_n(scores.row(row), n));
-                let req = &requests[b];
-                self.topn
-                    .insert((req.user, req.time, n), snap.version, top.clone());
-                out[b] = Some(Ok(top));
+            let tops: Vec<Ranking> = misses
+                .iter()
+                .enumerate()
+                .map(|(row, req)| {
+                    let top = Arc::new(topn::top_n(scores.row(row), n));
+                    self.topn
+                        .insert((req.user, req.time, n), snap.version, top.clone());
+                    top
+                })
+                .collect();
+            for (b, row) in missed {
+                out[b] = Some(Ok(tops[row].clone()));
             }
             self.metrics.select.record(elapsed_ns(t0));
         }

@@ -41,10 +41,10 @@
 //!   deadlines, an idle-connection reaper, `catch_unwind` panic
 //!   isolation with worker respawn, graceful drain
 //!   ([`net::ServerHandle::drain`]), client-side capped-backoff retry
-//!   ([`net::NetClient::recommend_with_retry`]), and a deterministic
-//!   transport fault-injection harness ([`net::FaultyTransport`])
-//!   asserting every fault yields a typed error or a bitwise-correct
-//!   answer — never a hang, never a wrong score.
+//!   ([`net::NetClient::recommend_with_retry`]); the
+//!   `net_faultinject` suite's transport fault injection asserts every
+//!   fault yields a typed error or a bitwise-correct answer — never a
+//!   hang, never a wrong score.
 //!
 //! ```no_run
 //! use tcss_serve::{ScoreRequest, ServingEngine};

@@ -94,9 +94,11 @@ pub struct ServingMetrics {
     /// `bench_e2e` reads it; ROADMAP's "Finish one benchmark" item
     /// deletes it.
     pub weight_misses: u64,
-    /// Top-`n` result cache hits.
+    /// Top-`n` result cache hits, counting a repeat of a key missed
+    /// earlier in the same batch (it is answered from that scoring).
     pub topn_hits: u64,
-    /// Top-`n` result cache misses (scored, selected and cached).
+    /// Top-`n` result cache misses: distinct keys per batch scored,
+    /// selected and cached.
     pub topn_misses: u64,
     /// Models published via swap (the initial model counts 0).
     pub model_swaps: u64,

@@ -20,9 +20,6 @@
 //! 5. [`client`] — a small blocking client with pipelining, read
 //!    timeouts, per-call deadlines and deterministic capped-backoff
 //!    retry, shared by the CLI, tests and the load generator.
-//! 6. [`faulty`] — deterministic transport fault injection (stalls,
-//!    partial writes, resets, byte corruption keyed by request index),
-//!    the test-only shim behind the serve-chaos suite.
 //!
 //! The server side layers a typed failure model on top: per-request
 //! deadlines, an idle-connection reaper, `catch_unwind` panic isolation
@@ -33,7 +30,6 @@
 
 pub mod admission;
 pub mod client;
-pub mod faulty;
 pub mod proto;
 pub mod server;
 
@@ -115,7 +111,6 @@ pub mod frame {
 
 pub use admission::{AdmissionGate, Permit};
 pub use client::{ClientConfig, ClientError, ClientStats, NetClient};
-pub use faulty::{FaultyTransport, TransportFault, TransportFaultPlan};
 pub use frame::{FrameDecoder, FrameError};
 pub use proto::{ErrorCode, Request, RequestBody, Response, ResponseBody, WireError};
 pub use server::{NetMetrics, NetServer, ServerConfig, ServerHandle, DEFAULT_DRAIN_TIMEOUT};

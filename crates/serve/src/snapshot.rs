@@ -2,7 +2,7 @@
 //!
 //! The training stack hands the serving layer an f64 [`TcssModel`]; at
 //! ROADMAP scale (10M users, r = 32) U¹ alone is ~2.5 GB and cold start
-//! pays a full deserialize pass over a text checkpoint. This module
+//! pays a full decode pass over the f64 model file. This module
 //! converts the model once, at export/swap time, into a flat, page-aligned,
 //! checksummed on-disk format that the engine scores **directly out of an
 //! `mmap(2)` mapping** — zero deserialization, so cold start is O(1)
@@ -15,15 +15,15 @@
 //! offset 0      ┌────────────────────────────────────────────┐
 //!               │ header (one 4096-byte page)                │
 //!               │   0  magic            "TCSSSNAP"  [u8; 8]  │
-//!               │   8  format_version   u32  (= 1)           │
+//!               │   8  format_version   u32  (= 2)           │
 //!               │  12  quant_mode       u32  (0 f32, 1 i16)  │
 //!               │  16  n_users (I)      u64                  │
 //!               │  24  n_pois  (J)      u64                  │
 //!               │  32  n_times (K)      u64                  │
 //!               │  40  rank    (r)      u64                  │
 //!               │  48  payload_len      u64                  │
-//!               │  56  payload_checksum u64  (FNV-1a 64)     │
-//!               │  64  header_checksum  u64  (FNV over the   │
+//!               │  56  payload_checksum u64  (CRC32C pair)   │
+//!               │  64  header_checksum  u64  (over the       │
 //!               │      whole header page with this field     │
 //!               │      zeroed — padding flips are caught)    │
 //!               │  72  zero padding to 4096                  │
@@ -70,7 +70,10 @@
 //! ## Integrity
 //!
 //! Writes are atomic (temp + fsync + rename, through the one writer
-//! `tcss_core::checkpoint::atomic_write`); the header and payload carry independent FNV-1a 64 digests.
+//! `tcss_core::checkpoint::atomic_write`); the header and payload carry
+//! independent digests, each the workspace's one checksum,
+//! [`tcss_core::frame::checksum`] (version 1 files carried FNV-1a and are
+//! refused as [`SnapError::UnsupportedVersion`]).
 //! [`SnapshotModel::open`] verifies both — any truncation or bit flip is a
 //! typed [`SnapError`], never a garbage model.
 
@@ -80,13 +83,14 @@ use std::io::Read as _;
 use std::path::Path;
 
 use tcss_core::checkpoint::atomic_write;
+use tcss_core::frame::checksum;
 use tcss_core::TcssModel;
 use tcss_linalg::kernels;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: &[u8; 8] = b"TCSSSNAP";
 /// On-disk format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header size; the payload starts at this offset so an `mmap` of the file
 /// leaves every section page-relative-aligned.
 pub const HEADER_LEN: usize = 4096;
@@ -243,14 +247,6 @@ impl From<std::io::Error> for SnapError {
 }
 
 // ---------------------------------------------------------------------
-// Integrity primitives. The digest is the workspace-canonical
-// `tcss_core::digest::fnv1a64` (the `snapshot_format.rs` test suite keeps
-// its own deliberately independent restatement as a cross-check).
-// ---------------------------------------------------------------------
-
-use tcss_core::digest::fnv1a64;
-
-// ---------------------------------------------------------------------
 // Layout: section offsets derived from (mode, dims), never stored.
 // ---------------------------------------------------------------------
 
@@ -385,7 +381,7 @@ pub fn snapshot_bytes(model: &TcssModel, mode: QuantMode) -> Vec<u8> {
         write_factor(payload, mode, layout.u2, layout.u2_scales, j, r, &model.u2);
         write_factor(payload, mode, layout.u3, layout.u3_scales, k, r, &model.u3);
     }
-    let payload_sum = fnv1a64(&buf[HEADER_LEN..]);
+    let payload_sum = checksum(&buf[HEADER_LEN..]);
 
     buf[0..8].copy_from_slice(MAGIC);
     buf[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -399,7 +395,7 @@ pub fn snapshot_bytes(model: &TcssModel, mode: QuantMode) -> Vec<u8> {
     // The header digest covers the entire header page with its own field
     // zeroed (which it is, at this point), so a flip anywhere in the page
     // — fields *or* padding — is caught.
-    let header_sum = fnv1a64(&buf[..HEADER_LEN]);
+    let header_sum = checksum(&buf[..HEADER_LEN]);
     buf[64..72].copy_from_slice(&header_sum.to_le_bytes());
     buf
 }
@@ -577,25 +573,9 @@ impl SnapshotModel {
 
         let mut header = [0u8; HEADER_LEN];
         file.read_exact(&mut header)?;
-        let stored_hsum = get_u64(&header, 64);
-        let computed_hsum = {
-            let mut zeroed = header;
-            zeroed[64..72].fill(0);
-            fnv1a64(&zeroed)
-        };
-        if stored_hsum != computed_hsum {
-            // Distinguish "not a snapshot" from "snapshot with a damaged
-            // header": magic first, then the digest.
-            if &header[0..8] != MAGIC {
-                let mut found = [0u8; 8];
-                found.copy_from_slice(&header[0..8]);
-                return Err(SnapError::BadMagic { found });
-            }
-            return Err(SnapError::HeaderCorrupt {
-                stored: stored_hsum,
-                computed: computed_hsum,
-            });
-        }
+        // Magic, then version (it names the digest), then the digest:
+        // "not a snapshot" and "an older snapshot" read apart from "a
+        // snapshot with a damaged header".
         if &header[0..8] != MAGIC {
             let mut found = [0u8; 8];
             found.copy_from_slice(&header[0..8]);
@@ -604,6 +584,18 @@ impl SnapshotModel {
         let version = get_u32(&header, 8);
         if version != FORMAT_VERSION {
             return Err(SnapError::UnsupportedVersion { found: version });
+        }
+        let stored_hsum = get_u64(&header, 64);
+        let computed_hsum = {
+            let mut zeroed = header;
+            zeroed[64..72].fill(0);
+            checksum(&zeroed)
+        };
+        if stored_hsum != computed_hsum {
+            return Err(SnapError::HeaderCorrupt {
+                stored: stored_hsum,
+                computed: computed_hsum,
+            });
         }
         let mode = QuantMode::from_code(get_u32(&header, 12)).ok_or(SnapError::BadQuantMode {
             code: get_u32(&header, 12),
@@ -648,7 +640,7 @@ impl SnapshotModel {
             read_owned(&mut file, total)?
         };
 
-        let computed = fnv1a64(&buf.bytes()[HEADER_LEN..]);
+        let computed = checksum(&buf.bytes()[HEADER_LEN..]);
         if computed != payload_sum {
             return Err(SnapError::ChecksumMismatch {
                 stored: payload_sum,
@@ -899,6 +891,31 @@ mod tests {
                 assert!((g - w).abs() <= tol * (1.0 + w.abs()), "{mode}: {g} vs {w}");
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fnv_version_1_snapshot_is_unsupported_version() {
+        // A snapshot as the version-1 writer left it: FNV-1a 64 digests.
+        fn fnv(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+            })
+        }
+        let mut bytes = snapshot_bytes(&model(5), QuantMode::F32);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let payload_sum = fnv(&bytes[HEADER_LEN..]);
+        bytes[56..64].copy_from_slice(&payload_sum.to_le_bytes());
+        bytes[64..72].fill(0);
+        let header_sum = fnv(&bytes[..HEADER_LEN]);
+        bytes[64..72].copy_from_slice(&header_sum.to_le_bytes());
+        let dir = tmpdir("v1");
+        let path = dir.join("v1.tcsssnap");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SnapshotModel::open(&path),
+            Err(SnapError::UnsupportedVersion { found: 1 })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,11 +26,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "support/faulty.rs"]
+mod faulty;
+
+use faulty::{FaultyTransport, TransportFault, TransportFaultPlan};
 use tcss_core::{random_init, TcssModel};
-use tcss_serve::net::{
-    ClientError, ErrorCode, FaultyTransport, NetClient, NetServer, ResponseBody, ServerConfig,
-    TransportFault, TransportFaultPlan,
-};
+use tcss_serve::net::{ClientError, ErrorCode, NetClient, NetServer, ResponseBody, ServerConfig};
 use tcss_serve::ServingEngine;
 
 const DIMS: (usize, usize, usize) = (6, 41, 4);

@@ -264,3 +264,33 @@ fn topn_cache_keyed_by_n() {
     assert_eq!(r5.as_slice(), &r10[..5]);
     assert_eq!(topn::top_n(&model.scores_for(1, 1), 5), *r5);
 }
+
+/// A key repeated within one cold batch is scored once: every answer is
+/// bitwise the per-request `recommend` of a fresh engine, `topn_misses`
+/// counts distinct keys, the repeats count as hits, and one weight
+/// vector is built per distinct key.
+#[test]
+fn repeated_keys_in_one_batch_are_scored_once() {
+    let model = model_from((4, 33, 3), 3, 77);
+    let keys = [(0, 2), (3, 1), (0, 2), (0, 2), (2, 0), (3, 1)];
+    let requests: Vec<ScoreRequest> = keys
+        .iter()
+        .map(|&(user, time)| ScoreRequest { user, time })
+        .collect();
+    let engine = ServingEngine::new(model.clone());
+    let got = engine.recommend_batch(&requests, 6).unwrap();
+    for (answer, &(user, time)) in got.iter().zip(&keys) {
+        let want = ServingEngine::new(model.clone())
+            .recommend(user, time, 6)
+            .unwrap();
+        let bits = |r: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            r.iter().map(|&(p, s)| (p, s.to_bits())).collect()
+        };
+        assert_eq!(bits(answer), bits(&want), "({user},{time})");
+    }
+    let m = engine.metrics();
+    assert_eq!(m.topn_misses, 3, "three distinct keys");
+    assert_eq!(m.topn_hits, 3, "three in-batch repeats");
+    assert_eq!(m.weight_misses, 3, "one weight vector per distinct key");
+    assert_eq!(engine.cache_stats().topn_entries, 3);
+}

@@ -43,15 +43,37 @@ fn write_raw(dir: &Path, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// FNV-1a 64, restated from the documented format (independent of the
-/// implementation under test).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// The snapshot digest — two interleaved CRC32C (Castagnoli) streams —
+/// restated from the documented format with a table built here, so it
+/// stays independent of the implementation under test: every 16-byte
+/// block feeds its first 8 bytes to stream `a` (seed `0xffffffff`) and
+/// its last 8 to stream `b` (seed `0x5a5a5a5a`), the tail goes to `a`,
+/// and the digest is `(a << 32) | b` with no final inversion.
+fn crc32c_pair(bytes: &[u8]) -> u64 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| {
+            (0..8).fold(i, |c, _| {
+                if c & 1 == 1 {
+                    (c >> 1) ^ 0x82f6_3b78
+                } else {
+                    c >> 1
+                }
+            })
+        })
+        .collect();
+    let crc = |c: u32, bytes: &[u8]| {
+        bytes.iter().fold(c, |c, &b| {
+            table[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8)
+        })
+    };
+    let (mut a, mut b) = (0xffff_ffffu32, 0x5a5a_5a5au32);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        a = crc(a, &block[..8]);
+        b = crc(b, &block[8..]);
     }
-    h
+    a = crc(a, blocks.remainder());
+    (u64::from(a) << 32) | u64::from(b)
 }
 
 /// Re-stamp the header digest after deliberately editing a header field,
@@ -59,7 +81,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// behind the checksum, not the checksum itself.
 fn restamp_header(bytes: &mut [u8]) {
     bytes[64..72].fill(0);
-    let sum = fnv1a64(&bytes[..HEADER_LEN]);
+    let sum = crc32c_pair(&bytes[..HEADER_LEN]);
     bytes[64..72].copy_from_slice(&sum.to_le_bytes());
 }
 

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Datasets use the three-file CSV interchange format of `tcss_data::io`;
-//! models use the text format of `tcss_core::model_io`.
+//! models use the checksummed binary format of `tcss_core::model_io`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

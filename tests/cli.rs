@@ -111,7 +111,7 @@ fn full_cli_roundtrip() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("top-n cache: hits 0 misses 3 (0.0% hit), 2 entries live"),
+        stdout.contains("top-n cache: hits 1 misses 2 (33.3% hit), 2 entries live"),
         "{stdout}"
     );
 
@@ -293,5 +293,30 @@ fn model_dataset_mismatch_is_detected() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("trained on"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn text_model_file_is_refused_naming_its_format() {
+    let dir = workdir("legacy_text");
+    let data = dir.join("gmu");
+    let model = dir.join("model.tcss");
+    assert!(bin()
+        .args(["generate", "--preset", "gmu-5k", "--out"])
+        .arg(&data)
+        .status()
+        .unwrap()
+        .success());
+    std::fs::write(&model, "tcss-model v2 2 2 2 1\nh: 1.0\n").unwrap();
+    let out = bin()
+        .args(["evaluate", "--data"])
+        .arg(&data)
+        .arg("--model")
+        .arg(&model)
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("tcss-model v2"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
