@@ -4,12 +4,17 @@
 //! the Gram matrix with its diagonal zeroed (the diagonal "bears too much
 //! influence on the principal directions"), and takes the top-`r`
 //! eigenvectors as the initial factors (Eq 4). The Gram matrices are never
-//! materialized — [`tcss_sparse::ModeGramOp`] applies them matrix-free.
+//! materialized — [`tcss_sparse::ModeGramOp`] applies them matrix-free, a
+//! block of all `r` columns per sweep (two passes over the nonzeros at
+//! `r` = 10, not ten). The three modes
+//! are independent eigenproblems and are solved concurrently, one per
+//! chunk of a `map_chunks` region; each solve is serial, so the factors are
+//! bit-for-bit the same at every thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcss_linalg::eigen::OrthIterConfig;
-use tcss_linalg::{top_r_eigenvectors, Matrix};
+use tcss_linalg::{map_chunks, top_r_eigenvectors, Matrix};
 use tcss_sparse::{Mode, ModeGramOp, SparseTensor3};
 
 /// Spectral initialization: `(U¹, U², U³)` with shapes `I×r`, `J×r`, `K×r`.
@@ -23,15 +28,12 @@ pub fn spectral_init(tensor: &SparseTensor3, r: usize, seed: u64) -> (Matrix, Ma
         seed,
         ..Default::default()
     };
-    let factors: Vec<Matrix> = Mode::ALL
-        .iter()
-        .map(|&mode| {
-            let op = ModeGramOp::new(tensor, mode);
-            let (_vals, vecs) =
-                top_r_eigenvectors(&op, r, &cfg).expect("rank was validated against dims");
-            vecs
-        })
-        .collect();
+    let factors = map_chunks(Mode::ALL.len(), 1, |range| {
+        let op = ModeGramOp::new(tensor, Mode::ALL[range.start]);
+        let (_vals, vecs) =
+            top_r_eigenvectors(&op, r, &cfg).expect("rank was validated against dims");
+        vecs
+    });
     let mut it = factors.into_iter();
     (
         it.next().expect("three factors"),

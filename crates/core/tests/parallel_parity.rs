@@ -3,16 +3,20 @@
 //! These tests pin that promise **bit-for-bit** (`f64::to_bits` equality,
 //! not tolerances) for every parallelized kernel in the training path:
 //! the rewritten whole-data loss, negative sampling, the social-Hausdorff
-//! head, dense matmul/Gram, the implicit mode-Gram matvec, and the whole
-//! spectral initializer built on top of them.
+//! head, dense matmul/Gram, the implicit mode-Gram block apply (each
+//! column also bit-equal to its one-column apply), and the whole spectral
+//! initializer built on top of them, whose bits are also pinned to a
+//! constant on the Gowalla preset.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tcss_core::frame::checksum;
 use tcss_core::loss::{negative_sampling_loss_and_grad, rewritten_loss_and_grad, Grads};
 use tcss_core::{
-    random_init, spectral_init, HausdorffVariant, SocialHausdorffHead, TcssModel, TrainWorkspace,
+    random_init, spectral_init, HausdorffVariant, SocialHausdorffHead, TcssConfig, TcssModel,
+    TrainWorkspace,
 };
-use tcss_data::{Granularity, SynthPreset};
+use tcss_data::{train_test_split, Granularity, SynthPreset};
 use tcss_linalg::{set_num_threads, Matrix, SymOp};
 use tcss_sparse::{Mode, ModeGramOp, SparseTensor3};
 
@@ -39,6 +43,13 @@ fn training_fixture() -> (SparseTensor3, TcssModel) {
     let tensor = data.tensor_from(&data.checkins, Granularity::Month);
     let (u1, u2, u3) = random_init(tensor.dims(), 5, 17);
     (tensor, TcssModel::new(u1, u2, u3))
+}
+
+/// The Gowalla preset's training tensor at split seed 1.
+fn gowalla_train_tensor() -> SparseTensor3 {
+    let data = SynthPreset::Gowalla.generate();
+    let split = train_test_split(&data.checkins, data.n_users, 0.8, 1);
+    data.tensor_from(&split.train, Granularity::Month)
 }
 
 #[test]
@@ -138,33 +149,85 @@ fn dense_kernels_are_thread_count_independent() {
 
 #[test]
 fn gram_operator_and_spectral_init_are_thread_count_independent() {
-    let (tensor, _) = training_fixture();
-    let op = ModeGramOp::new(&tensor, Mode::One);
-    let n = tensor.dims().0;
-    let x: Vec<f64> = (0..n)
-        .map(|i| ((i * 37 + 11) % 101) as f64 / 101.0)
-        .collect();
-    let mut apply_ref: Option<Vec<u64>> = None;
-    let mut init_ref: Option<Vec<u64>> = None;
+    let gowalla = gowalla_train_tensor();
+    let (i_dim, j_dim, _) = gowalla.dims();
+    // Gowalla's month mode has a dense fiber space (I·J) that dwarfs its
+    // nonzeros, so its compact fiber ids are exercised.
+    assert!(i_dim * j_dim > 10 * gowalla.nnz());
+    for tensor in [training_fixture().0, gowalla] {
+        let mut apply_ref: Option<Vec<u64>> = None;
+        let mut init_ref: Option<Vec<u64>> = None;
+        for threads in THREAD_COUNTS {
+            set_num_threads(Some(threads));
+            let mut apply_bits = Vec::new();
+            for mode in Mode::ALL {
+                let op = ModeGramOp::new(&tensor, mode);
+                let n = op.dim();
+                // 1, 3, 5 and 10 columns cover every panel width (8, 4, 2, 1).
+                for b in [1, 3, 5, 10] {
+                    let x = Matrix::from_fn(n, b, |i, c| {
+                        ((i * 37 + c * 53 + 11) % 101) as f64 / 101.0 - 0.5
+                    });
+                    let block = op.apply_block(&x);
+                    for c in 0..b {
+                        let mut y = vec![0.0; n];
+                        op.apply(&x.col(c), &mut y);
+                        let col_bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                        let block_bits: Vec<u64> =
+                            block.col(c).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            block_bits, col_bits,
+                            "{mode:?}: column {c} of a {b}-column block apply differs from its one-column apply at {threads} threads"
+                        );
+                    }
+                    apply_bits.extend(matrix_bits(&block));
+                }
+            }
+            match &apply_ref {
+                None => apply_ref = Some(apply_bits),
+                Some(want) => {
+                    assert_eq!(*want, apply_bits, "Gram apply differs at {threads} threads")
+                }
+            }
+            let (u1, u2, u3) = spectral_init(&tensor, 6, 13);
+            let bits: Vec<u64> = matrix_bits(&u1)
+                .into_iter()
+                .chain(matrix_bits(&u2))
+                .chain(matrix_bits(&u3))
+                .collect();
+            match &init_ref {
+                None => init_ref = Some(bits),
+                Some(want) => assert_eq!(*want, bits, "spectral init differs at {threads} threads"),
+            }
+        }
+    }
+    set_num_threads(None);
+}
+
+/// `tcss_core::frame::checksum` of the spectral factors' bits (U¹, U², U³
+/// in order, each `f64` as its little-endian `to_bits`) on the Gowalla
+/// preset's training tensor (split seed 1) at `TcssConfig::full()`'s rank
+/// and seed. Any change to the init's arithmetic — operator, solver,
+/// scheduling — moves it.
+const GOWALLA_SPECTRAL_INIT_CHECKSUM: u64 = 16_072_226_300_494_424_874;
+
+#[test]
+fn spectral_init_bits_are_pinned_on_gowalla() {
+    let tensor = gowalla_train_tensor();
+    let cfg = TcssConfig::full();
     for threads in THREAD_COUNTS {
         set_num_threads(Some(threads));
-        let mut y = vec![0.0; n];
-        op.apply(&x, &mut y);
-        let y_bits: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-        match &apply_ref {
-            None => apply_ref = Some(y_bits),
-            Some(want) => assert_eq!(*want, y_bits, "Gram matvec differs at {threads} threads"),
-        }
-        let (u1, u2, u3) = spectral_init(&tensor, 6, 13);
-        let bits: Vec<u64> = matrix_bits(&u1)
-            .into_iter()
-            .chain(matrix_bits(&u2))
-            .chain(matrix_bits(&u3))
+        let (u1, u2, u3) = spectral_init(&tensor, cfg.rank, cfg.seed);
+        let bytes: Vec<u8> = [&u1, &u2, &u3]
+            .iter()
+            .flat_map(|m| matrix_bits(m))
+            .flat_map(u64::to_le_bytes)
             .collect();
-        match &init_ref {
-            None => init_ref = Some(bits),
-            Some(want) => assert_eq!(*want, bits, "spectral init differs at {threads} threads"),
-        }
+        assert_eq!(
+            checksum(&bytes),
+            GOWALLA_SPECTRAL_INIT_CHECKSUM,
+            "spectral init bits moved at {threads} threads"
+        );
     }
     set_num_threads(None);
 }

@@ -1,8 +1,8 @@
 //! Deterministic chunked parallel execution.
 //!
 //! Every parallel hot path in the workspace (the rewritten whole-data loss,
-//! the social-Hausdorff head, dense matmul/Gram, the implicit mode-Gram
-//! matvec) runs through this module instead of hand-rolled threading. The
+//! the social-Hausdorff head, dense matmul/Gram, the spectral initializer's
+//! three per-mode solves) runs through this module instead of hand-rolled threading. The
 //! scheduler is intentionally tiny — `std::thread::scope`, one atomic chunk
 //! counter, no external dependencies — and built around one contract:
 //!

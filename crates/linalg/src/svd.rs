@@ -54,19 +54,28 @@ impl SymOp for NormalOp<'_> {
         self.a.cols()
     }
 
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // y = Aᵀ (A x); stream row-wise over A for both products.
-        let m = self.a.rows();
+    fn apply_block(&self, x: &Matrix) -> Matrix {
+        // Column by column, y = Aᵀ (A x); stream row-wise over A for both
+        // products.
+        let (m, n) = self.a.shape();
+        let mut out = Matrix::zeros(n, x.cols());
         let mut ax = vec![0.0; m];
-        for (i, axi) in ax.iter_mut().enumerate() {
-            *axi = crate::vector::dot(self.a.row(i), x);
-        }
-        for (i, &axi) in ax.iter().enumerate() {
-            if axi == 0.0 {
-                continue;
+        let mut y = vec![0.0; n];
+        for c in 0..x.cols() {
+            let col = x.col(c);
+            for (i, axi) in ax.iter_mut().enumerate() {
+                *axi = crate::vector::dot(self.a.row(i), &col);
             }
-            crate::kernels::axpy(axi, self.a.row(i), y);
+            y.fill(0.0);
+            for (i, &axi) in ax.iter().enumerate() {
+                if axi == 0.0 {
+                    continue;
+                }
+                crate::kernels::axpy(axi, self.a.row(i), &mut y);
+            }
+            out.set_col(c, &y).expect("column length is n");
         }
+        out
     }
 }
 

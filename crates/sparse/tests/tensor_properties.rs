@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse tensor structures.
 
 use proptest::prelude::*;
-use tcss_linalg::SymOp;
+use tcss_linalg::{Matrix, SymOp};
 use tcss_sparse::{CsrMatrix, Mode, ModeGramOp, SparseTensor3};
 
 #[allow(clippy::type_complexity)]
@@ -79,29 +79,42 @@ proptest! {
     /// `ModeGramOp::apply(x) == A⁽ⁿ⁾ (A⁽ⁿ⁾ᵀ x) − diag(A⁽ⁿ⁾A⁽ⁿ⁾ᵀ) ⊙ x`,
     /// where `A⁽ⁿ⁾` is the mode-`n` matricization. This is the operator the
     /// spectral initializer (paper Eq 4) feeds to orthogonal iteration
-    /// without ever materializing `A⁽ⁿ⁾A⁽ⁿ⁾ᵀ`.
+    /// without ever materializing `A⁽ⁿ⁾A⁽ⁿ⁾ᵀ`. A block apply of `b` columns
+    /// (every panel width 8, 4, 2, 1 among `b` = 1..12) is a batch of
+    /// one-column applies: column `c` has the bits of `apply` on column `c`.
     #[test]
-    fn gram_operator_matches_matricized_matvec((dims, raw) in entries_strategy()) {
+    fn gram_operator_matches_matricized_matvec(
+        (dims, raw) in entries_strategy(),
+        b in 1usize..12,
+    ) {
         let t = SparseTensor3::from_entries(dims, raw).expect("in range");
         for mode in Mode::ALL {
             let op = ModeGramOp::new(&t, mode);
             let n = op.dim();
-            // A deterministic but non-trivial probe vector.
-            let x: Vec<f64> = (0..n).map(|i| ((i as f64 + 1.0) * 0.83).sin() + 0.1).collect();
-            let mut got = vec![0.0; n];
-            op.apply(&x, &mut got);
-            // Explicit route: y = A (Aᵀ x) − d ⊙ x via the dense matricization.
+            // A deterministic but non-trivial probe block.
+            let xs = Matrix::from_fn(n, b, |i, c| ((i * b + c) as f64 * 0.83).sin() + 0.1);
+            let block = op.apply_block(&xs);
             let a = t.matricize_dense(mode);
-            let at_x = a.transpose().matvec(&x).expect("shape");
-            let a_at_x = a.matvec(&at_x).expect("shape");
             let diag = t.mode_sq_norms(mode);
-            for row in 0..n {
-                let want = a_at_x[row] - diag[row] * x[row];
-                prop_assert!(
-                    (got[row] - want).abs() < 1e-9,
-                    "mode {:?} row {}: implicit {} vs explicit {}",
-                    mode, row, got[row], want
-                );
+            for c in 0..b {
+                let x = xs.col(c);
+                let mut got = vec![0.0; n];
+                op.apply(&x, &mut got);
+                // Explicit route: y = A (Aᵀ x) − d ⊙ x via the dense matricization.
+                let at_x = a.transpose().matvec(&x).expect("shape");
+                let a_at_x = a.matvec(&at_x).expect("shape");
+                for row in 0..n {
+                    let want = a_at_x[row] - diag[row] * x[row];
+                    prop_assert!(
+                        (got[row] - want).abs() < 1e-9,
+                        "mode {:?} row {}: implicit {} vs explicit {}",
+                        mode, row, got[row], want
+                    );
+                    prop_assert_eq!(
+                        block.get(row, c).to_bits(), got[row].to_bits(),
+                        "mode {:?} column {} of {} row {}", mode, c, b, row
+                    );
+                }
             }
         }
     }
