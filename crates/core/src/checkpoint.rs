@@ -123,7 +123,6 @@ pub fn config_fingerprint(cfg: &TcssConfig) -> u64 {
         },
         match cfg.loss {
             LossStrategy::WholeDataRewritten => "rewritten",
-            LossStrategy::WholeDataNaive => "naive",
             LossStrategy::NegativeSampling => "negsamp",
         },
         match cfg.hausdorff {

@@ -16,15 +16,16 @@ pub enum InitMethod {
     OneHot,
 }
 
-/// How the least-squares head `L₂` is computed (§IV-D and Table II/IV).
+/// How the least-squares head `L₂` is trained (§IV-D and Table II): the
+/// entry-chunk kernel every epoch runs, in-process and on distributed
+/// workers alike. Table IV's naive Eq 14 row is a loss *evaluation*
+/// (`loss::naive_whole_data_loss`), not a training strategy: its gradient
+/// is the rewritten one (Remark 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossStrategy {
     /// The paper's method: whole-data loss rewritten as Eq 15,
     /// `O(nnz·r + (I+J+K)r²)` per epoch.
     WholeDataRewritten,
-    /// Whole-data loss computed naively as Eq 14, `O(I·J·K·r)` per epoch.
-    /// Only used by the Table IV timing comparison and equivalence tests.
-    WholeDataNaive,
     /// Classic negative sampling: per epoch, sample as many unobserved
     /// entries as there are positives and fit squared error on the union.
     NegativeSampling,

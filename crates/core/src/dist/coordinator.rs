@@ -12,7 +12,7 @@
 //! argument and failure model.
 
 use super::wire::{
-    decode_hello, encode_setup, encode_shutdown, tag_of, Setup, WireLoss, MAX_FRAME_LEN, TAG_HELLO,
+    decode_hello, encode_setup, encode_shutdown, tag_of, Setup, MAX_FRAME_LEN, TAG_HELLO,
 };
 use super::DistError;
 use crate::config::LossStrategy;
@@ -247,12 +247,7 @@ impl TcssTrainer {
             rank: cfg.rank,
             w_plus: cfg.w_plus,
             w_minus: cfg.w_minus,
-            loss: match cfg.loss {
-                LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive => {
-                    WireLoss::L2Entries
-                }
-                LossStrategy::NegativeSampling => WireLoss::NegSampling,
-            },
+            loss: cfg.loss,
             seed: cfg.seed,
             chunk_start,
             chunk_end,
@@ -269,9 +264,9 @@ impl TcssTrainer {
         let hi = (chunk_end * ENTRIES_PER_CHUNK).min(entries.len());
         let (u1_lo, u1_hi) = match setup.loss {
             // Negative sampling draws rows anywhere in the tensor.
-            WireLoss::NegSampling => (0, self.tensor.dims().0),
-            WireLoss::L2Entries if lo < hi => (entries[lo].i, entries[hi - 1].i + 1),
-            WireLoss::L2Entries => (0, 0),
+            LossStrategy::NegativeSampling => (0, self.tensor.dims().0),
+            LossStrategy::WholeDataRewritten if lo < hi => (entries[lo].i, entries[hi - 1].i + 1),
+            LossStrategy::WholeDataRewritten => (0, 0),
         };
         Ok(WorkerSlot {
             child,

@@ -26,8 +26,8 @@
 //! * **Workers** ([`worker::run_worker`], the hidden `dist-worker` CLI
 //!   subcommand / the `tcss-dist-worker` test binary) — hold the tensor
 //!   (shipped once in Setup) plus the model rows and Adam moments of the
-//!   factor rows they own. Each epoch a worker evaluates exactly the
-//!   per-chunk kernels the in-process path runs, routes each chunk's
+//!   factor rows they own. Each epoch a worker evaluates its block with
+//!   the in-process path's entry-chunk evaluator, routes each chunk's
 //!   delta rows to their owners, merges the deltas bound for its own
 //!   rows, and steps those rows with the in-process Adam kernel straight
 //!   away — an epoch is two coordinator round trips.
@@ -42,11 +42,13 @@
 //!
 //! 1. the **global chunk grid** (`chunk_count(nnz, ENTRIES_PER_CHUNK)`)
 //!    depends only on the tensor, never on the worker count;
-//! 2. each chunk's value is computed by the *same* kernel functions the
-//!    in-process path calls (`loss::l2_entry_chunk` /
-//!    `negative_sampling_chunk`), pure functions of `(model, entries,
-//!    global range)` — a worker's thread count only reorders *which cores*
-//!    evaluate chunks, never their contents;
+//! 2. each chunk's value is computed by the *same* function the
+//!    in-process path calls (`loss::eval_entry_chunks`, over the worker's
+//!    block instead of `0..nnz`), a pure function of `(model, kernel,
+//!    global range)` — a worker's thread count only reorders *which
+//!    cores* evaluate chunks, never their contents — and the owned rows
+//!    of the Gram tail come from the in-process Gram-row builder
+//!    (`loss::add_gram_rows`);
 //! 3. workers own contiguous chunk blocks in worker order, and each owner
 //!    merges the deltas for its rows in ascending source-worker order, so
 //!    every gradient *element* sees its adds in ascending **global**

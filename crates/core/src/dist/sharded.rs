@@ -34,13 +34,15 @@
 //!    per-worker reader threads verify checksums, batch every frame that
 //!    arrived back-to-back, and wake the event loop once per burst. Exch
 //!    frames are relayed verbatim (raw bytes, never re-decoded).
-//! 3. **TailRows** per worker: the owned slice of the coordinator tail —
-//!    row slices in dense mode, or the per-factor Gram matrices in gram
-//!    mode, from which the worker rebuilds its owned tail rows
-//!    bit-identically — or "inactive" (adding zeros could flip `-0.0`
-//!    accumulators). Each destination's relayed Exchs and its TailRows
-//!    go out as one batched write. Because the coordinator→worker stream
-//!    is FIFO and TailRows is sent only after every Exch has been
+//! 3. **TailRows** per worker, one per shape of the epoch's tail
+//!    (`train::EpochTail`, the value the in-process loop matches on too):
+//!    "inactive" (adding zeros could flip `-0.0` accumulators); on
+//!    Gram-only epochs the three `r × r` Gram matrices, from which the
+//!    worker builds its owned tail rows with the in-process Gram-row
+//!    builder (`loss::add_gram_rows`); on head epochs the owned row
+//!    slices of the dense tail. Each destination's relayed Exchs and its
+//!    TailRows go out as one batched write. Because the coordinator→worker
+//!    stream is FIFO and TailRows is sent only after every Exch has been
 //!    relayed, its arrival doubles as the exchange barrier.
 //! 4. Each worker merges its own split plus the relayed Exch frames in
 //!    ascending source order — sources own ascending contiguous chunk
@@ -93,9 +95,11 @@ use super::wire::{
 use super::{busy_now_ns, DistError};
 use crate::fault::FaultPlan;
 use crate::frame::{raw_payload, read_frame, FrameBuf, FrameDecoder};
-use crate::loss::{Grads, ENTRIES_PER_CHUNK};
+use crate::loss::{add_gram_rows, eval_entry_chunks, EntryKernel, Grads, ENTRIES_PER_CHUNK};
 use crate::sparse_grads::{owned_range, OwnerSplit};
-use crate::train::{divergence_trouble, RunState, TcssTrainer, TrainContext, TrainError};
+use crate::train::{
+    divergence_trouble, EpochTail, RunState, TcssTrainer, TrainContext, TrainError,
+};
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -282,28 +286,20 @@ impl ShardWorker {
             Some(res) => res.w[0].as_slice(),
             None => return Err(DistError::Protocol("step before any Adopt".into())),
         };
-        let step = decode_step_owned(step, res_u1, self.ranges[0])?;
+        let (dims, rank) = (self.setup.dims, self.setup.rank);
+        let step = decode_step_owned(step, dims, rank, res_u1, self.ranges[0])?;
         let (epoch, model) = (step.epoch, step.model);
-        if model.dims() != self.setup.dims || model.rank() != self.setup.rank {
-            return Err(DistError::Protocol(format!(
-                "step model {:?}/r{} does not match setup {:?}/r{}",
-                model.dims(),
-                model.rank(),
-                self.setup.dims,
-                self.setup.rank
-            )));
-        }
-        let rank = self.setup.rank;
         let n = self.setup.n_workers;
 
         // --- Evaluate + owner-split + ship ------------------------------
-        let chunks = super::worker::eval_block(
-            &self.setup,
-            &self.tensor,
+        let setup = &self.setup;
+        let kernel = EntryKernel::for_epoch(setup.loss, &self.tensor, setup.seed, epoch);
+        let chunks = eval_entry_chunks(
             &model,
-            self.entry_lo,
-            self.entry_hi,
-            epoch,
+            kernel,
+            setup.w_plus,
+            setup.w_minus,
+            self.entry_lo..self.entry_hi,
             &self.ws,
         );
         self.split.clear();
@@ -419,28 +415,21 @@ impl ShardWorker {
                     kernels::axpy(1.0, part, grad);
                 }
             }
-            // Gram mode: rebuild the owned tail rows locally as
-            // `2·U^f·D^f` from the resident model rows. Per row this is
-            // `row_product_into` (bit-equal to the coordinator's matmul
-            // row) then `axpy(2.0, ..)` — `2·x` is exact in binary
-            // floating point, so scaling inside the axpy lands on the
-            // same bits as the in-process `scaled(2.0)` + unit axpy.
+            // Gram mode: build the owned tail rows `2·U^f·D^f` from the
+            // resident model rows with the in-process Gram-row builder.
             TailMsg::Gram(mats) => {
                 let res = self.res.as_ref().expect("checked at step entry");
-                let mut acc = vec![0.0; rank];
-                for (f, data) in mats.into_iter().enumerate() {
-                    let d = Matrix::from_vec(rank, rank, data)
-                        .map_err(|e| DistError::Protocol(format!("bad tail gram: {e}")))?;
-                    for (row_w, row_g) in res.w[f]
-                        .chunks_exact(rank)
-                        .zip(self.grads[f].chunks_exact_mut(rank))
-                    {
-                        acc.iter_mut().for_each(|v| *v = 0.0);
-                        d.row_product_into(row_w, &mut acc)
-                            .expect("rank-sized row and scratch");
-                        kernels::axpy(2.0, &acc, row_g);
-                    }
-                }
+                let gram = |data| {
+                    Matrix::from_vec(rank, rank, data)
+                        .map_err(|e| DistError::Protocol(format!("bad tail gram: {e}")))
+                };
+                let [d1, d2, d3] = mats;
+                let d = [gram(d1)?, gram(d2)?, gram(d3)?];
+                add_gram_rows(
+                    &d,
+                    res.w.each_ref().map(Vec::as_slice),
+                    self.grads.each_mut().map(Vec::as_mut_slice),
+                );
             }
         }
         for f in 0..3 {
@@ -857,20 +846,10 @@ impl Fleet<'_> {
         // 2. The coordinator tail, computed while the workers evaluate
         // their chunks (reader threads keep draining meanwhile; the tail
         // depends only on the broadcast model, so overlapping it cannot
-        // change what any peer computes). On Gram-only epochs the
-        // coordinator computes just the `r × r` D matrices (plus loss
-        // terms and the `h` tail, into `tail.h`) and skips the dense
-        // factor matmuls entirely — the workers rebuild their owned rows
-        // from the broadcast D.
-        let active = trainer.tail_active(epoch);
-        let gram = active && trainer.tail_gram_only(epoch);
-        let mut l1 = 0.0;
-        let dmats = if gram {
-            Some(trainer.epoch_tail_gram(&run.model, loss_terms, &mut tail.h))
-        } else {
-            l1 = trainer.epoch_tail_deferred(&run.model, epoch, ws, tail, loss_terms);
-            None
-        };
+        // change what any peer computes). On Gram-only epochs it is just
+        // the `r × r` D matrices (plus loss terms and the `h` tail): the
+        // workers build their owned factor rows from the broadcast D.
+        let epoch_tail = trainer.epoch_tail(&run.model, epoch, ws, tail, loss_terms);
 
         // 3. Chunk stats + full exchange relay.
         if let Err((worker, detail)) = self.pump(ep, faults, Wait::StatsAndRelays) {
@@ -885,12 +864,10 @@ impl Fleet<'_> {
         for dest in 0..w {
             let rg = self.ranges[dest];
             let p = self.fbuf.payload();
-            if !active {
-                encode_tail_inactive_into(p, ep);
-            } else if let Some(d) = &dmats {
-                encode_tail_gram_into(p, ep, d);
-            } else {
-                encode_tail_rows_into(p, ep, owned_rows!(tail, rg, r));
+            match &epoch_tail {
+                EpochTail::Inactive => encode_tail_inactive_into(p, ep),
+                EpochTail::Gram(d) => encode_tail_gram_into(p, ep, d),
+                EpochTail::Dense(_) => encode_tail_rows_into(p, ep, owned_rows!(tail, rg, r)),
             }
             self.relay_buf[dest].extend_from_slice(self.fbuf.finish());
             if let Err((worker, detail)) = self.send_pending(dest) {
@@ -921,9 +898,14 @@ impl Fleet<'_> {
                 }
             }
         }
-        if active {
+        if !matches!(epoch_tail, EpochTail::Inactive) {
             kernels::axpy(1.0, &tail.h, h_grad);
         }
+        let l1 = if let EpochTail::Dense(l1) = epoch_tail {
+            l1
+        } else {
+            0.0
+        };
 
         // 6. UpdatedRows, then the norm fold + watchdog. The rows and
         // moments stay in their frames until the watchdog passes.

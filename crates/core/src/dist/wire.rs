@@ -13,10 +13,12 @@
 //! never panics: every malformed payload is a typed
 //! [`WireError::Malformed`].
 
+use crate::config::LossStrategy;
 use crate::frame::{put_f64, put_f64s, put_u32, put_u64, FrameError, Malformed, Reader};
+use crate::loss::ENTRIES_PER_CHUNK;
 use crate::model::TcssModel;
 use crate::sparse_grads::SparseGrads;
-use tcss_linalg::Matrix;
+use tcss_linalg::{chunk_count, Matrix};
 use tcss_sparse::TensorEntry;
 
 /// Frame-size cap for the training transport. Delta frames scale with
@@ -101,17 +103,6 @@ pub(crate) fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
     Ok(w)
 }
 
-/// Which entry-chunk kernel the worker runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WireLoss {
-    /// [`crate::loss::l2_entry_chunk`] — the rewritten whole-data positive
-    /// term (the Gram tail stays on the coordinator).
-    L2Entries = 0,
-    /// [`crate::loss::negative_sampling_chunk`] — positives plus sampled
-    /// negatives, RNG keyed to the global chunk index.
-    NegSampling = 1,
-}
-
 /// Everything a worker needs to evaluate its chunk block and step its
 /// owned rows: tensor, weights, kernel choice, seed, the block of
 /// **global** chunk indices it evaluates, its thread count, the fleet
@@ -122,7 +113,10 @@ pub(crate) struct Setup {
     pub rank: usize,
     pub w_plus: f64,
     pub w_minus: f64,
-    pub loss: WireLoss,
+    /// The entry-chunk kernel: one byte on the wire, `0` for the
+    /// rewritten whole-data loss (its Gram tail stays with the
+    /// coordinator) and `1` for negative sampling.
+    pub loss: LossStrategy,
     pub seed: u64,
     pub chunk_start: usize,
     pub chunk_end: usize,
@@ -144,7 +138,10 @@ pub(crate) fn encode_setup(s: &Setup) -> Vec<u8> {
     put_u32(&mut p, s.rank as u32);
     put_f64(&mut p, s.w_plus);
     put_f64(&mut p, s.w_minus);
-    p.push(s.loss as u8);
+    p.push(match s.loss {
+        LossStrategy::WholeDataRewritten => 0,
+        LossStrategy::NegativeSampling => 1,
+    });
     put_u64(&mut p, s.seed);
     put_u64(&mut p, s.chunk_start as u64);
     put_u64(&mut p, s.chunk_end as u64);
@@ -173,8 +170,8 @@ pub(crate) fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     let w_plus = r.f64("w_plus")?;
     let w_minus = r.f64("w_minus")?;
     let loss = match r.u8("loss strategy")? {
-        0 => WireLoss::L2Entries,
-        1 => WireLoss::NegSampling,
+        0 => LossStrategy::WholeDataRewritten,
+        1 => LossStrategy::NegativeSampling,
         other => {
             return Err(WireError::Malformed(format!(
                 "unknown loss strategy {other}"
@@ -194,6 +191,15 @@ pub(crate) fn decode_setup(payload: &[u8]) -> Result<Setup, WireError> {
     if chunk_start > chunk_end {
         return Err(WireError::Malformed(format!(
             "chunk block start {chunk_start} exceeds end {chunk_end}"
+        )));
+    }
+    // The worker turns the block into entry offsets
+    // (`chunk · ENTRIES_PER_CHUNK`): a block past the entries' chunk grid
+    // would overflow that product instead of naming the fault.
+    let n_chunks = chunk_count(n, ENTRIES_PER_CHUNK);
+    if chunk_end > n_chunks {
+        return Err(WireError::Malformed(format!(
+            "chunk block {chunk_start}..{chunk_end} past the {n_chunks} chunks of {n} entries"
         )));
     }
     let mut entries = Vec::with_capacity(n.min(1 << 24));
@@ -292,14 +298,18 @@ pub(crate) struct Step {
     pub model: TcssModel,
 }
 
-/// Decode [`TAG_STEP_OWNED`], splicing the receiver's resident owned
-/// `U¹` rows (`res_u1`, the full `own` range slab) into the hole. The
+/// Decode [`TAG_STEP_OWNED`] for a receiver set up with `dims` and
+/// `rank`, splicing its resident owned `U¹` rows (`res_u1`, the full
+/// `own` range slab) into the hole. Dimensions or a rank other than the
+/// Setup's are malformed, refused before anything is sized from them. The
 /// resident bytes are the same bits the coordinator's model holds for
 /// those rows, so the rebuilt window is bit-identical to the
 /// coordinator's. Rows outside the window decode as zeros and are never
 /// read, keeping the float stream bit-identical.
 pub(crate) fn decode_step_owned(
     payload: &[u8],
+    dims: (usize, usize, usize),
+    rank: usize,
     res_u1: &[f64],
     own: (usize, usize),
 ) -> Result<Step, WireError> {
@@ -308,10 +318,18 @@ pub(crate) fn decode_step_owned(
     let epoch = r.u64("epoch")?;
     let lr_eff = r.f64("effective lr")?;
     let ship_moments = r.flag("ship-moments flag")?;
-    let i = r.u32("dim I")? as usize;
-    let j = r.u32("dim J")? as usize;
-    let k = r.u32("dim K")? as usize;
-    let rank = r.u32("rank")? as usize;
+    let got_dims = (
+        r.u32("dim I")? as usize,
+        r.u32("dim J")? as usize,
+        r.u32("dim K")? as usize,
+    );
+    let got_rank = r.u32("rank")? as usize;
+    if (got_dims, got_rank) != (dims, rank) {
+        return Err(WireError::Malformed(format!(
+            "step model {got_dims:?}/r{got_rank} does not match setup {dims:?}/r{rank}"
+        )));
+    }
+    let (i, j, k) = dims;
     let u1_lo = r.u32("u1 window lo")? as usize;
     let u1_hi = r.u32("u1 window hi")? as usize;
     if u1_lo > u1_hi || u1_hi > i {
@@ -652,18 +670,18 @@ pub(crate) fn decode_chunk_stats(
 }
 
 /// Coordinator → worker: the epoch's gradient tail, in one of three
-/// shapes (the mode byte after the epoch):
+/// shapes (the mode byte after the epoch), one per `train::EpochTail`
+/// variant:
 ///
 /// * `0` — tail inactive; the worker must skip the add entirely
 ///   (adding zeros could flip `-0.0` accumulators to `+0.0`).
 /// * `1` — dense owned-range tail rows (Gram + Hausdorff head), added
 ///   with a plain axpy. Shipped on Hausdorff epochs, whose gradient has
 ///   no compact factorization.
-/// * `2` — the three `r × r` whole-data D matrices; the worker rebuilds
-///   its owned tail rows as `2·U^f·D^f` with
-///   [`tcss_linalg::Matrix::row_product_into`], bit-for-bit what the
-///   coordinator's dense path computes, at ~`3r²` floats on the wire
-///   instead of the owned row count.
+/// * `2` — the three `r × r` whole-data D matrices; the worker adds its
+///   owned tail rows `2·U^f·D^f` with the in-process Gram-row builder
+///   (`loss::add_gram_rows`), at ~`3r²` floats on the wire instead of
+///   the owned row count.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum TailMsg {
     Inactive,
@@ -959,17 +977,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn setup_roundtrip() {
-        let setup = Setup {
+    /// A valid Setup with two entries, so one chunk: `0..1` is its only
+    /// non-empty block.
+    fn two_entry_setup() -> Setup {
+        Setup {
             dims: (6, 5, 4),
             rank: 3,
             w_plus: 0.95,
             w_minus: 0.05,
-            loss: WireLoss::NegSampling,
+            loss: LossStrategy::NegativeSampling,
             seed: 0xDEADBEEF,
-            chunk_start: 2,
-            chunk_end: 7,
+            chunk_start: 0,
+            chunk_end: 1,
             threads: 2,
             n_workers: 3,
             weight_decay: 0.015,
@@ -987,13 +1006,18 @@ mod tests {
                     value: -0.25,
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn setup_roundtrip() {
+        let setup = two_entry_setup();
         let s = decode_setup(&encode_setup(&setup)).unwrap();
         assert_eq!(s.dims, setup.dims);
         assert_eq!(s.rank, setup.rank);
         assert_eq!(s.loss, setup.loss);
         assert_eq!(s.seed, setup.seed);
-        assert_eq!((s.chunk_start, s.chunk_end), (2, 7));
+        assert_eq!((s.chunk_start, s.chunk_end), (0, 1));
         assert_eq!(s.threads, 2);
         assert_eq!(s.n_workers, 3);
         assert_eq!(s.weight_decay.to_bits(), 0.015f64.to_bits());
@@ -1008,7 +1032,7 @@ mod tests {
             rank: 1,
             w_plus: 0.9,
             w_minus: 0.1,
-            loss: WireLoss::L2Entries,
+            loss: LossStrategy::WholeDataRewritten,
             seed: 0,
             chunk_start: 0,
             chunk_end: 1,
@@ -1024,6 +1048,31 @@ mod tests {
         };
         let err = decode_setup(&encode_setup(&setup)).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)), "{err}");
+    }
+
+    /// A chunk block past the entries' chunk grid is malformed at decode:
+    /// the worker multiplies the block bounds by `ENTRIES_PER_CHUNK`, which
+    /// overflows for a wire value near `u64::MAX`.
+    #[test]
+    fn setup_rejects_block_past_the_chunk_grid() {
+        let decode = |chunk_start, chunk_end| {
+            decode_setup(&encode_setup(&Setup {
+                chunk_start,
+                chunk_end,
+                ..two_entry_setup()
+            }))
+        };
+        for (lo, hi) in [(0, 0), (0, 1), (1, 1)] {
+            decode(lo, hi).expect("block on the grid");
+        }
+        let huge = u64::MAX as usize;
+        for (lo, hi) in [(2, 7), (0, 2), (1, huge), (huge, huge)] {
+            let err = decode(lo, hi).unwrap_err();
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains("chunk block")),
+                "{lo}..{hi}: {err}"
+            );
+        }
     }
 
     /// StepOwned with a resident fill rebuilds the source model bit for
@@ -1064,7 +1113,7 @@ mod tests {
             let mut p = Vec::new();
             encode_step_owned_into(&mut p, 17, lr, ship, &model, lo, hi, own);
             let res: Vec<f64> = model.u1.as_slice()[own.0 * r..own.1 * r].to_vec();
-            let step = decode_step_owned(&p, &res, own).unwrap();
+            let step = decode_step_owned(&p, (6, 2, 2), r, &res, own).unwrap();
             assert_eq!(step.epoch, 17);
             assert_eq!(step.lr_eff.to_bits(), lr.to_bits());
             assert_eq!(step.ship_moments, ship);
@@ -1086,9 +1135,43 @@ mod tests {
             assert_eq!(bits(&got.h), bits(&model.h));
             // The ship-moments byte follows tag, epoch and lr.
             p[17] = 2;
-            let err = decode_step_owned(&p, &res, own).err().expect("bad flag");
+            let err = decode_step_owned(&p, (6, 2, 2), r, &res, own)
+                .err()
+                .expect("bad flag");
             assert!(matches!(err, WireError::Malformed(_)), "{err}");
         }
+    }
+
+    /// StepOwned dimensions or a rank other than the receiver's Setup are
+    /// malformed, refused before any buffer is sized from them: a wire
+    /// `u32::MAX` dimension must not reach an `I·r` allocation.
+    #[test]
+    fn step_owned_rejects_dims_other_than_the_setup() {
+        let r = 2usize;
+        let model = TcssModel::new(
+            Matrix::zeros(6, r),
+            Matrix::zeros(2, r),
+            Matrix::zeros(2, r),
+        );
+        let mut p = Vec::new();
+        encode_step_owned_into(&mut p, 3, 0.001, false, &model, 0, 6, (0, 3));
+        let res = vec![0.0; 3 * r];
+        decode_step_owned(&p, (6, 2, 2), r, &res, (0, 3)).expect("matching setup");
+        for (dims, rank) in [((6, 2, 3), r), ((7, 2, 2), r), ((6, 2, 2), r + 1)] {
+            let err = decode_step_owned(&p, dims, rank, &res, (0, 3))
+                .err()
+                .expect("setup mismatch");
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains("does not match setup")),
+                "{dims:?}/r{rank}: {err}"
+            );
+        }
+        // Dim I follows tag, epoch, lr and the ship-moments byte.
+        p[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_step_owned(&p, (6, 2, 2), r, &res, (0, 3))
+            .err()
+            .expect("huge dim");
+        assert!(matches!(err, WireError::Malformed(_)), "{err}");
     }
 
     #[test]

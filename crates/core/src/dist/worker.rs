@@ -1,19 +1,19 @@
-//! The worker side of the distributed trainer: handshake and chunk
-//! evaluation.
+//! The worker side of the distributed trainer: the handshake.
 //!
 //! A worker connects to the coordinator's Unix socket, introduces itself
-//! (Hello), and receives its Setup: the full tensor, the loss kernel
-//! choice, the contiguous block of **global** entry chunks it evaluates,
-//! and the fleet size that fixes which factor rows it owns. It then
-//! serves the tail-sharded epoch protocol of [`super::sharded`] until
-//! Shutdown. `eval_block` is the chunk evaluation every epoch runs,
-//! with exactly the kernels the in-process trainer calls.
+//! (Hello), and receives its Setup: the full tensor, the
+//! [`crate::config::LossStrategy`], the contiguous block of **global**
+//! entry chunks it evaluates, and the fleet size that fixes which factor
+//! rows it owns. It then serves the tail-sharded epoch protocol of
+//! [`super::sharded`] until Shutdown. Each epoch evaluates its block with
+//! the in-process trainer's own entry-chunk evaluator
+//! (`loss::eval_entry_chunks`) and builds its owned Gram tail rows with
+//! the in-process Gram-row builder (`loss::add_gram_rows`).
 
-use super::wire::{decode_setup, encode_hello, tag_of, Setup, WireLoss, MAX_FRAME_LEN, TAG_SETUP};
+use super::wire::{decode_setup, encode_hello, tag_of, MAX_FRAME_LEN, TAG_SETUP};
 use super::DistError;
 use crate::frame::{read_frame, write_frame, FrameDecoder};
-use crate::loss::{l2_entry_chunk, negative_sampling_chunk, ENTRIES_PER_CHUNK};
-use crate::sparse_grads::{GradScratch, SparseGrads};
+use crate::loss::ENTRIES_PER_CHUNK;
 use crate::workspace::TrainWorkspace;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -47,6 +47,8 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
         setup.entries.iter().map(|e| (e.i, e.j, e.k, e.value)),
     )
     .map_err(|e| DistError::Protocol(format!("setup tensor rejected: {e}")))?;
+    // `decode_setup` bounds the block by the entries' chunk grid, so
+    // these products cannot overflow.
     let n_entries = tensor.entries().len();
     let entry_lo = (setup.chunk_start * ENTRIES_PER_CHUNK).min(n_entries);
     let entry_hi = (setup.chunk_end * ENTRIES_PER_CHUNK).min(n_entries);
@@ -54,63 +56,5 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), DistError> {
 
     super::sharded::run_sharded_worker(
         stream, dec, setup, tensor, entry_lo, entry_hi, ws, worker_id,
-    )
-}
-
-/// Evaluate this worker's chunk block against one model broadcast.
-///
-/// The block `[entry_lo, entry_hi)` starts on an [`ENTRIES_PER_CHUNK`]
-/// boundary of the **global** entry grid, so the local chunk grid laid
-/// down by `map_chunks_with` coincides with a slice of the global one;
-/// offsetting each local range recovers the global range the kernels (and
-/// the negative-sampling RNG keyed on it) expect. Results come back in
-/// ascending local = ascending global chunk order.
-pub(super) fn eval_block(
-    setup: &Setup,
-    tensor: &tcss_sparse::SparseTensor3,
-    model: &crate::model::TcssModel,
-    entry_lo: usize,
-    entry_hi: usize,
-    epoch: u64,
-    ws: &TrainWorkspace,
-) -> Vec<(f64, SparseGrads)> {
-    let entries = tensor.entries();
-    tcss_linalg::map_chunks_with(
-        entry_hi - entry_lo,
-        ENTRIES_PER_CHUNK,
-        || {
-            let mut scratch = ws.scratch.acquire(|| GradScratch::for_model(model));
-            scratch.ensure(model);
-            scratch
-        },
-        |scratch, local| {
-            let range = local.start + entry_lo..local.end + entry_lo;
-            let mut delta = ws.deltas.take(SparseGrads::new);
-            let loss = match setup.loss {
-                WireLoss::L2Entries => l2_entry_chunk(
-                    model,
-                    entries,
-                    range,
-                    setup.w_plus,
-                    setup.w_minus,
-                    scratch,
-                    &mut delta,
-                ),
-                WireLoss::NegSampling => negative_sampling_chunk(
-                    model,
-                    tensor,
-                    range,
-                    setup.w_plus,
-                    setup.w_minus,
-                    // Same per-epoch seed derivation as the in-process
-                    // trainer: cfg.seed + epoch, then per-chunk mixing
-                    // inside the kernel.
-                    setup.seed.wrapping_add(epoch),
-                    scratch,
-                    &mut delta,
-                ),
-            };
-            (loss, delta)
-        },
     )
 }

@@ -12,16 +12,22 @@
 //! * [`negative_sampling_loss_and_grad`] — the classic alternative TCSS
 //!   argues against; Table II/IV ablation.
 //!
-//! The production entry loops accumulate **sparse chunk-local deltas**
-//! ([`crate::sparse_grads::SparseGrads`]) through pooled workspaces
-//! ([`crate::workspace::TrainWorkspace`]): per-epoch memory traffic is
-//! `O(nnz · r)`, not `O(chunks · (I+J+K) · r)`, and steady-state epochs
-//! allocate nothing. Their bitwise parity baseline — the dense-chunk fold
-//! of the same chunk grid — lives in the test suites
-//! (`crates/core/tests/support/dense_loss.rs`), not in the library.
+//! Training runs each half of Eq 15 through one implementation, shared
+//! by the in-process trainer and the distributed workers ([`crate::dist`]).
+//! The entry half is `eval_entry_chunks`: one `EntryKernel` (the positive
+//! term, or negative sampling) over a **global** entry range (`0..nnz`
+//! in-process, a worker's block), one sparse chunk-local delta
+//! ([`crate::sparse_grads::SparseGrads`]) per chunk through pooled
+//! workspaces ([`crate::workspace::TrainWorkspace`]): `O(nnz · r)` memory
+//! traffic per epoch, no steady-state allocation. Its bitwise parity
+//! baseline, the dense-chunk fold of the same chunk grid, lives in the
+//! test suites (`crates/core/tests/support/dense_loss.rs`). The Gram half
+//! is `whole_data_gram_mats` (the three `r × r` matrices `D^f`) plus
+//! `add_gram_rows`, which adds `2·U^f·D^f` onto any slab of rows.
 //!
 //! All gradients are hand-derived and finite-difference checked in tests.
 
+use crate::config::LossStrategy;
 use crate::model::TcssModel;
 use crate::sparse_grads::{backprop_entry_sparse, GradScratch, SparseGrads};
 use crate::workspace::TrainWorkspace;
@@ -67,6 +73,15 @@ impl Grads {
         self.u2.as_mut_slice().fill(0.0);
         self.u3.as_mut_slice().fill(0.0);
         self.h.fill(0.0);
+    }
+
+    /// The three factor gradients as row-major slices.
+    pub(crate) fn factors_mut(&mut self) -> [&mut [f64]; 3] {
+        [
+            self.u1.as_mut_slice(),
+            self.u2.as_mut_slice(),
+            self.u3.as_mut_slice(),
+        ]
     }
 
     /// `self += s · other`.
@@ -134,50 +149,10 @@ pub(crate) fn backprop_entry(
 
 /// ---- Whole-data term: w₋ Σ_{r₁r₂} h_{r₁} h_{r₂} G¹ G² G³ ----
 ///
-/// Shared tail of the rewritten loss: accumulates the Gram-matrix term of
-/// Eq 15 into `loss` (in place, preserving the accumulation order the
-/// bitwise contracts depend on) and its gradient into `grads`.
-pub(crate) fn whole_data_term(model: &TcssModel, w_minus: f64, loss: &mut f64, grads: &mut Grads) {
-    whole_data_term_sink(model, w_minus, &mut |t| *loss += t, grads);
-}
-
-/// [`whole_data_term`] with the loss contributions routed through a sink
-/// instead of added in place. The sink receives exactly the terms the
-/// in-place version adds, in the same order — so a caller that *records*
-/// them and replays `loss += term` later (the distributed coordinator
-/// computes the tail concurrently with worker evaluation, before the
-/// chunk-loss fold it must add onto) reproduces the in-process loss
-/// accumulator bit-for-bit.
-pub(crate) fn whole_data_term_sink(
-    model: &TcssModel,
-    w_minus: f64,
-    loss_term: &mut dyn FnMut(f64),
-    grads: &mut Grads,
-) {
-    let [d1, d2, d3] = whole_data_gram_mats(model, w_minus, loss_term, &mut grads.h);
-    // dB/dU¹ = 2 U¹ D¹ (D¹ symmetric); analogous for U² and U³.
-    let du1 = model.u1.matmul(&d1).expect("shapes agree").scaled(2.0);
-    grads.u1.axpy_mut(1.0, &du1).expect("shapes agree");
-    let du2 = model.u2.matmul(&d2).expect("shapes agree").scaled(2.0);
-    grads.u2.axpy_mut(1.0, &du2).expect("shapes agree");
-    let du3 = model.u3.matmul(&d3).expect("shapes agree").scaled(2.0);
-    grads.u3.axpy_mut(1.0, &du3).expect("shapes agree");
-}
-
 /// The `r × r` core of the whole-data term: the three coefficient
 /// matrices `D^f` with factor gradient `∂B/∂U^f = 2 U^f D^f`, plus the
-/// loss terms (through the sink, in the [`whole_data_term_sink`] order)
-/// and the `h` gradient (added onto `h_grad` in place).
-///
-/// Split out from [`whole_data_term_sink`] so the tail-sharded
-/// coordinator can broadcast just the D matrices and let each worker
-/// rebuild its owned rows of `2·U^f·D^f` with
-/// [`Matrix::row_product_into`] — bit-for-bit what the in-process
-/// `matmul` + `scaled(2.0)` path lands on, at `r × r` wire cost instead
-/// of dense rows. The loops below are the exact sequence the fused
-/// version ran (D construction interleaved with the loss sink, then the
-/// `h` gradient); only the factor matmuls moved out to the caller, and
-/// those read nothing the loops write.
+/// loss terms (through the sink, in emission order) and the `h` gradient
+/// (added onto `h_grad` in place). The factor rows are [`add_gram_rows`]'s.
 pub(crate) fn whole_data_gram_mats(
     model: &TcssModel,
     w_minus: f64,
@@ -217,6 +192,24 @@ pub(crate) fn whole_data_gram_mats(
     [d1, d2, d3]
 }
 
+/// Add the whole-data factor gradient `2·U^f·D^f` (D symmetric) onto a
+/// slab of rows: `rows[f]` holds factor `f`'s rows, `grads[f]` the
+/// matching gradient rows. Each row is a pure function of its own model
+/// row and D, so a worker's owned slab lands on the bits of the same rows
+/// in-process (`2·x` is exact, so `axpy(2.0, ..)` adds a doubled product).
+pub(crate) fn add_gram_rows(d: &[Matrix; 3], rows: [&[f64]; 3], grads: [&mut [f64]; 3]) {
+    let rank = d[0].rows();
+    let mut acc = vec![0.0; rank];
+    for ((d, rows), grad) in d.iter().zip(rows).zip(grads) {
+        for (row, g) in rows.chunks_exact(rank).zip(grad.chunks_exact_mut(rank)) {
+            acc.fill(0.0);
+            d.row_product_into(row, &mut acc)
+                .expect("rank-sized row and scratch");
+            kernels::axpy(2.0, &acc, g);
+        }
+    }
+}
+
 /// The paper's rewritten whole-data loss (Eq 15) and its analytic gradient.
 ///
 /// Convenience wrapper over [`rewritten_loss_and_grad_ws`] with a one-shot
@@ -243,12 +236,10 @@ pub fn rewritten_loss_and_grad(
 /// model-sized fold-identity allocation).
 ///
 /// The positive-entry term `Σ (w₊−w₋) X̂² − 2 w₊ X X̂` runs over fixed
-/// entry chunks; each chunk accumulates a sparse delta of only the rows it
-/// touches ([`SparseGrads`]) and the deltas scatter into `grads` in chunk
-/// order — bit-for-bit identical to the dense-chunk merge (see
-/// [`crate::sparse_grads`] for the contract) and independent of the thread
-/// count. Returns the loss; `grads` receives `∂L₂/∂θ` added on top of
-/// whatever it already holds.
+/// entry chunks (`entry_loss_ws`), then the Gram half adds on: its loss
+/// terms in `whole_data_gram_mats` emission order, the `h` gradient,
+/// then every factor row through `add_gram_rows`. Returns the loss;
+/// `grads` receives `∂L₂/∂θ` added on top of whatever it already holds.
 pub fn rewritten_loss_and_grad_ws(
     model: &TcssModel,
     positives: &[TensorEntry],
@@ -257,43 +248,109 @@ pub fn rewritten_loss_and_grad_ws(
     ws: &TrainWorkspace,
     grads: &mut Grads,
 ) -> f64 {
-    let mut loss = rewritten_entry_loss_ws(model, positives, w_plus, w_minus, ws, grads);
-    whole_data_term(model, w_minus, &mut loss, grads);
+    let kernel = EntryKernel::L2(positives);
+    let mut loss = entry_loss_ws(model, kernel, w_plus, w_minus, ws, grads);
+    let d = whole_data_gram_mats(model, w_minus, &mut |t| loss += t, &mut grads.h);
+    add_gram_rows(&d, model.factors(), grads.factors_mut());
     loss
 }
 
-/// The entry-chunk half of [`rewritten_loss_and_grad_ws`]: the positive
-/// term's loss and gradient *without* the Gram tail. The training loops
-/// call this and then accumulate [`whole_data_term`] into a separate tail
-/// buffer (see `TcssTrainer::epoch_grads`), so the per-element add order is
-/// identical whether the tail is computed in-process or shipped from a
-/// distributed coordinator.
-pub(crate) fn rewritten_entry_loss_ws(
+/// Which per-chunk kernel the entry half of a loss runs, and what it
+/// reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EntryKernel<'a> {
+    /// [`l2_entry_chunk`] over these entries: the positive term of the
+    /// rewritten whole-data loss (its Gram half is the epoch tail's).
+    L2(&'a [TensorEntry]),
+    /// [`negative_sampling_chunk`] over this tensor's entries, drawing
+    /// negatives from this seed.
+    NegativeSampling(&'a SparseTensor3, u64),
+}
+
+impl<'a> EntryKernel<'a> {
+    /// The kernel `loss` trains with at `epoch` over `tensor`. Negative
+    /// sampling seeds each epoch with `seed + epoch` (then mixes in the
+    /// chunk index inside the kernel); the in-process trainer and every
+    /// worker derive the seed here.
+    pub(crate) fn for_epoch(
+        loss: LossStrategy,
+        tensor: &'a SparseTensor3,
+        seed: u64,
+        epoch: u64,
+    ) -> Self {
+        match loss {
+            LossStrategy::WholeDataRewritten => EntryKernel::L2(tensor.entries()),
+            LossStrategy::NegativeSampling => {
+                EntryKernel::NegativeSampling(tensor, seed.wrapping_add(epoch))
+            }
+        }
+    }
+
+    fn entries(&self) -> &'a [TensorEntry] {
+        match *self {
+            EntryKernel::L2(entries) => entries,
+            EntryKernel::NegativeSampling(tensor, _) => tensor.entries(),
+        }
+    }
+}
+
+/// The entry half of a loss over the **global** entry range `entries`,
+/// which starts on the chunk grid: one `(loss, delta)` per
+/// [`ENTRIES_PER_CHUNK`] chunk in ascending order, each a pure function of
+/// `(model, kernel, global range)`. The local grid `map_chunks_with` lays
+/// over the range is a slice of the global one, so offsetting a local
+/// range recovers the global range the kernels (and the negative-sampling
+/// RNG keyed on it) expect. Return the deltas to `ws.deltas` once used.
+pub(crate) fn eval_entry_chunks(
     model: &TcssModel,
-    positives: &[TensorEntry],
+    kernel: EntryKernel<'_>,
     w_plus: f64,
     w_minus: f64,
+    entries: std::ops::Range<usize>,
     ws: &TrainWorkspace,
-    grads: &mut Grads,
-) -> f64 {
-    let partials = tcss_linalg::map_chunks_with(
-        positives.len(),
+) -> Vec<(f64, SparseGrads)> {
+    debug_assert_eq!(entries.start % ENTRIES_PER_CHUNK, 0);
+    let lo = entries.start;
+    tcss_linalg::map_chunks_with(
+        entries.len(),
         ENTRIES_PER_CHUNK,
         || {
             let mut scratch = ws.scratch.acquire(|| GradScratch::for_model(model));
             scratch.ensure(model);
             scratch
         },
-        |scratch, range| {
+        |scratch, local| {
+            let range = local.start + lo..local.end + lo;
             let mut delta = ws.deltas.take(SparseGrads::new);
-            let loss = l2_entry_chunk(
-                model, positives, range, w_plus, w_minus, scratch, &mut delta,
-            );
+            let loss = match kernel {
+                EntryKernel::L2(positives) => l2_entry_chunk(
+                    model, positives, range, w_plus, w_minus, scratch, &mut delta,
+                ),
+                EntryKernel::NegativeSampling(tensor, seed) => negative_sampling_chunk(
+                    model, tensor, range, w_plus, w_minus, seed, scratch, &mut delta,
+                ),
+            };
             (loss, delta)
         },
-    );
+    )
+}
+
+/// The entry half of a loss over every entry, folded: chunk losses summed
+/// and chunk deltas scattered into `grads`, both in ascending chunk order
+/// — bit-for-bit the dense-chunk merge (see [`crate::sparse_grads`] for
+/// the contract) and independent of the thread count. Returns the loss;
+/// `grads` receives the gradient on top of what it holds.
+pub(crate) fn entry_loss_ws(
+    model: &TcssModel,
+    kernel: EntryKernel<'_>,
+    w_plus: f64,
+    w_minus: f64,
+    ws: &TrainWorkspace,
+    grads: &mut Grads,
+) -> f64 {
+    let all = 0..kernel.entries().len();
     let mut loss = 0.0;
-    for (l, delta) in partials {
+    for (l, delta) in eval_entry_chunks(model, kernel, w_plus, w_minus, all, ws) {
         loss += l;
         delta.scatter_into(grads);
         ws.deltas.put(delta);
@@ -301,16 +358,12 @@ pub(crate) fn rewritten_entry_loss_ws(
     loss
 }
 
-/// One entry chunk of the rewritten-loss positive term: the pure function
-/// of `(model, entries, global range)` behind the deterministic-reduction
-/// contract. Shared verbatim by the in-process parallel path above and by
-/// distributed-training worker processes ([`crate::dist`]) — one body, so
-/// the two can never drift a bit apart.
+/// One entry chunk of the rewritten-loss positive term.
 ///
 /// `range` must be a chunk of the **global** entry grid (multiples of
 /// [`ENTRIES_PER_CHUNK`]); `delta` is reset via [`SparseGrads::begin`] and
 /// detached from `scratch` before returning.
-pub(crate) fn l2_entry_chunk(
+fn l2_entry_chunk(
     model: &TcssModel,
     positives: &[TensorEntry],
     range: std::ops::Range<usize>,
@@ -390,40 +443,18 @@ pub fn negative_sampling_loss_and_grad_ws(
     ws: &TrainWorkspace,
     grads: &mut Grads,
 ) -> f64 {
-    let entries = tensor.entries();
-    let partials = tcss_linalg::map_chunks_with(
-        entries.len(),
-        ENTRIES_PER_CHUNK,
-        || {
-            let mut scratch = ws.scratch.acquire(|| GradScratch::for_model(model));
-            scratch.ensure(model);
-            scratch
-        },
-        |scratch, range| {
-            let mut delta = ws.deltas.take(SparseGrads::new);
-            let loss = negative_sampling_chunk(
-                model, tensor, range, w_plus, w_minus, seed, scratch, &mut delta,
-            );
-            (loss, delta)
-        },
-    );
-    let mut loss = 0.0;
-    for (l, delta) in partials {
-        loss += l;
-        delta.scatter_into(grads);
-        ws.deltas.put(delta);
-    }
-    loss
+    let kernel = EntryKernel::NegativeSampling(tensor, seed);
+    entry_loss_ws(model, kernel, w_plus, w_minus, ws, grads)
 }
 
 /// One entry chunk of the negative-sampling loss; the counterpart of
-/// [`l2_entry_chunk`] shared with [`crate::dist`] workers. The per-chunk
-/// RNG stream is keyed to the **global** chunk index (recovered from
-/// `range.start`), so a worker evaluating chunk `c` draws exactly the
-/// negatives the single-process run would have — the process-count-parity
-/// contract for sampled losses rests on this.
+/// [`l2_entry_chunk`]. The per-chunk RNG stream is keyed to the
+/// **global** chunk index (recovered from `range.start`), so a worker
+/// evaluating chunk `c` draws exactly the negatives the single-process
+/// run would have — the process-count-parity contract for sampled losses
+/// rests on this.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn negative_sampling_chunk(
+fn negative_sampling_chunk(
     model: &TcssModel,
     tensor: &SparseTensor3,
     range: std::ops::Range<usize>,

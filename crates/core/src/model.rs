@@ -62,6 +62,11 @@ impl TcssModel {
         self.h.len()
     }
 
+    /// `U¹`, `U²`, `U³` as row-major slices.
+    pub(crate) fn factors(&self) -> [&[f64]; 3] {
+        [self.u1.as_slice(), self.u2.as_slice(), self.u3.as_slice()]
+    }
+
     /// Predicted score `X̂_{ijk}` (Eq 6).
     ///
     /// Evaluated by the fused lane kernel [`kernels::dot4`]; its canonical

@@ -4,9 +4,9 @@
 //! the model and its Adam state, the epoch cursor, the divergence
 //! watchdog's learning-rate scale and retry count, and the last good
 //! state, which is both the rollback target and what the checkpoint file
-//! holds. Two loops drive it, both over the one epoch kernel
-//! (`TcssTrainer::epoch_grads` in-process, its deferred tail
-//! distributed):
+//! holds. Two loops drive it, both over the one epoch kernel: the
+//! entry-chunk evaluator and Gram-row builder of [`crate::loss`], and
+//! one `EpochTail` from `TcssTrainer::epoch_tail`:
 //!
 //! * [`TcssTrainer::train_with_faults`] — the in-process loop, behind
 //!   [`TcssTrainer::train_with_checkpoints`] and the model-returning
@@ -27,14 +27,14 @@ use crate::dist::DistError;
 use crate::fault::{poison, FaultPlan};
 use crate::hausdorff::SocialHausdorffHead;
 use crate::init::{onehot_init, random_init, spectral_init};
-use crate::loss::{negative_sampling_loss_and_grad_ws, rewritten_entry_loss_ws, Grads};
+use crate::loss::{add_gram_rows, entry_loss_ws, whole_data_gram_mats, EntryKernel, Grads};
 use crate::model::TcssModel;
 use crate::model_io::ModelIoError;
 use crate::workspace::TrainWorkspace;
 use std::path::PathBuf;
 use tcss_data::{CheckIn, Dataset, Granularity};
 use tcss_geo::WeightedHausdorffParams;
-use tcss_linalg::kernels;
+use tcss_linalg::{kernels, Matrix};
 use tcss_sparse::SparseTensor3;
 
 /// Typed failures from the fault-tolerant training runtime.
@@ -368,13 +368,30 @@ impl<'a> RunState<'a> {
     }
 }
 
+/// One epoch's gradient tail ([`TcssTrainer::epoch_tail`]), in one of
+/// three shapes. The in-process loop and the distributed coordinator both
+/// match on it, so they add the same tail the same way.
+pub(crate) enum EpochTail {
+    /// No Gram term and no head this epoch: nothing is added. `x + 0.0`
+    /// is not always a bitwise no-op (`-0.0 + 0.0 = +0.0`), so "inactive"
+    /// has to mean *no add*, identically in-process and distributed.
+    Inactive,
+    /// The Gram term alone: its three `r × r` D matrices, whose rows
+    /// `2·U^f·D^f` the caller adds with `loss::add_gram_rows` (every row
+    /// in-process, the owned ones on a worker). Only `tail.h` is written.
+    Gram([Matrix; 3]),
+    /// A head epoch, carrying `L₁`: the whole tail (Gram rows, when the
+    /// loss has them, plus the head) is in `tail`, to add densely.
+    Dense(f64),
+}
+
 /// Everything needed to train a TCSS model on one dataset split.
 pub struct TcssTrainer {
     /// Training tensor (binary).
     pub tensor: SparseTensor3,
     /// Head for `L₁`, present for the Social/SelfHausdorff variants (the
     /// distributed coordinator evaluates it locally, through
-    /// [`TcssTrainer::epoch_tail_deferred`]; it is not sharded).
+    /// [`TcssTrainer::epoch_tail`]; it is not sharded).
     head: Option<SocialHausdorffHead>,
     /// Per-user allowed-POI mask for the ZeroOut ablation (`None` for other
     /// variants): POIs farther than `σ·d_max` from the user's nearest
@@ -553,22 +570,18 @@ impl TcssTrainer {
         *model = report.model;
     }
 
-    /// One epoch's losses and joint gradient — the kernel shared by every
-    /// training loop. Zeroes and refills the caller's `grads` buffer (and
-    /// the `tail` and `loss_terms` scratch); all other scratch comes from
-    /// `ws`, so steady-state epochs allocate nothing.
+    /// One epoch's losses and joint gradient — the in-process form of the
+    /// epoch kernel the distributed loop runs too. Zeroes and refills the
+    /// caller's `grads` buffer (and the `tail` and `loss_terms` scratch);
+    /// all other scratch comes from `ws`, so steady-state epochs allocate
+    /// nothing model-sized.
     ///
-    /// The epoch's gradient is assembled in the **canonical two-phase
-    /// order** the distributed layer mirrors: the entry-chunk deltas
-    /// scatter into `grads` first (ascending global chunk order), the
-    /// epoch tail ([`TcssTrainer::epoch_tail_deferred`]: whole-data Gram
-    /// term plus Hausdorff head) accumulates into the separate `tail`
-    /// buffer, its recorded Gram loss terms fold into `l2` in order, and
-    /// `tail` is then added into `grads` **once per element** (skipped
-    /// entirely on epochs where the tail is inactive, so a quiet tail
-    /// cannot perturb signed zeros). Tail-sharded workers replay exactly
-    /// this sequence on their owned row ranges, which is what makes their
-    /// bits equal these.
+    /// The gradient is assembled in the **canonical two-phase order**
+    /// tail-sharded workers replay on their owned rows, which is what
+    /// makes their bits equal these: the entry-chunk deltas scatter into
+    /// `grads` first (ascending global chunk order), then the epoch tail
+    /// ([`TcssTrainer::epoch_tail`]) adds on once per element. Its recorded
+    /// Gram loss terms fold into `l2` in order after the chunk losses.
     fn epoch_grads(
         &self,
         model: &TcssModel,
@@ -580,47 +593,24 @@ impl TcssTrainer {
     ) -> (f64, f64) {
         let cfg = &self.config;
         grads.set_zero();
-        let mut l2 = match cfg.loss {
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive => {
-                // The naive strategy optimizes the same objective; the
-                // rewritten gradient is exact for it (Remark 1), so the
-                // timing experiment measures only the *loss evaluation*.
-                rewritten_entry_loss_ws(
-                    model,
-                    self.tensor.entries(),
-                    cfg.w_plus,
-                    cfg.w_minus,
-                    ws,
-                    grads,
-                )
+        let kernel = EntryKernel::for_epoch(cfg.loss, &self.tensor, cfg.seed, epoch as u64);
+        let mut l2 = entry_loss_ws(model, kernel, cfg.w_plus, cfg.w_minus, ws, grads);
+        let l1 = match self.epoch_tail(model, epoch, ws, tail, loss_terms) {
+            EpochTail::Inactive => 0.0,
+            EpochTail::Gram(d) => {
+                add_gram_rows(&d, model.factors(), grads.factors_mut());
+                kernels::axpy(1.0, &tail.h, &mut grads.h);
+                0.0
             }
-            LossStrategy::NegativeSampling => negative_sampling_loss_and_grad_ws(
-                model,
-                &self.tensor,
-                cfg.w_plus,
-                cfg.w_minus,
-                cfg.seed.wrapping_add(epoch as u64),
-                ws,
-                grads,
-            ),
+            EpochTail::Dense(l1) => {
+                grads.add_scaled(1.0, tail);
+                l1
+            }
         };
-        let l1 = self.epoch_tail_deferred(model, epoch, ws, tail, loss_terms);
         for &term in loss_terms.iter() {
             l2 += term;
         }
-        if self.tail_active(epoch) {
-            grads.add_scaled(1.0, tail);
-        }
         (l2, l1)
-    }
-
-    /// Does the loss carry the whole-data Gram term (Eq 15)? Negative
-    /// sampling does not.
-    fn gram_tail(&self) -> bool {
-        matches!(
-            self.config.loss,
-            LossStrategy::WholeDataRewritten | LossStrategy::WholeDataNaive
-        )
     }
 
     /// Is the Hausdorff head due at `epoch`? It runs every
@@ -631,86 +621,45 @@ impl TcssTrainer {
             && epoch.is_multiple_of(self.config.hausdorff_every)
     }
 
-    /// Does epoch `epoch` have an active gradient tail? True when the loss
-    /// carries the whole-data Gram term and/or the Hausdorff head is due.
-    /// When false, [`TcssTrainer::epoch_tail_deferred`] leaves `tail`
-    /// zeroed and the caller must skip the tail add entirely — `x + 0.0`
-    /// is not always a bitwise no-op (`-0.0 + 0.0 = +0.0`), so "inactive"
-    /// has to mean *no add*, identically in-process and distributed.
-    pub(crate) fn tail_active(&self, epoch: usize) -> bool {
-        self.gram_tail() || self.head_due(epoch)
-    }
-
-    /// The epoch's gradient tail — whole-data Gram term (Eq 15; skipped
-    /// for negative sampling, exactly as in the in-process losses) and the
-    /// Hausdorff head — accumulated into the zeroed `tail` buffer. Returns
-    /// `L₁`.
+    /// The epoch's gradient tail: the whole-data Gram term of Eq 15 (not
+    /// for negative sampling) and the Hausdorff head when it is due. See
+    /// [`EpochTail`] for where each shape leaves its gradient.
     ///
     /// The Gram loss contributions are *recorded* into `loss_terms`, not
     /// added into a loss: the tail-sharded coordinator computes the tail
     /// concurrently with worker chunk evaluation, before the chunk-loss
     /// fold exists. Every caller then replays `l2 += term` in order, the
-    /// add sequence of [`crate::loss::whole_data_term`], so the in-process
-    /// and distributed losses cannot differ by a bit.
-    pub(crate) fn epoch_tail_deferred(
+    /// add sequence of `loss::rewritten_loss_and_grad_ws`, so the
+    /// in-process and distributed losses cannot differ by a bit.
+    pub(crate) fn epoch_tail(
         &self,
         model: &TcssModel,
         epoch: usize,
         ws: &TrainWorkspace,
         tail: &mut Grads,
         loss_terms: &mut Vec<f64>,
-    ) -> f64 {
+    ) -> EpochTail {
         let cfg = &self.config;
-        tail.set_zero();
         loss_terms.clear();
-        if self.gram_tail() {
-            crate::loss::whole_data_term_sink(
-                model,
-                cfg.w_minus,
-                &mut |t| loss_terms.push(t),
-                tail,
-            );
+        let head = self.head.as_ref().filter(|_| self.head_due(epoch));
+        if head.is_some() {
+            tail.set_zero();
+        } else {
+            tail.h.fill(0.0);
         }
-        match &self.head {
-            Some(head) if self.head_due(epoch) => {
-                head.loss_and_grad_ws(model, tail, cfg.lambda, ws)
+        let d = (cfg.loss == LossStrategy::WholeDataRewritten).then(|| {
+            whole_data_gram_mats(model, cfg.w_minus, &mut |t| loss_terms.push(t), &mut tail.h)
+        });
+        match (d, head) {
+            (None, None) => EpochTail::Inactive,
+            (Some(d), None) => EpochTail::Gram(d),
+            (d, Some(head)) => {
+                if let Some(d) = d {
+                    add_gram_rows(&d, model.factors(), tail.factors_mut());
+                }
+                EpochTail::Dense(head.loss_and_grad_ws(model, tail, cfg.lambda, ws))
             }
-            _ => 0.0,
         }
-    }
-
-    /// Is epoch `epoch`'s tail the whole-data Gram term *alone* — no
-    /// Hausdorff head due? Then the tail's factor gradients are exactly
-    /// `2·U^f·D^f` for three `r × r` matrices, and the tail-sharded
-    /// coordinator broadcasts the D matrices ([`TcssTrainer::epoch_tail_gram`])
-    /// instead of dense owned tail rows. Head epochs fall back to the
-    /// dense-row ship: the Hausdorff gradient has no such factorization.
-    pub(crate) fn tail_gram_only(&self, epoch: usize) -> bool {
-        self.gram_tail() && !self.head_due(epoch)
-    }
-
-    /// Gram-mode deferred tail ([`TcssTrainer::tail_gram_only`] epochs):
-    /// the three `D` matrices, the recorded Gram loss terms, and the tail
-    /// `h` gradient — everything [`TcssTrainer::epoch_tail_deferred`]
-    /// produces except the dense factor rows, which each worker rebuilds
-    /// locally as `2·U^f·D^f` over its owned range. Same underlying calls
-    /// in the same order ([`crate::loss::whole_data_gram_mats`] is the
-    /// shared core), so the floats cannot diverge from the dense path.
-    pub(crate) fn epoch_tail_gram(
-        &self,
-        model: &TcssModel,
-        loss_terms: &mut Vec<f64>,
-        tail_h: &mut Vec<f64>,
-    ) -> [tcss_linalg::Matrix; 3] {
-        loss_terms.clear();
-        tail_h.clear();
-        tail_h.resize(model.rank(), 0.0);
-        crate::loss::whole_data_gram_mats(
-            model,
-            self.config.w_minus,
-            &mut |t| loss_terms.push(t),
-            tail_h,
-        )
     }
 
     /// Fault-tolerant training: checkpoints, resume, and the divergence

@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 use tcss_core::frame::checksum;
 use tcss_core::loss::{negative_sampling_loss_and_grad, rewritten_loss_and_grad, Grads};
 use tcss_core::{
-    random_init, spectral_init, HausdorffVariant, SocialHausdorffHead, TcssConfig, TcssModel,
-    TrainWorkspace,
+    random_init, spectral_init, HausdorffVariant, LossStrategy, SocialHausdorffHead, TcssConfig,
+    TcssModel, TcssTrainer, TrainWorkspace,
 };
 use tcss_data::{train_test_split, Granularity, SynthPreset};
 use tcss_linalg::{set_num_threads, Matrix, SymOp};
@@ -228,6 +228,56 @@ fn spectral_init_bits_are_pinned_on_gowalla() {
             GOWALLA_SPECTRAL_INIT_CHECKSUM,
             "spectral init bits moved at {threads} threads"
         );
+    }
+    set_num_threads(None);
+}
+
+/// `tcss_core::frame::checksum` of a trained model's bits (U¹, U², U³,
+/// then `h`, each `f64` as its little-endian `to_bits`) after 7 epochs of
+/// `TcssTrainer::new` on the Gowalla preset (split seed 1, month
+/// granularity). Seven epochs cover three Hausdorff-head epochs (0, 3, 6)
+/// and four Gram-only ones, so every epoch-tail shape is in the bits.
+/// Any change to the epoch kernel's arithmetic or its add order moves
+/// these; a refactor that keeps them has kept every trained bit.
+const GOWALLA_TRAINED_CHECKSUMS: [(&str, u64); 3] = [
+    ("full", 7_243_161_559_129_020_525),
+    ("negative sampling", 1_876_729_922_023_822_284),
+    ("lambda = 0", 17_732_406_510_111_802_910),
+];
+
+#[test]
+fn trained_model_bits_are_pinned_on_gowalla() {
+    let data = SynthPreset::Gowalla.generate();
+    let split = train_test_split(&data.checkins, data.n_users, 0.8, 1);
+    let configs = [
+        TcssConfig::full(),
+        TcssConfig {
+            loss: LossStrategy::NegativeSampling,
+            ..TcssConfig::full()
+        },
+        TcssConfig::ablation_no_l1(),
+    ];
+    for ((name, want), cfg) in GOWALLA_TRAINED_CHECKSUMS.into_iter().zip(configs) {
+        for threads in THREAD_COUNTS {
+            let cfg = TcssConfig {
+                epochs: 7,
+                num_threads: Some(threads),
+                ..cfg.clone()
+            };
+            let trainer = TcssTrainer::new(&data, &split.train, Granularity::Month, cfg);
+            let model = trainer.train(|_, _| {});
+            let bytes: Vec<u8> = [&model.u1, &model.u2, &model.u3]
+                .iter()
+                .flat_map(|m| matrix_bits(m))
+                .chain(model.h.iter().map(|v| v.to_bits()))
+                .flat_map(u64::to_le_bytes)
+                .collect();
+            assert_eq!(
+                checksum(&bytes),
+                want,
+                "{name}: trained model bits moved at {threads} threads"
+            );
+        }
     }
     set_num_threads(None);
 }

@@ -37,7 +37,7 @@ const USAGE: &str = "usage:
   tcss generate  --preset <gowalla|yelp|foursquare|gmu-5k> --out <stem> [--no-preprocess]
   tcss train     (--data <stem> | --synth <preset>) [--model <file>]
                  [--epochs N] [--rank R] [--lambda L] [--seed S]
-                 [--loss whole|naive|negsamp] [--init spectral|random|onehot]
+                 [--loss whole|negsamp] [--init spectral|random|onehot]
                  [--granularity month|week|hour] [--threads T]
                  [--workers N] [--worker-threads T]
                  [--checkpoint-dir <dir>] [--checkpoint-every N] [--resume] [--lenient]
@@ -348,9 +348,12 @@ fn training_config(args: &Args) -> Result<TcssConfig, String> {
     if let Some(v) = args.opt("--loss") {
         cfg.loss = match v {
             "whole" => LossStrategy::WholeDataRewritten,
-            "naive" => LossStrategy::WholeDataNaive,
             "negsamp" => LossStrategy::NegativeSampling,
-            other => return Err(format!("unknown loss strategy {other:?}")),
+            other => {
+                return Err(format!(
+                    "unknown loss strategy {other:?} (expected whole|negsamp)"
+                ))
+            }
         };
     }
     if let Some(v) = args.opt("--init") {

@@ -208,6 +208,28 @@ fn unknown_flags_fail_naming_the_flag() {
     }
 }
 
+/// `--loss` takes exactly the two training kernels. The old `naive`
+/// spelling trained bit-identically to `whole` (Table IV's naive row is a
+/// loss evaluation, not a training strategy) and is now refused by name
+/// before any work, listing what is accepted.
+#[test]
+fn unknown_loss_strategy_fails_naming_the_choices() {
+    let out = bin()
+        .args([
+            "train", "--synth", "gmu-5k", "--epochs", "1", "--loss", "naive",
+        ])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "--loss naive must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown loss strategy \"naive\" (expected whole|negsamp)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("epoch"));
+}
+
 /// `--help` prints usage and succeeds, bare or after a subcommand (where
 /// it used to fail as an unknown flag).
 #[test]
