@@ -95,16 +95,6 @@ impl Embedding {
         Embedding { table, vocab, dim }
     }
 
-    /// Register an embedding table with externally-provided initial values
-    /// (e.g. the spectral initialization of the paper).
-    pub fn with_values(params: &mut ParamSet, name: &str, values: Tensor) -> Self {
-        assert_eq!(values.shape().len(), 2, "embedding table must be rank 2");
-        let vocab = values.shape()[0];
-        let dim = values.shape()[1];
-        let table = params.add(name, values);
-        Embedding { table, vocab, dim }
-    }
-
     /// Look up a batch of rows; output is `indices.len() × dim`.
     pub fn forward(&self, tape: &Tape, params: &ParamSet, indices: &[usize]) -> Var {
         let table = tape.param(params, self.table);
@@ -174,15 +164,5 @@ mod tests {
         assert!((table.at(1, 1) - 1.0).abs() < 1e-2);
         // Row 2 untouched by training: still small.
         assert!(table.at(2, 0).abs() < 0.1);
-    }
-
-    #[test]
-    fn embedding_with_values_preserves_init() {
-        let mut params = ParamSet::new();
-        let init = Tensor::from_vec(&[2, 2], vec![9.0, 8.0, 7.0, 6.0]);
-        let emb = Embedding::with_values(&mut params, "e", init.clone());
-        assert_eq!(params.value(emb.table), &init);
-        assert_eq!(emb.vocab, 2);
-        assert_eq!(emb.dim, 2);
     }
 }

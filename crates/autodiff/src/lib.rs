@@ -16,7 +16,7 @@
 //!   closure; [`Tape::backward`] replays them in reverse.
 //! * [`ParamSet`] / [`ParamId`] — named persistent parameters that live
 //!   *across* tapes; a fresh tape is built per training step.
-//! * [`optim`] — SGD and Adam.
+//! * [`optim`] — Adam.
 //! * [`layers`] — Dense and Embedding layers built on the primitive ops.
 //! * [`gradcheck`] — finite-difference gradient verification, used
 //!   throughout the test suites of this crate and `tcss-baselines`.

@@ -1,4 +1,4 @@
-//! Optimizers: SGD and Adam.
+//! The Adam optimizer.
 //!
 //! The paper trains TCSS with Adam (lr 0.001, weight decay 0.1, §V-D); the
 //! neural baselines use the same optimizer family. `step` consumes the
@@ -12,41 +12,6 @@ pub trait Optimizer {
     /// Apply one update using the gradients stored in `params`, then zero
     /// the gradients.
     fn step(&mut self, params: &mut ParamSet);
-}
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Decoupled L2 weight decay coefficient (0 disables).
-    pub weight_decay: f64,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet) {
-        let ids: Vec<_> = params.ids().collect();
-        for id in ids {
-            let wd = self.weight_decay;
-            let lr = self.lr;
-            let grad = params.grad(id).clone();
-            let value = params.value_mut(id);
-            for (v, &g) in value.data_mut().iter_mut().zip(grad.data().iter()) {
-                *v -= lr * (g + wd * *v);
-            }
-        }
-        params.zero_grads();
-    }
 }
 
 /// Adam (Kingma & Ba 2015) with decoupled weight decay (AdamW-style, which
@@ -82,13 +47,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Adam with the paper's configuration: lr 0.001, weight decay 0.1.
-    pub fn paper_default() -> Self {
-        let mut a = Adam::new(0.001);
-        a.weight_decay = 0.1;
-        a
     }
 }
 
@@ -132,7 +90,7 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    /// Minimize (w − 3)² with each optimizer.
+    /// Minimize (w − 3)² with `opt`.
     fn quadratic_converges(opt: &mut dyn Optimizer, steps: usize) -> f64 {
         let mut params = ParamSet::new();
         let w = params.add("w", Tensor::scalar(0.0));
@@ -150,12 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = quadratic_converges(&mut Sgd::new(0.1), 200);
-        assert!((w - 3.0).abs() < 1e-6, "got {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = quadratic_converges(&mut Adam::new(0.1), 500);
         assert!((w - 3.0).abs() < 1e-4, "got {w}");
@@ -163,11 +115,9 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_solution() {
-        let mut plain = Sgd::new(0.1);
-        let mut decayed = Sgd {
-            lr: 0.1,
-            weight_decay: 0.5,
-        };
+        let mut plain = Adam::new(0.1);
+        let mut decayed = Adam::new(0.1);
+        decayed.weight_decay = 0.5;
         let w_plain = quadratic_converges(&mut plain, 300);
         let w_decayed = quadratic_converges(&mut decayed, 300);
         assert!(w_decayed < w_plain, "{w_decayed} !< {w_plain}");
@@ -178,7 +128,7 @@ mod tests {
         let mut params = ParamSet::new();
         let w = params.add("w", Tensor::scalar(1.0));
         params.grad_mut(w).data_mut()[0] = 2.0;
-        Sgd::new(0.1).step(&mut params);
+        Adam::new(0.1).step(&mut params);
         assert_eq!(params.grad(w).item(), 0.0);
     }
 }

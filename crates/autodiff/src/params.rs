@@ -50,11 +50,6 @@ impl ParamSet {
         self.params.is_empty()
     }
 
-    /// Total number of scalar parameters across all tensors.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// All parameter ids, in registration order.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.params.len()).map(ParamId)
@@ -91,29 +86,6 @@ impl ParamSet {
             p.grad.zero_();
         }
     }
-
-    /// Global L2 norm of all gradients (useful for clipping / diagnostics).
-    pub fn grad_norm(&self) -> f64 {
-        self.params
-            .iter()
-            .flat_map(|p| p.grad.data().iter())
-            .map(|g| g * g)
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Clip all gradients so the *global* norm is at most `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f64) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for p in &mut self.params {
-                for g in p.grad.data_mut() {
-                    *g *= s;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +97,6 @@ mod tests {
         let mut ps = ParamSet::new();
         let w = ps.add("w", Tensor::vector(&[1.0, 2.0]));
         assert_eq!(ps.len(), 1);
-        assert_eq!(ps.num_scalars(), 2);
         assert_eq!(ps.name(w), "w");
         assert_eq!(ps.value(w).data(), &[1.0, 2.0]);
         assert_eq!(ps.grad(w).data(), &[0.0, 0.0]);
@@ -138,28 +109,5 @@ mod tests {
         ps.grad_mut(w).data_mut()[0] = 5.0;
         ps.zero_grads();
         assert_eq!(ps.grad(w).item(), 0.0);
-    }
-
-    #[test]
-    fn clip_rescales_global_norm() {
-        let mut ps = ParamSet::new();
-        let a = ps.add("a", Tensor::scalar(0.0));
-        let b = ps.add("b", Tensor::scalar(0.0));
-        ps.grad_mut(a).data_mut()[0] = 3.0;
-        ps.grad_mut(b).data_mut()[0] = 4.0;
-        assert!((ps.grad_norm() - 5.0).abs() < 1e-12);
-        ps.clip_grad_norm(1.0);
-        assert!((ps.grad_norm() - 1.0).abs() < 1e-12);
-        // Direction preserved.
-        assert!((ps.grad(a).item() / ps.grad(b).item() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clip_noop_under_threshold() {
-        let mut ps = ParamSet::new();
-        let a = ps.add("a", Tensor::scalar(0.0));
-        ps.grad_mut(a).data_mut()[0] = 0.5;
-        ps.clip_grad_norm(1.0);
-        assert_eq!(ps.grad(a).item(), 0.5);
     }
 }

@@ -185,16 +185,6 @@ impl Tape {
         )
     }
 
-    /// Add a scalar constant.
-    pub fn add_scalar(&self, a: Var, c: f64) -> Var {
-        let va = self.nodes.borrow()[a.0].value.clone();
-        self.push(
-            va.map(|v| v + c),
-            vec![a.0],
-            Some(Box::new(|_out, g, _pv| vec![g.clone()])),
-        )
-    }
-
     /// Broadcast-add a row vector `b` (shape `[n]` or `[1, n]`) to every row
     /// of `a` (shape `[m, n]`). The bias-add of a dense layer.
     pub fn add_row_broadcast(&self, a: Var, b: Var) -> Var {

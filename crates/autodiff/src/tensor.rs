@@ -134,13 +134,6 @@ impl Tensor {
         self.data[i * self.shape[1] + j]
     }
 
-    /// Mutable matrix entry accessor.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        debug_assert_eq!(self.shape.len(), 2);
-        &mut self.data[i * self.shape[1] + j]
-    }
-
     /// Reinterpret with a new shape of equal element count.
     pub fn reshaped(&self, shape: &[usize]) -> Tensor {
         Tensor::from_vec(shape, self.data.clone())

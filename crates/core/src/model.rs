@@ -108,22 +108,11 @@ impl TcssModel {
             .collect()
     }
 
-    /// The full `J × K` predicted slice for one user (used by the social
-    /// Hausdorff head to form `p_{ij}` over all time units).
-    pub fn user_slice(&self, user: usize) -> Matrix {
-        let (_, j_dim, k_dim) = self.dims();
-        let mut scratch = SliceScratch::default();
-        let mut out = Vec::new();
-        self.user_slice_into(user, &mut scratch, &mut out);
-        let mut m = Matrix::zeros(j_dim, k_dim);
-        m.as_mut_slice().copy_from_slice(&out);
-        m
-    }
-
-    /// Allocation-free form of [`TcssModel::user_slice`]: writes the raw
-    /// `J × K` scores row-major into `out`, using pooled [`SliceScratch`]
-    /// buffers. All buffers are cleared and refilled, so pooled scratch can
-    /// be passed straight in.
+    /// The full `J × K` predicted slice for one user (the social Hausdorff
+    /// head's `p_{ij}` over all time units): writes the raw scores
+    /// row-major into `out`, using pooled [`SliceScratch`] buffers. All
+    /// buffers are cleared and refilled, so pooled scratch can be passed
+    /// straight in.
     ///
     /// This is the `J·K·r`-flop hot loop of the Hausdorff head, evaluated
     /// as `r` rank-one updates per output row: `U³` is transposed once per
@@ -134,7 +123,7 @@ impl TcssModel {
     /// Every output element sums its `r` products in the same ascending-`t`
     /// order, with the same `(h·u¹)·u²·u³` association, as the scalar
     /// triple loop this replaced — the result is **bit-for-bit** identical
-    /// to `user_slice` and to the pre-kernel implementation.
+    /// to the pre-kernel implementation.
     pub fn user_slice_into(&self, user: usize, scratch: &mut SliceScratch, out: &mut Vec<f64>) {
         let (_, j_dim, k_dim) = self.dims();
         let r = self.h.len();
@@ -324,10 +313,11 @@ mod tests {
     #[test]
     fn user_slice_matches_predict() {
         let m = tiny_model();
-        let slice = m.user_slice(1);
+        let mut slice = Vec::new();
+        m.user_slice_into(1, &mut SliceScratch::default(), &mut slice);
         for j in 0..3 {
             for k in 0..2 {
-                assert!((slice.get(j, k) - m.predict(1, j, k)).abs() < 1e-12);
+                assert!((slice[j * 2 + k] - m.predict(1, j, k)).abs() < 1e-12);
             }
         }
     }

@@ -49,9 +49,4 @@ impl TrainWorkspace {
     pub fn new() -> Self {
         TrainWorkspace::default()
     }
-
-    /// Total idle buffers across all pools (diagnostics/tests).
-    pub fn idle_buffers(&self) -> usize {
-        self.scratch.idle() + self.deltas.idle() + self.users.idle()
-    }
 }

@@ -192,17 +192,6 @@ impl Dataset {
         counts
     }
 
-    /// Per-POI distinct-visitor counts (the paper filters POIs with fewer
-    /// than 50 visitors; our presets use a scaled threshold).
-    pub fn poi_visitor_counts(&self) -> Vec<usize> {
-        let mut visitors: Vec<std::collections::HashSet<usize>> =
-            vec![std::collections::HashSet::new(); self.n_pois()];
-        for c in &self.checkins {
-            visitors[c.poi].insert(c.user);
-        }
-        visitors.into_iter().map(|s| s.len()).collect()
-    }
-
     /// One-line dataset summary (users / POIs / check-ins / density).
     pub fn summary(&self, g: Granularity) -> String {
         let t = self.tensor(g);
@@ -316,7 +305,6 @@ mod tests {
     fn counts_and_entropy() {
         let d = toy_dataset();
         assert_eq!(d.user_checkin_counts(), vec![2, 2]);
-        assert_eq!(d.poi_visitor_counts(), vec![1, 1, 1]);
         let e = d.location_entropy_from(&d.checkins);
         // Every POI has a single visitor → zero entropy everywhere.
         assert!(e.iter().all(|&x| x.abs() < 1e-12));

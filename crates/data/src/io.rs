@@ -21,7 +21,7 @@
 //! errors) the 1-based line number, so a bad record in a hand-edited dump
 //! is one click away.
 
-use crate::dataset::{Category, CheckIn, Dataset, Poi};
+use crate::dataset::{Category, CheckIn, Dataset, Granularity, Poi};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tcss_geo::GeoPoint;
@@ -264,6 +264,20 @@ fn parse_checkin_row(
             message: format!("poi {} out of range ({n_pois} POIs)", c.poi),
         });
     }
+    for (field, g) in [
+        ("month", Granularity::Month),
+        ("week", Granularity::Week),
+        ("hour", Granularity::Hour),
+    ] {
+        let t = g.index(&c);
+        if t >= g.len() {
+            return Err(DataIoError::Parse {
+                path: path.to_path_buf(),
+                line: ln + 1,
+                message: format!("{field} {t} out of range (0..{})", g.len()),
+            });
+        }
+    }
     Ok(c)
 }
 
@@ -400,6 +414,32 @@ mod tests {
         assert!(data.social.has_edge(0, 1));
         // Strict mode rejects the very same files.
         assert!(load_dataset("lenient", &stem).is_err());
+        std::fs::remove_dir_all(stem.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn out_of_range_time_fields_are_typed_or_skipped() {
+        let stem = write_stem(
+            "tcss_io_time_range",
+            "poi_id,lon,lat,category\n0,1.0,2.0,food\n",
+            "user,poi,month,week,hour\n\
+             0,0,11,52,23\n\
+             0,0,12,0,0\n\
+             0,0,0,53,0\n\
+             0,0,0,0,24\n",
+            "user_a,user_b\n",
+        );
+        let err = load_dataset("time", &stem).unwrap_err();
+        match &err {
+            DataIoError::Parse { line, message, .. } => {
+                assert_eq!(*line, 3);
+                assert!(message.contains("month 12"), "{message}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        let (data, report) = load_dataset_lenient("time", &stem).unwrap();
+        assert_eq!(data.checkins.len(), 1, "the in-range row survives");
+        assert_eq!(report.skipped_checkins, 3);
         std::fs::remove_dir_all(stem.parent().unwrap()).ok();
     }
 

@@ -8,8 +8,9 @@
 //! distance between POI sets (Eq 9) and its differentiable weighted variant
 //! (Eq 10/12) built on the generalized mean `M_α`.
 //!
-//! This crate provides the *forward* computations plus a grid spatial index;
-//! the gradient-carrying version of the weighted Hausdorff loss lives in
+//! This crate provides the *forward* computations and the pairwise
+//! [`DistanceMatrix`] the head reads its min-distances from; the
+//! gradient-carrying version of the weighted Hausdorff loss lives in
 //! `tcss-core` (it must couple to the model's predicted probabilities) and is
 //! tested against the forward implementations here.
 
@@ -19,12 +20,10 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod entropy;
-pub mod grid;
 pub mod hausdorff;
 pub mod point;
 
 pub use entropy::{entropy_weights, location_entropy};
-pub use grid::GridIndex;
 pub use hausdorff::{
     average_hausdorff, generalized_mean, weighted_hausdorff, DistanceMatrix,
     WeightedHausdorffParams,

@@ -18,11 +18,6 @@ impl GeoPoint {
     pub fn new(lon: f64, lat: f64) -> Self {
         GeoPoint { lon, lat }
     }
-
-    /// Great-circle distance to another point, in kilometres.
-    pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        haversine_km(*self, *other)
-    }
 }
 
 /// Haversine great-circle distance between two points, in kilometres.

@@ -1,9 +1,7 @@
 //! Property-based tests for the geospatial kernels.
 
 use proptest::prelude::*;
-use tcss_geo::{
-    entropy_weights, generalized_mean, haversine_km, location_entropy, GeoPoint, GridIndex,
-};
+use tcss_geo::{entropy_weights, generalized_mean, haversine_km, location_entropy, GeoPoint};
 
 fn point_strategy() -> impl Strategy<Value = GeoPoint> {
     (-179.0f64..179.0, -85.0f64..85.0).prop_map(|(lon, lat)| GeoPoint::new(lon, lat))
@@ -34,23 +32,6 @@ proptest! {
         let ab = haversine_km(a, b);
         let bc = haversine_km(b, c);
         prop_assert!(ac <= ab + bc + 1e-6, "{ac} > {ab} + {bc}");
-    }
-
-    /// Grid nearest-neighbour equals brute force on clustered points.
-    #[test]
-    fn grid_nearest_equals_brute_force(
-        pts in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..40),
-        q in (-2.5f64..2.5, -2.5f64..2.5),
-    ) {
-        let points: Vec<GeoPoint> = pts.into_iter().map(|(lon, lat)| GeoPoint::new(lon, lat)).collect();
-        let grid = GridIndex::new(&points, 0.25);
-        let query = GeoPoint::new(q.0, q.1);
-        let (_, gd) = grid.nearest(query).expect("nonempty");
-        let bd = points
-            .iter()
-            .map(|p| haversine_km(query, *p))
-            .fold(f64::MAX, f64::min);
-        prop_assert!((gd - bd).abs() < 1e-9, "grid {gd} vs brute {bd}");
     }
 
     /// Location entropy is within [0, ln(#users)] and exp(−E) ∈ (0, 1].

@@ -8,7 +8,7 @@
 //! personalized PageRank over a user–user similarity graph).
 //!
 //! * [`SocialGraph`] — undirected adjacency-list graph with neighbour
-//!   queries, BFS and connected components.
+//!   queries.
 //! * [`ppr`] — personalized PageRank by power iteration and the
 //!   bookmark-colouring approximation (BCA), the engine of LFBCA.
 

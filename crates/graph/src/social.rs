@@ -1,7 +1,5 @@
 //! Undirected social (friendship) graph.
 
-use std::collections::VecDeque;
-
 /// An undirected graph over users `0..n`, stored as sorted adjacency lists.
 ///
 /// Self-loops are rejected and duplicate edges are deduplicated — friendship
@@ -86,51 +84,6 @@ impl SocialGraph {
             .flat_map(|(a, nbrs)| nbrs.iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
     }
 
-    /// BFS distances from `src`; `None` for unreachable nodes.
-    pub fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.adj.len()];
-        if src >= self.adj.len() {
-            return dist;
-        }
-        dist[src] = Some(0);
-        let mut queue = VecDeque::from([src]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
-            for &v in &self.adj[u] {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Connected-component label per node (labels are arbitrary but dense
-    /// from 0).
-    pub fn connected_components(&self) -> Vec<usize> {
-        let n = self.adj.len();
-        let mut label = vec![usize::MAX; n];
-        let mut next = 0;
-        for start in 0..n {
-            if label[start] != usize::MAX {
-                continue;
-            }
-            label[start] = next;
-            let mut queue = VecDeque::from([start]);
-            while let Some(u) = queue.pop_front() {
-                for &v in &self.adj[u] {
-                    if label[v] == usize::MAX {
-                        label[v] = next;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        label
-    }
-
     /// Users with at least one friend (the paper keeps only such users).
     pub fn users_with_friends(&self) -> Vec<usize> {
         (0..self.adj.len())
@@ -175,32 +128,6 @@ mod tests {
         let g = SocialGraph::from_edges(4, vec![(2, 1), (0, 3), (1, 2)]);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 3), (1, 2)]);
-    }
-
-    #[test]
-    fn bfs_on_path_graph() {
-        let g = SocialGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
-        let d = g.bfs_distances(0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = SocialGraph::from_edges(4, vec![(0, 1)]);
-        let d = g.bfs_distances(0);
-        assert_eq!(d[2], None);
-        assert_eq!(d[3], None);
-    }
-
-    #[test]
-    fn components_partition() {
-        let g = SocialGraph::from_edges(5, vec![(0, 1), (2, 3)]);
-        let c = g.connected_components();
-        assert_eq!(c[0], c[1]);
-        assert_eq!(c[2], c[3]);
-        assert_ne!(c[0], c[2]);
-        assert_ne!(c[4], c[0]);
-        assert_ne!(c[4], c[2]);
     }
 
     #[test]

@@ -53,17 +53,10 @@ proptest! {
         prop_assert_eq!(p[5], 0.0);
     }
 
-    /// Graph invariants: degree sums equal twice the edge count; BFS
-    /// distances respect the triangle inequality along edges.
+    /// Graph invariant: degree sums equal twice the edge count.
     #[test]
     fn graph_invariants(g in graph_strategy()) {
         let degree_sum: usize = (0..g.len()).map(|u| g.degree(u)).sum();
         prop_assert_eq!(degree_sum, 2 * g.edge_count());
-        let d = g.bfs_distances(0);
-        for (a, b) in g.edges() {
-            if let (Some(da), Some(db)) = (d[a], d[b]) {
-                prop_assert!(da.abs_diff(db) <= 1, "edge ({a},{b}): {da} vs {db}");
-            }
-        }
     }
 }

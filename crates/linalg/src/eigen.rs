@@ -67,7 +67,7 @@ impl SymOp for DenseSymOp<'_> {
         for c in 0..x.cols() {
             let col = x.col(c);
             for i in 0..x.rows() {
-                y.set(i, c, crate::vector::dot(self.mat.row(i), &col));
+                y.set(i, c, crate::kernels::dot(self.mat.row(i), &col));
             }
         }
         y

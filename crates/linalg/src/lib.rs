@@ -20,13 +20,13 @@
 //!   backprop) are built on; see its docs for the reduction-order contract.
 //!   The serving-snapshot layer adds f32 lanes ([`LANES_F32`] = 8) and the
 //!   [`lowp`] batched low-precision `W · U²ᵀ` paths over f32 / i16 operands.
-//! * [`qr::qr_thin`] / [`qr::orthonormalize`] — Householder QR.
+//! * [`qr::orthonormalize`] — modified Gram–Schmidt orthonormalization.
 //! * [`eigen::jacobi_eigen`] — full symmetric eigendecomposition.
 //! * [`eigen::top_r_eigenvectors`] — blocked orthogonal iteration over an
 //!   implicit symmetric operator ([`eigen::SymOp`]); this is how the spectral
 //!   initializer avoids materializing the `I × I` Gram matrix.
 //! * [`svd::truncated_svd`] — rank-`r` SVD built on the eigen machinery.
-//! * [`stats`] — cosine similarity, standardization and friends.
+//! * [`stats`] — cosine similarity for the time-factor heatmaps.
 //! * [`parallel`] — the deterministic chunked thread-pool primitive every
 //!   parallel hot path in the workspace is built on (see its module docs
 //!   for the determinism contract and the `TCSS_NUM_THREADS` knob).
@@ -46,10 +46,10 @@ pub use eigen::{jacobi_eigen, top_r_eigenvectors, DenseSymOp, SymOp};
 pub use kernels::{LANES, LANES_F32};
 pub use matrix::Matrix;
 pub use parallel::{
-    chunk_count, chunk_ranges, fold_chunks, map_chunks, map_chunks_with, num_threads,
-    set_num_threads, PoolGuard, WorkspacePool,
+    chunk_count, chunk_ranges, map_chunks, map_chunks_with, num_threads, set_num_threads,
+    PoolGuard, WorkspacePool,
 };
-pub use qr::{orthonormalize, qr_thin};
+pub use qr::orthonormalize;
 pub use solve::solve_linear_system;
 pub use stats::{cosine_similarity, cosine_similarity_matrix};
 pub use svd::{truncated_svd, Svd};

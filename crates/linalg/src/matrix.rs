@@ -114,11 +114,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Entry accessor. Panics on out-of-bounds in debug builds only.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -436,63 +431,58 @@ impl Matrix {
     /// is bitwise-neutral.)
     pub fn gram(&self) -> Matrix {
         let r = self.cols;
-        let mut g = crate::parallel::fold_chunks(
-            self.rows,
-            Self::ROWS_PER_CHUNK,
-            Matrix::zeros(r, r),
-            |range| {
-                let mut part = Matrix::zeros(r, r);
-                let mut ab = 0;
-                while ab < r {
-                    let a_hi = (ab + Self::GRAM_BLOCK).min(r);
-                    let mut bb = ab;
-                    while bb < r {
-                        let b_hi = (bb + Self::GRAM_BLOCK).min(r);
-                        let quads = range.len() - range.len() % 4;
-                        let mut i = range.start;
-                        while i < range.start + quads {
-                            let r0 = self.row(i);
-                            let r1 = self.row(i + 1);
-                            let r2 = self.row(i + 2);
-                            let r3 = self.row(i + 3);
-                            for a in ab..a_hi {
-                                let lo = a.max(bb);
-                                crate::kernels::update_row_quad(
-                                    &mut part.data[a * r + lo..a * r + b_hi],
-                                    [r0[a], r1[a], r2[a], r3[a]],
-                                    &r0[lo..b_hi],
-                                    &r1[lo..b_hi],
-                                    &r2[lo..b_hi],
-                                    &r3[lo..b_hi],
-                                );
-                            }
-                            i += 4;
+        let parts = crate::parallel::map_chunks(self.rows, Self::ROWS_PER_CHUNK, |range| {
+            let mut part = Matrix::zeros(r, r);
+            let mut ab = 0;
+            while ab < r {
+                let a_hi = (ab + Self::GRAM_BLOCK).min(r);
+                let mut bb = ab;
+                while bb < r {
+                    let b_hi = (bb + Self::GRAM_BLOCK).min(r);
+                    let quads = range.len() - range.len() % 4;
+                    let mut i = range.start;
+                    while i < range.start + quads {
+                        let r0 = self.row(i);
+                        let r1 = self.row(i + 1);
+                        let r2 = self.row(i + 2);
+                        let r3 = self.row(i + 3);
+                        for a in ab..a_hi {
+                            let lo = a.max(bb);
+                            crate::kernels::update_row_quad(
+                                &mut part.data[a * r + lo..a * r + b_hi],
+                                [r0[a], r1[a], r2[a], r3[a]],
+                                &r0[lo..b_hi],
+                                &r1[lo..b_hi],
+                                &r2[lo..b_hi],
+                                &r3[lo..b_hi],
+                            );
                         }
-                        while i < range.end {
-                            let row = self.row(i);
-                            for a in ab..a_hi {
-                                let lo = a.max(bb);
-                                crate::kernels::axpy(
-                                    row[a],
-                                    &row[lo..b_hi],
-                                    &mut part.data[a * r + lo..a * r + b_hi],
-                                );
-                            }
-                            i += 1;
-                        }
-                        bb = b_hi;
+                        i += 4;
                     }
-                    ab = a_hi;
+                    while i < range.end {
+                        let row = self.row(i);
+                        for a in ab..a_hi {
+                            let lo = a.max(bb);
+                            crate::kernels::axpy(
+                                row[a],
+                                &row[lo..b_hi],
+                                &mut part.data[a * r + lo..a * r + b_hi],
+                            );
+                        }
+                        i += 1;
+                    }
+                    bb = b_hi;
                 }
-                part
-            },
-            |mut acc: Matrix, part| {
-                for (o, &p) in acc.data.iter_mut().zip(part.data.iter()) {
-                    *o += p;
-                }
-                acc
-            },
-        );
+                ab = a_hi;
+            }
+            part
+        });
+        let mut g = Matrix::zeros(r, r);
+        for part in parts {
+            for (o, &p) in g.data.iter_mut().zip(part.data.iter()) {
+                *o += p;
+            }
+        }
         for a in 0..r {
             for b in 0..a {
                 g.data[a * r + b] = g.data[b * r + a];
@@ -511,7 +501,7 @@ impl Matrix {
         }
         let mut y = vec![0.0; self.rows];
         for (i, yi) in y.iter_mut().enumerate() {
-            *yi = crate::vector::dot(self.row(i), x);
+            *yi = crate::kernels::dot(self.row(i), x);
         }
         Ok(y)
     }
@@ -524,11 +514,6 @@ impl Matrix {
     /// Elementwise difference `self - other`.
     pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, |a, b| a * b)
     }
 
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Result<Matrix> {
@@ -601,21 +586,6 @@ impl Matrix {
         for i in 0..n {
             self.data[i * self.cols + i] = 0.0;
         }
-    }
-
-    /// Extract the `cols`-leading submatrix of columns `[0, k)`.
-    pub fn leading_columns(&self, k: usize) -> Result<Matrix> {
-        if k > self.cols {
-            return Err(LinalgError::RankTooLarge {
-                requested: k,
-                max: self.cols,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, k);
-        for i in 0..self.rows {
-            out.row_mut(i).copy_from_slice(&self.row(i)[..k]);
-        }
-        Ok(out)
     }
 
     /// Fill with independent uniform samples in `[-scale, scale]`.
@@ -766,7 +736,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 5.0]]).unwrap();
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, 10.0]);
     }
 
     #[test]
@@ -783,15 +752,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn leading_columns_truncates() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let l = a.leading_columns(2).unwrap();
-        assert_eq!(l.shape(), (2, 2));
-        assert_eq!(l.get(1, 1), 5.0);
-        assert!(a.leading_columns(4).is_err());
     }
 
     #[test]

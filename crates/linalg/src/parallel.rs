@@ -15,8 +15,7 @@
 //!    workers claim chunks dynamically (work stealing via an atomic
 //!    counter), but *which worker* computes a chunk cannot affect its value.
 //! 3. Per-chunk results are merged **in ascending chunk order** by the
-//!    caller ([`map_chunks`] returns them in that order; [`fold_chunks`]
-//!    folds them in that order).
+//!    caller ([`map_chunks`] returns them in that order).
 //!
 //! Consequently every result is a deterministic function of the inputs and
 //! the chunk grid: bit-for-bit identical across runs, across thread counts
@@ -271,22 +270,6 @@ impl<T> Drop for PoolGuard<'_, T> {
     }
 }
 
-/// Parallel map-reduce over the fixed chunk grid: per-chunk values from
-/// `map` are folded into `init` **in ascending chunk order** with `fold`.
-///
-/// `fold` runs on the calling thread, so the accumulator needs no `Send`
-/// bound and the reduction order is a pure function of the grid.
-pub fn fold_chunks<T, A, M, F>(n_items: usize, chunk_size: usize, init: A, map: M, fold: F) -> A
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    F: FnMut(A, T) -> A,
-{
-    map_chunks(n_items, chunk_size, map)
-        .into_iter()
-        .fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,13 +303,9 @@ mod tests {
             .collect();
         let sum_with = |threads: usize| -> u64 {
             set_num_threads(Some(threads));
-            let s = fold_chunks(
-                xs.len(),
-                64,
-                0.0f64,
-                |r| xs[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            );
+            let s = map_chunks(xs.len(), 64, |r| xs[r].iter().sum::<f64>())
+                .into_iter()
+                .fold(0.0f64, |a, b| a + b);
             set_num_threads(None);
             s.to_bits()
         };
@@ -355,7 +334,6 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_map() {
         assert!(map_chunks(0, 8, |r| r.len()).is_empty());
-        assert_eq!(fold_chunks(0, 8, 42usize, |r| r.len(), |a, b| a + b), 42);
     }
 
     #[test]

@@ -1,83 +1,10 @@
-//! Householder QR decomposition and orthonormalization.
+//! Orthonormalization (modified Gram–Schmidt, the `Q` of a thin QR).
 //!
 //! The blocked orthogonal iteration in [`crate::eigen`] re-orthonormalizes
-//! its iterate every sweep; that is the main consumer of this module.
+//! its iterate every sweep; that is the consumer of this module.
 
+use crate::kernels::{axpy, dot};
 use crate::{vector, LinalgError, Matrix, Result};
-
-/// Thin QR decomposition `A = Q R` with `Q: m × n` (orthonormal columns)
-/// and `R: n × n` upper triangular. Requires `m >= n`.
-pub fn qr_thin(a: &Matrix) -> Result<(Matrix, Matrix)> {
-    let (m, n) = a.shape();
-    if m < n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: "rows >= cols for thin QR".to_string(),
-            got: format!("{m}x{n}"),
-        });
-    }
-    // Work on a column-major copy of A; apply Householder reflectors in place.
-    let mut r = a.clone();
-    // Store the reflectors to accumulate Q afterwards.
-    let mut reflectors: Vec<Vec<f64>> = Vec::with_capacity(n);
-    for k in 0..n {
-        // Build the Householder vector for column k, rows k..m.
-        let mut v: Vec<f64> = (k..m).map(|i| r.get(i, k)).collect();
-        let alpha = -v[0].signum() * vector::norm2(&v);
-        if alpha.abs() < f64::EPSILON {
-            // Column already zero below the diagonal: identity reflector.
-            reflectors.push(vec![0.0; m - k]);
-            continue;
-        }
-        v[0] -= alpha;
-        let vnorm = vector::norm2(&v);
-        if vnorm > 0.0 {
-            vector::scale(&mut v, 1.0 / vnorm);
-        }
-        // Apply the reflector H = I - 2 v vᵀ to R's trailing block.
-        for j in k..n {
-            let mut proj = 0.0;
-            for (idx, i) in (k..m).enumerate() {
-                proj += v[idx] * r.get(i, j);
-            }
-            proj *= 2.0;
-            for (idx, i) in (k..m).enumerate() {
-                let val = r.get(i, j) - proj * v[idx];
-                r.set(i, j, val);
-            }
-        }
-        reflectors.push(v);
-    }
-    // Accumulate Q by applying the reflectors (in reverse) to the thin identity.
-    let mut q = Matrix::zeros(m, n);
-    for j in 0..n {
-        q.set(j, j, 1.0);
-    }
-    for k in (0..n).rev() {
-        let v = &reflectors[k];
-        if v.iter().all(|&x| x == 0.0) {
-            continue;
-        }
-        for j in 0..n {
-            let mut proj = 0.0;
-            for (idx, i) in (k..m).enumerate() {
-                proj += v[idx] * q.get(i, j);
-            }
-            proj *= 2.0;
-            for (idx, i) in (k..m).enumerate() {
-                let val = q.get(i, j) - proj * v[idx];
-                q.set(i, j, val);
-            }
-        }
-    }
-    // Extract the upper-triangular n×n block of R.
-    let mut r_out = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            r_out.set(i, j, r.get(i, j));
-        }
-    }
-    Ok((q, r_out))
-}
 
 /// Replace the columns of `a` with an orthonormal basis of their span.
 ///
@@ -98,8 +25,8 @@ pub fn orthonormalize(a: &mut Matrix, rng: &mut impl rand::Rng) -> Result<()> {
         let mut col = a.col(j);
         for prev in 0..j {
             let p = a.col(prev);
-            let proj = vector::dot(&col, &p);
-            vector::axpy(-proj, &p, &mut col);
+            let proj = dot(&col, &p);
+            axpy(-proj, &p, &mut col);
         }
         let mut norm = vector::normalize(&mut col);
         let mut attempts = 0;
@@ -110,8 +37,8 @@ pub fn orthonormalize(a: &mut Matrix, rng: &mut impl rand::Rng) -> Result<()> {
             }
             for prev in 0..j {
                 let p = a.col(prev);
-                let proj = vector::dot(&col, &p);
-                vector::axpy(-proj, &p, &mut col);
+                let proj = dot(&col, &p);
+                axpy(-proj, &p, &mut col);
             }
             norm = vector::normalize(&mut col);
             attempts += 1;
@@ -138,10 +65,19 @@ mod tests {
         g.approx_eq(&Matrix::identity(q.cols()), tol)
     }
 
+    /// The thin QR that [`orthonormalize`] computes: `Q` its output,
+    /// `R = QᵀA`.
+    fn thin_qr(a: &Matrix) -> Result<(Matrix, Matrix)> {
+        let mut q = a.clone();
+        orthonormalize(&mut q, &mut StdRng::seed_from_u64(3))?;
+        let r = q.transpose().matmul(a)?;
+        Ok((q, r))
+    }
+
     #[test]
     fn qr_reconstructs_input() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let (q, r) = qr_thin(&a).unwrap();
+        let (q, r) = thin_qr(&a).unwrap();
         assert!(is_orthonormal(&q, 1e-10));
         let qr = q.matmul(&r).unwrap();
         assert!(qr.approx_eq(&a, 1e-10));
@@ -156,7 +92,7 @@ mod tests {
             &[0.5, 1.5, -2.0],
         ])
         .unwrap();
-        let (_, r) = qr_thin(&a).unwrap();
+        let (_, r) = thin_qr(&a).unwrap();
         for i in 0..r.rows() {
             for j in 0..i {
                 assert!(r.get(i, j).abs() < 1e-12, "below-diagonal entry not zero");
@@ -166,7 +102,7 @@ mod tests {
 
     #[test]
     fn qr_rejects_wide_matrix() {
-        assert!(qr_thin(&Matrix::zeros(2, 3)).is_err());
+        assert!(thin_qr(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Statistical helpers: cosine similarity (for the time-factor heatmaps of
-//! Figs 6–7), softmax, and simple summaries.
+//! Cosine similarity, for the time-factor heatmaps of Figs 6–7.
 
-use crate::{vector, Matrix, Result};
+use crate::{vector, Matrix};
 
 /// Cosine similarity between two vectors; 0.0 when either has zero norm.
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
@@ -10,7 +9,7 @@ pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
-        vector::dot(a, b) / (na * nb)
+        crate::kernels::dot(a, b) / (na * nb)
     }
 }
 
@@ -30,47 +29,6 @@ pub fn cosine_similarity_matrix(m: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Numerically-stable softmax (subtracts the max before exponentiating).
-pub fn softmax(x: &[f64]) -> Vec<f64> {
-    if x.is_empty() {
-        return Vec::new();
-    }
-    let max = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = x.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
-}
-
-/// Sample mean and (population) standard deviation.
-pub fn mean_std(x: &[f64]) -> (f64, f64) {
-    if x.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = vector::mean(x);
-    let var = x.iter().map(|&v| (v - mean).powi(2)).sum::<f64>() / x.len() as f64;
-    (mean, var.sqrt())
-}
-
-/// Root-mean-squared error between paired predictions and targets.
-pub fn rmse(pred: &[f64], target: &[f64]) -> Result<f64> {
-    if pred.len() != target.len() {
-        return Err(crate::LinalgError::ShapeMismatch {
-            expected: format!("{} elements", target.len()),
-            got: format!("{} elements", pred.len()),
-        });
-    }
-    if pred.is_empty() {
-        return Ok(0.0);
-    }
-    let mse = pred
-        .iter()
-        .zip(target.iter())
-        .map(|(&p, &t)| (p - t).powi(2))
-        .sum::<f64>()
-        / pred.len() as f64;
-    Ok(mse.sqrt())
 }
 
 #[cfg(test)]
@@ -100,28 +58,5 @@ mod tests {
             }
         }
         assert!((s.get(0, 1) - (1.0 / 2.0_f64.sqrt())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_is_stable() {
-        let p = softmax(&[1000.0, 1001.0, 1002.0]);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-        assert!(softmax(&[]).is_empty());
-    }
-
-    #[test]
-    fn rmse_known_value() {
-        let e = rmse(&[1.0, 2.0], &[0.0, 4.0]).unwrap();
-        assert!((e - (2.5_f64).sqrt()).abs() < 1e-12);
-        assert!(rmse(&[1.0], &[1.0, 2.0]).is_err());
-        assert_eq!(rmse(&[], &[]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mean_std_constant_slice() {
-        let (m, s) = mean_std(&[2.0, 2.0, 2.0]);
-        assert_eq!(m, 2.0);
-        assert_eq!(s, 0.0);
     }
 }

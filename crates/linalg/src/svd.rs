@@ -64,7 +64,7 @@ impl SymOp for NormalOp<'_> {
         for c in 0..x.cols() {
             let col = x.col(c);
             for (i, axi) in ax.iter_mut().enumerate() {
-                *axi = crate::vector::dot(self.a.row(i), &col);
+                *axi = crate::kernels::dot(self.a.row(i), &col);
             }
             y.fill(0.0);
             for (i, &axi) in ax.iter().enumerate() {

@@ -1,29 +1,9 @@
 //! Small vector kernels shared across the workspace.
 
-/// Dot product of two equal-length slices.
-///
-/// Delegates to the fixed-lane kernel [`crate::kernels::dot`]; the
-/// summation order is that kernel's canonical lane order (a pure function
-/// of the length, so still deterministic across thread counts).
-///
-/// Debug-asserts equal lengths; in release builds the shorter length wins,
-/// which is never exercised by callers in this workspace.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernels::dot(a, b)
-}
-
 /// Euclidean (L2) norm.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `y += alpha * x` (delegates to [`crate::kernels::axpy`]; elementwise,
-/// bitwise identical to the scalar loop).
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    crate::kernels::axpy(alpha, x, y)
+    crate::kernels::dot(a, a).sqrt()
 }
 
 /// Scale a vector in place.
@@ -46,51 +26,20 @@ pub fn normalize(a: &mut [f64]) -> f64 {
     n
 }
 
-/// Elementwise difference `a - b`.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
-}
-
-/// Mean of a slice; 0.0 for an empty slice.
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        a.iter().sum::<f64>() / a.len() as f64
-    }
-}
-
-/// Index and value of the maximum entry; `None` for an empty slice.
-/// NaN entries are never selected.
-pub fn argmax(a: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+        assert_eq!(crate::kernels::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn axpy_updates_in_place() {
         let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
+        crate::kernels::axpy(2.0, &[1.0, -1.0], &mut y);
         assert_eq!(y, vec![3.0, -1.0]);
     }
 
@@ -107,17 +56,5 @@ mod tests {
         let mut v = vec![0.0, 0.0];
         assert_eq!(normalize(&mut v), 0.0);
         assert_eq!(v, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_skips_nan() {
-        assert_eq!(argmax(&[1.0, f64::NAN, 3.0, 2.0]), Some((2, 3.0)));
-        assert_eq!(argmax(&[]), None);
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 }

@@ -51,22 +51,6 @@ impl ServingModel {
             ServingModel::Compact(s) => s.scores_for(user, time),
         }
     }
-
-    /// The f64 training model, if that is what is installed.
-    pub fn as_f64(&self) -> Option<&TcssModel> {
-        match self {
-            ServingModel::F64(m) => Some(m),
-            ServingModel::Compact(_) => None,
-        }
-    }
-
-    /// The compact snapshot, if that is what is installed.
-    pub fn as_compact(&self) -> Option<&SnapshotModel> {
-        match self {
-            ServingModel::F64(_) => None,
-            ServingModel::Compact(s) => Some(s),
-        }
-    }
 }
 
 impl From<TcssModel> for ServingModel {
@@ -192,13 +176,14 @@ mod tests {
         assert_eq!(h.swap(model(2.0)), 2);
         assert_eq!(h.version(), 2);
         let m2 = h.snapshot();
-        assert_eq!(m2.model.as_f64().expect("f64 installed").u1.get(0, 0), 2.0);
+        let u1_00 = |m: &ServingModel| match m {
+            ServingModel::F64(m) => m.u1.get(0, 0),
+            ServingModel::Compact(_) => panic!("f64 installed"),
+        };
+        assert_eq!(u1_00(&m2.model), 2.0);
         // The pre-swap pin still sees the old model, untouched.
         assert_eq!(pinned.version, 1);
-        assert_eq!(
-            pinned.model.as_f64().expect("f64 installed").u1.get(0, 0),
-            1.0
-        );
+        assert_eq!(u1_00(&pinned.model), 1.0);
     }
 
     #[test]
@@ -213,7 +198,7 @@ mod tests {
         let h = ModelHandle::new(model(1.0));
         assert_eq!(h.swap(snap), 2);
         let pinned = h.snapshot();
-        assert!(pinned.model.as_compact().is_some());
+        assert!(matches!(pinned.model, ServingModel::Compact(_)));
         assert_eq!(pinned.model.dims(), model(1.0).dims());
         std::fs::remove_dir_all(&dir).ok();
     }

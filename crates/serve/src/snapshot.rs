@@ -195,6 +195,14 @@ pub enum SnapError {
         /// Payload length stored in the header.
         stored: u64,
     },
+    /// Header dims and rank lay out a payload past `usize::MAX` bytes —
+    /// a forged or corrupted header, refused before any section is read.
+    DimsOverflow {
+        /// Dims stamped in the header.
+        dims: (u64, u64, u64),
+        /// Rank stamped in the header.
+        rank: u64,
+    },
     /// The payload digest does not match — a bit flip inside factor data.
     ChecksumMismatch {
         /// Digest stored in the header.
@@ -230,6 +238,10 @@ impl fmt::Display for SnapError {
                 f,
                 "snapshot header inconsistent: dims derive payload length {derived}, header stores {stored}"
             ),
+            SnapError::DimsOverflow { dims, rank } => write!(
+                f,
+                "snapshot header inconsistent: dims {dims:?} at rank {rank} overflow the payload layout"
+            ),
             SnapError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "snapshot payload corrupt: stored checksum {stored:016x}, computed {computed:016x}"
@@ -250,14 +262,15 @@ impl From<std::io::Error> for SnapError {
 // Layout: section offsets derived from (mode, dims), never stored.
 // ---------------------------------------------------------------------
 
-fn align_up(off: usize, align: usize) -> usize {
-    off.div_ceil(align) * align
+fn align_up(off: usize, align: usize) -> Option<usize> {
+    off.div_ceil(align).checked_mul(align)
 }
 
 /// Byte offsets of every payload section, relative to the payload base
 /// (file offset [`HEADER_LEN`]). Pure function of `(mode, dims)` — the
 /// reader re-derives it and cross-checks against the header's
-/// `payload_len`.
+/// `payload_len`. Every offset is computed with checked arithmetic, so a
+/// layout that exists bounds every section by `len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Layout {
     h: usize,
@@ -271,22 +284,28 @@ struct Layout {
 }
 
 impl Layout {
-    fn derive(mode: QuantMode, dims: (usize, usize, usize), r: usize) -> Layout {
+    /// `None` when an offset overflows `usize` (only a forged or
+    /// corrupted header can ask for that).
+    fn derive(mode: QuantMode, dims: (usize, usize, usize), r: usize) -> Option<Layout> {
         let (i, j, k) = dims;
         let e = mode.entry_bytes();
         let scales = |rows: usize| match mode {
-            QuantMode::F32 => 0,
-            QuantMode::I16 => rows * 4,
+            QuantMode::F32 => Some(0),
+            QuantMode::I16 => rows.checked_mul(4),
         };
+        // The section after one starting at `off` holding `bytes` bytes.
+        let next =
+            |off: usize, bytes: Option<usize>| align_up(off.checked_add(bytes?)?, SECTION_ALIGN);
+        let factor = |rows: usize| rows.checked_mul(r)?.checked_mul(e);
         let h = 0;
-        let u1 = align_up(h + r * 4, SECTION_ALIGN);
-        let u1_scales = align_up(u1 + i * r * e, SECTION_ALIGN);
-        let u2 = align_up(u1_scales + scales(i), SECTION_ALIGN);
-        let u2_scales = align_up(u2 + j * r * e, SECTION_ALIGN);
-        let u3 = align_up(u2_scales + scales(j), SECTION_ALIGN);
-        let u3_scales = align_up(u3 + k * r * e, SECTION_ALIGN);
-        let len = align_up(u3_scales + scales(k), SECTION_ALIGN);
-        Layout {
+        let u1 = next(h, r.checked_mul(4))?;
+        let u1_scales = next(u1, factor(i))?;
+        let u2 = next(u1_scales, scales(i))?;
+        let u2_scales = next(u2, factor(j))?;
+        let u3 = next(u2_scales, scales(j))?;
+        let u3_scales = next(u3, factor(k))?;
+        let len = next(u3_scales, scales(k))?;
+        Some(Layout {
             h,
             u1,
             u1_scales,
@@ -295,7 +314,7 @@ impl Layout {
             u3,
             u3_scales,
             len,
-        }
+        })
     }
 }
 
@@ -371,7 +390,7 @@ pub fn snapshot_bytes(model: &TcssModel, mode: QuantMode) -> Vec<u8> {
     let dims = model.dims();
     let r = model.rank();
     let (i, j, k) = dims;
-    let layout = Layout::derive(mode, dims, r);
+    let layout = Layout::derive(mode, dims, r).expect("an in-memory model's layout fits in usize");
     let mut buf = vec![0u8; HEADER_LEN + layout.len];
 
     {
@@ -609,7 +628,10 @@ impl SnapshotModel {
         let payload_len = get_u64(&header, 48);
         let payload_sum = get_u64(&header, 56);
 
-        let layout = Layout::derive(mode, dims, rank);
+        let layout = Layout::derive(mode, dims, rank).ok_or(SnapError::DimsOverflow {
+            dims: (dims.0 as u64, dims.1 as u64, dims.2 as u64),
+            rank: rank as u64,
+        })?;
         if layout.len as u64 != payload_len {
             return Err(SnapError::DimsMismatch {
                 derived: layout.len as u64,
@@ -675,11 +697,6 @@ impl SnapshotModel {
     /// Payload bytes (factor data; excludes the one-page header).
     pub fn payload_bytes(&self) -> usize {
         self.layout.len
-    }
-
-    /// Total file bytes (header + payload).
-    pub fn file_bytes(&self) -> usize {
-        HEADER_LEN + self.layout.len
     }
 
     // -- zero-copy section accessors ---------------------------------

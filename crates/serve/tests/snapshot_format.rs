@@ -11,9 +11,9 @@
 //!   *and* padding, both covered by the whole-page header digest) and
 //!   payload flips (the payload digest) alike;
 //! * targeted field corruption (version skew, unknown quant mode,
-//!   inconsistent dims) maps to its specific typed variant even when the
-//!   header digest is recomputed to match — the reader cross-validates,
-//!   not just checksums.
+//!   inconsistent or overflowing dims) maps to its specific typed variant
+//!   even when the header digest is recomputed to match — the reader
+//!   cross-validates, not just checksums.
 
 use std::path::{Path, PathBuf};
 
@@ -218,6 +218,30 @@ fn inconsistent_dims_are_typed_even_with_valid_digest() {
     assert!(matches!(
         SnapshotModel::open(&path),
         Err(SnapError::DimsMismatch { .. })
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overflowing_dims_are_typed_even_with_valid_digest() {
+    let dir = tmpdir("overflow");
+    let mut bytes = snapshot_bytes(&model(23), QuantMode::F32);
+    // dims 1×1×1 at rank 2⁶² + 1: `rank · 4` wraps to 4, so unchecked
+    // offsets lay out exactly 256 payload bytes. Stamp that length and
+    // both digests, so only the layout arithmetic can refuse the file.
+    bytes.truncate(HEADER_LEN + 256);
+    for off in [16, 24, 32] {
+        bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
+    }
+    bytes[40..48].copy_from_slice(&((1u64 << 62) + 1).to_le_bytes());
+    bytes[48..56].copy_from_slice(&256u64.to_le_bytes());
+    let payload_sum = crc32c_pair(&bytes[HEADER_LEN..]);
+    bytes[56..64].copy_from_slice(&payload_sum.to_le_bytes());
+    restamp_header(&mut bytes);
+    let path = write_raw(&dir, &bytes);
+    assert!(matches!(
+        SnapshotModel::open(&path),
+        Err(SnapError::DimsOverflow { dims: (1, 1, 1), rank }) if rank == (1u64 << 62) + 1
     ));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,6 @@
 //! # tcss-sparse
 //!
-//! Sparse tensor and matrix substrate for the TCSS reproduction.
+//! Sparse tensor substrate for the TCSS reproduction.
 //!
 //! The paper's data object is a binary order-3 check-in tensor
 //! `X ∈ {0,1}^{I×J×K}` (user × POI × time unit) that is extremely sparse —
@@ -8,17 +8,13 @@
 //! initialization, the rewritten loss, every baseline) consumes the
 //! [`SparseTensor3`] defined here.
 //!
-//! * [`SparseTensor3`] — deduplicated COO storage with per-mode index lists,
-//!   mode-n matricization, and the matrix-free Gram operators
-//!   ([`ModeGramOp`]) that the spectral initializer (paper Eq 4) applies
-//!   without ever materializing an `I × I` matrix.
-//! * [`CsrMatrix`] — compressed sparse rows, used for the user–POI matrix
-//!   fed to the matrix-completion baselines and for graph-ish kernels.
+//! [`SparseTensor3`] is deduplicated COO storage with per-mode index
+//! lists, mode-n matricization, and the matrix-free Gram operators
+//! ([`ModeGramOp`]) that the spectral initializer (paper Eq 4) applies
+//! without ever materializing an `I × I` matrix.
 
-pub mod matrix;
 pub mod tensor;
 
-pub use matrix::CsrMatrix;
 pub use tensor::{Mode, ModeGramOp, SparseTensor3, TensorEntry};
 
 /// Errors produced by sparse-structure constructors.

@@ -182,16 +182,6 @@ impl SparseTensor3 {
         t
     }
 
-    /// Collapse the time mode: the `I × J` user–POI interaction matrix
-    /// `M_{ij} = Σ_k X_{ijk}` used by the matrix-completion baselines.
-    pub fn user_poi_matrix(&self) -> crate::CsrMatrix {
-        let mut triples: Vec<(usize, usize, f64)> = Vec::with_capacity(self.nnz());
-        for e in &self.entries {
-            triples.push((e.i, e.j, e.value));
-        }
-        crate::CsrMatrix::from_triples(self.dims.0, self.dims.1, triples)
-    }
-
     /// Dense mode-`m` matricization.
     ///
     /// Following §IV-A of the paper: mode-1 gives `A ∈ ℝ^{I×(JK)}` with
@@ -233,17 +223,6 @@ impl SparseTensor3 {
             d[mode.select(e)] += e.value * e.value;
         }
         d
-    }
-
-    /// Per-mode histograms of nonzero counts (handy for preprocessing
-    /// filters and dataset statistics).
-    pub fn mode_counts(&self, mode: Mode) -> Vec<usize> {
-        let lists = match mode {
-            Mode::One => &self.index[0],
-            Mode::Two => &self.index[1],
-            Mode::Three => &self.index[2],
-        };
-        lists.iter().map(|l| l.len()).collect()
     }
 
     /// Frobenius norm of the stored entries.
@@ -594,25 +573,12 @@ mod tests {
     }
 
     #[test]
-    fn user_poi_matrix_collapses_time() {
-        let t = SparseTensor3::from_entries(
-            (2, 2, 3),
-            vec![(0, 0, 0, 1.0), (0, 0, 2, 1.0), (1, 1, 1, 1.0)],
-        )
-        .unwrap();
-        let m = t.user_poi_matrix();
-        assert_eq!(m.get(0, 0), 2.0);
-        assert_eq!(m.get(1, 1), 1.0);
-        assert_eq!(m.get(0, 1), 0.0);
-    }
-
-    #[test]
     fn empty_tensor_behaves() {
         let t = SparseTensor3::empty((2, 2, 2));
         assert_eq!(t.nnz(), 0);
         assert_eq!(t.density(), 0.0);
         assert_eq!(t.get(0, 0, 0), 0.0);
-        assert_eq!(t.mode_counts(Mode::One), vec![0, 0]);
+        assert_eq!(t.mode_sq_norms(Mode::One), vec![0.0, 0.0]);
     }
 
     #[test]

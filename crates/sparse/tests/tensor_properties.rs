@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tcss_linalg::{Matrix, SymOp};
-use tcss_sparse::{CsrMatrix, Mode, ModeGramOp, SparseTensor3};
+use tcss_sparse::{Mode, ModeGramOp, SparseTensor3};
 
 #[allow(clippy::type_complexity)]
 fn entries_strategy(
@@ -61,19 +61,6 @@ proptest! {
         }
     }
 
-    /// The user–POI matrix sums the time fibers.
-    #[test]
-    fn user_poi_matrix_sums_time((dims, raw) in entries_strategy()) {
-        let t = SparseTensor3::from_entries(dims, raw).expect("in range");
-        let m = t.user_poi_matrix();
-        for i in 0..dims.0 {
-            for j in 0..dims.1 {
-                let fiber_sum: f64 = (0..dims.2).map(|k| t.get(i, j, k)).sum();
-                prop_assert!((m.get(i, j) - fiber_sum).abs() < 1e-12);
-            }
-        }
-    }
-
     /// The implicit off-diagonal Gram operator agrees with the explicit
     /// route through dense matricization: for every mode `n` and any `x`,
     /// `ModeGramOp::apply(x) == A⁽ⁿ⁾ (A⁽ⁿ⁾ᵀ x) − diag(A⁽ⁿ⁾A⁽ⁿ⁾ᵀ) ⊙ x`,
@@ -117,20 +104,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// CSR transpose-matvec is the adjoint of matvec: ⟨Ax, y⟩ = ⟨x, Aᵀy⟩.
-    #[test]
-    fn csr_adjoint_identity(
-        triples in proptest::collection::vec((0usize..6, 0usize..5, -2.0f64..2.0), 0..20)
-    ) {
-        let m = CsrMatrix::from_triples(6, 5, triples);
-        let x: Vec<f64> = (0..5).map(|i| (i as f64 * 0.7).cos()).collect();
-        let y: Vec<f64> = (0..6).map(|i| (i as f64 * 0.3).sin()).collect();
-        let ax = m.matvec(&x);
-        let aty = m.matvec_transpose(&y);
-        let lhs: f64 = ax.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
-        let rhs: f64 = x.iter().zip(aty.iter()).map(|(a, b)| a * b).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-10, "{lhs} vs {rhs}");
     }
 }

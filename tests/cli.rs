@@ -319,6 +319,54 @@ fn model_dataset_mismatch_is_detected() {
 }
 
 #[test]
+fn out_of_range_checkin_month_is_a_typed_error_not_a_panic() {
+    let dir = workdir("month_range");
+    let data = dir.join("gmu");
+    let model = dir.join("model.tcss");
+    assert!(bin()
+        .args(["generate", "--preset", "gmu-5k", "--out"])
+        .arg(&data)
+        .status()
+        .unwrap()
+        .success());
+    // Set the first check-in's month (`user,poi,month,week,hour`) to 12.
+    let checkins = dir.join("gmu.checkins.csv");
+    let text = std::fs::read_to_string(&checkins).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut fields: Vec<&str> = lines[1].split(',').collect();
+    fields[2] = "12";
+    lines[1] = fields.join(",");
+    std::fs::write(&checkins, lines.join("\n") + "\n").unwrap();
+
+    let train = |lenient: bool| {
+        let mut cmd = bin();
+        cmd.args(["train", "--epochs", "1", "--lambda", "0", "--data"])
+            .arg(&data)
+            .arg("--model")
+            .arg(&model);
+        if lenient {
+            cmd.arg("--lenient");
+        }
+        cmd.output().expect("run train")
+    };
+    let out = train(false);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("gmu.checkins.csv:2:"), "{stderr}");
+    assert!(stderr.contains("month 12 out of range"), "{stderr}");
+
+    let out = train(true);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("skipped 1 malformed check-in row(s)"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn text_model_file_is_refused_naming_its_format() {
     let dir = workdir("legacy_text");
     let data = dir.join("gmu");
